@@ -17,6 +17,16 @@
 // entry is skipped when it reaches the front. Handles carry the same
 // generation so a handle to a recycled event can never touch its
 // successor.
+//
+// The queue keeps two lanes, both ordered by (time, sequence): one for
+// events scheduled while no callback is running (a round's pre-planned
+// sends, queued before Run) and one for events scheduled by a firing
+// callback (the reactive traffic of frames in flight). The next event is
+// the earlier of the two heads, so the firing order is the single total
+// order above. The split only keeps the reactive heap — the one nearly
+// every push and pop touches — as small as the number of frames in flight
+// instead of the whole round's pre-planned schedule. The lane follows from
+// whether a callback is being dispatched; there is nothing to configure.
 package eventsim
 
 import (
@@ -76,15 +86,16 @@ func (h *Handle) Cancel() {
 // Cancel was called.
 func (h *Handle) Cancelled() bool { return h.cancelled }
 
-// The event queue is a 4-ary min-heap over (at, seq) implemented
-// concretely rather than through container/heap: the comparator is a
-// strict total order, so pop order — the only thing determinism depends
-// on — is independent of heap layout. Entries carry the ordering key by
-// value, so comparisons and sift moves never leave the heap's backing
-// array, and the 4-ary shape halves the depth a pop sifts through —
-// together these cut the scheduler's share of a simulation's CPU profile
-// by more than half versus the interface-dispatched pointer heap. Sifts
-// move a hole instead of swapping, so each level costs one entry copy.
+// Each lane of the event queue is a 4-ary min-heap over (at, seq)
+// implemented concretely rather than through container/heap: the
+// comparator is a strict total order, so pop order — the only thing
+// determinism depends on — is independent of heap layout. Entries carry
+// the ordering key by value, so comparisons and sift moves never leave the
+// heap's backing array, and the 4-ary shape halves the depth a pop sifts
+// through — together these cut the scheduler's share of a simulation's CPU
+// profile by more than half versus the interface-dispatched pointer heap.
+// Sifts move a hole instead of swapping, so each level costs one entry
+// copy.
 
 // heapEntry is one scheduled slot: the ordering key, the slab index of
 // the event it belongs to, and the lifecycle it was scheduled in. An
@@ -109,58 +120,43 @@ func before(a, b heapEntry) bool {
 }
 
 // push inserts e and restores the heap property.
-func (s *Sim) push(e heapEntry) {
-	s.queue = append(s.queue, heapEntry{})
-	s.siftUp(e, int32(len(s.queue))-1)
+func (h *eventHeap) push(e heapEntry) {
+	*h = append(*h, heapEntry{})
+	h.siftUp(e, int32(len(*h))-1)
 }
 
 // pop removes and returns the earliest entry, which may be a tombstone.
-// The queue must be non-empty.
-func (s *Sim) pop() heapEntry {
-	q := s.queue
+// The heap must be non-empty.
+func (h *eventHeap) pop() heapEntry {
+	q := *h
 	min := q[0]
 	n := len(q) - 1
 	last := q[n]
-	s.queue = q[:n]
+	*h = q[:n]
 	if n > 0 {
-		s.siftDown(last, 0)
+		h.siftDown(last, 0)
 	}
 	return min
 }
 
-// prune drops tombstones off the front of the queue so queue[0], when it
-// exists, is always a live entry. Every front-of-queue read funnels
-// through here; the amortized cost is one extra pop per Cancel.
-func (s *Sim) prune() {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if s.events[e.ei].gen == e.gen {
-			return
-		}
-		s.pop()
-	}
-}
-
 // siftUp places e into the hole at position i, shifting later-firing
 // parents down until the heap property holds.
-func (s *Sim) siftUp(e heapEntry, i int32) {
-	q := s.queue
+func (h eventHeap) siftUp(e heapEntry, i int32) {
 	for i > 0 {
 		p := (i - 1) / 4
-		if !before(e, q[p]) {
+		if !before(e, h[p]) {
 			break
 		}
-		q[i] = q[p]
+		h[i] = h[p]
 		i = p
 	}
-	q[i] = e
+	h[i] = e
 }
 
 // siftDown places e into the hole at position i, shifting the
 // earliest-firing child up until the heap property holds.
-func (s *Sim) siftDown(e heapEntry, i int32) {
-	q := s.queue
-	n := int32(len(q))
+func (h eventHeap) siftDown(e heapEntry, i int32) {
+	n := int32(len(h))
 	for {
 		c := 4*i + 1
 		if c >= n {
@@ -172,43 +168,46 @@ func (s *Sim) siftDown(e heapEntry, i int32) {
 		}
 		m := c
 		for j := c + 1; j < end; j++ {
-			if before(q[j], q[m]) {
+			if before(h[j], h[m]) {
 				m = j
 			}
 		}
-		if !before(q[m], e) {
+		if !before(h[m], e) {
 			break
 		}
-		q[i] = q[m]
+		h[i] = h[m]
 		i = m
 	}
-	q[i] = e
+	h[i] = e
 }
 
 // Sim is the simulation kernel. The zero value is ready to use.
 type Sim struct {
-	now    Time
-	seq    uint64
-	queue  eventHeap
-	events []event // slab of event slots, addressed by index
-	free   []int32 // recycled slab indices
-	live   int     // scheduled events that are not tombstones
-	fired  uint64
-	halted bool
+	now     Time
+	seq     uint64
+	sched   eventHeap // lane for events scheduled outside any callback
+	queue   eventHeap // lane for events scheduled by a firing callback
+	events  []event   // slab of event slots, addressed by index
+	free    []int32   // recycled slab indices
+	live    int       // scheduled events that are not tombstones
+	fired   uint64
+	halted  bool
+	running bool // a callback is being dispatched
 }
 
 // New returns a fresh simulation at time zero.
 func New() *Sim { return &Sim{} }
 
 // NewWithCap returns a fresh simulation with capacity for n simultaneously
-// scheduled events preallocated (heap slots and pooled event structs), so
-// a run that never exceeds n pending events performs no event allocation
-// at all.
+// scheduled events preallocated (heap slots in both lanes and pooled event
+// structs), so a run that never exceeds n pending events performs no event
+// allocation at all.
 func NewWithCap(n int) *Sim {
 	if n < 0 {
 		n = 0
 	}
 	s := &Sim{
+		sched:  make(eventHeap, 0, n),
 		queue:  make(eventHeap, 0, n),
 		events: make([]event, 0, n),
 		free:   make([]int32, 0, n),
@@ -217,24 +216,27 @@ func NewWithCap(n int) *Sim {
 }
 
 // Reset rewinds the kernel to time zero for a fresh run while keeping its
-// backing storage: any still-scheduled events are recycled into the free
-// list (their handles are invalidated by the gen bump), tombstones are
-// dropped, and the heap keeps its capacity. A Reset sim is
-// indistinguishable from a New one — the clock, sequence counter, and
+// backing storage: any still-scheduled events in either lane are recycled
+// into the free list (their handles are invalidated by the gen bump),
+// tombstones are dropped, and both heaps keep their capacity. A Reset sim
+// is indistinguishable from a New one — the clock, sequence counter, and
 // fired count all restart — so a run on a reused kernel is byte-identical
 // to a run on a fresh one.
 func (s *Sim) Reset() {
-	for _, e := range s.queue {
-		if s.events[e.ei].gen == e.gen {
-			s.recycle(e.ei)
+	for _, h := range [2]*eventHeap{&s.sched, &s.queue} {
+		for _, e := range *h {
+			if s.events[e.ei].gen == e.gen {
+				s.recycle(e.ei)
+			}
 		}
+		*h = (*h)[:0]
 	}
-	s.queue = s.queue[:0]
 	s.live = 0
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
 	s.halted = false
+	s.running = false
 }
 
 // Now returns the current simulated time.
@@ -257,6 +259,55 @@ func (s *Sim) recycle(ei int32) {
 	s.free = append(s.free, ei)
 }
 
+// prune drops tombstones off the front of lane h so its head, when it
+// exists, is always a live entry. The amortized cost is one extra pop per
+// Cancel.
+func (s *Sim) prune(h *eventHeap) {
+	for len(*h) > 0 {
+		e := (*h)[0]
+		if s.events[e.ei].gen == e.gen {
+			return
+		}
+		h.pop()
+	}
+}
+
+// front returns the lane whose head fires next, or nil when nothing is
+// scheduled. Every front-of-queue read funnels through here, so both heads
+// are pruned and the returned head is live.
+func (s *Sim) front() *eventHeap {
+	s.prune(&s.sched)
+	s.prune(&s.queue)
+	if len(s.queue) == 0 {
+		if len(s.sched) == 0 {
+			return nil
+		}
+		return &s.sched
+	}
+	if len(s.sched) > 0 && before(s.sched[0], s.queue[0]) {
+		return &s.sched
+	}
+	return &s.queue
+}
+
+// fire pops lane h's head and runs it. The head must be live.
+func (s *Sim) fire(h *eventHeap) {
+	e := h.pop()
+	s.now = e.at
+	s.fired++
+	s.live--
+	fn := s.events[e.ei].fn
+	// Recycle before running: the callback may schedule new events
+	// (reusing this very slot), and any handle to this lifecycle is
+	// invalidated by the gen bump first, so a self-Cancel inside fn is a
+	// safe no-op.
+	s.recycle(e.ei)
+	running := s.running
+	s.running = true
+	fn()
+	s.running = running
+}
+
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a protocol bug, never a recoverable condition.
 func (s *Sim) At(t Time, fn func()) Handle {
@@ -276,7 +327,12 @@ func (s *Sim) At(t Time, fn func()) Handle {
 	}
 	ev := &s.events[ei]
 	ev.fn = fn
-	s.push(heapEntry{at: t, seq: s.seq, gen: ev.gen, ei: ei})
+	e := heapEntry{at: t, seq: s.seq, gen: ev.gen, ei: ei}
+	if s.running {
+		s.queue.push(e)
+	} else {
+		s.sched.push(e)
+	}
 	s.seq++
 	s.live++
 	return Handle{s: s, ei: ei, gen: ev.gen}
@@ -297,21 +353,11 @@ func (s *Sim) Run(deadline Time) uint64 {
 	start := s.fired
 	s.halted = false
 	for !s.halted {
-		s.prune()
-		if len(s.queue) == 0 || s.queue[0].at > deadline {
+		h := s.front()
+		if h == nil || (*h)[0].at > deadline {
 			break
 		}
-		e := s.pop()
-		s.now = e.at
-		s.fired++
-		s.live--
-		fn := s.events[e.ei].fn
-		// Recycle before running: the callback may schedule new events
-		// (reusing this very slot), and any handle to this lifecycle is
-		// invalidated by the gen bump first, so a self-Cancel inside fn is
-		// a safe no-op.
-		s.recycle(e.ei)
-		fn()
+		s.fire(h)
 	}
 	if s.now < deadline && s.live == 0 && !math.IsInf(float64(deadline), 1) {
 		// Advance the clock to the deadline so successive Run calls see
@@ -331,11 +377,11 @@ func (s *Sim) RunAll() uint64 {
 // the queue is empty. It is the peek a conservative parallel coordinator
 // needs to derive a safe horizon from neighboring kernels' schedules.
 func (s *Sim) NextAt() (Time, bool) {
-	s.prune()
-	if len(s.queue) == 0 {
+	h := s.front()
+	if h == nil {
 		return 0, false
 	}
-	return s.queue[0].at, true
+	return (*h)[0].at, true
 }
 
 // RunUntil executes events strictly before limit and returns the number
@@ -349,17 +395,11 @@ func (s *Sim) RunUntil(limit Time) uint64 {
 	start := s.fired
 	s.halted = false
 	for !s.halted {
-		s.prune()
-		if len(s.queue) == 0 || s.queue[0].at >= limit {
+		h := s.front()
+		if h == nil || (*h)[0].at >= limit {
 			break
 		}
-		e := s.pop()
-		s.now = e.at
-		s.fired++
-		s.live--
-		fn := s.events[e.ei].fn
-		s.recycle(e.ei)
-		fn()
+		s.fire(h)
 	}
 	return s.fired - start
 }
@@ -377,20 +417,17 @@ func (s *Sim) RunAt(t Time) uint64 {
 	start := s.fired
 	s.halted = false
 	for !s.halted {
-		s.prune()
-		if len(s.queue) == 0 || s.queue[0].at != t {
-			if len(s.queue) > 0 && s.queue[0].at < t {
-				panic(fmt.Sprintf("eventsim: RunAt(%v) found earlier event at %v", t, s.queue[0].at))
+		h := s.front()
+		if h == nil {
+			break
+		}
+		if at := (*h)[0].at; at != t {
+			if at < t {
+				panic(fmt.Sprintf("eventsim: RunAt(%v) found earlier event at %v", t, at))
 			}
 			break
 		}
-		e := s.pop()
-		s.now = e.at
-		s.fired++
-		s.live--
-		fn := s.events[e.ei].fn
-		s.recycle(e.ei)
-		fn()
+		s.fire(h)
 	}
 	return s.fired - start
 }

@@ -306,6 +306,27 @@ func TestScheduleAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("schedule/cancel/run allocated %v per run, want 0", allocs)
 	}
+
+	// Interleaved two-lane run: events scheduled outside Run land in one
+	// lane, events their callbacks schedule in the other, with a tie across
+	// lanes at 1.5 and a cancelled entry in each lane.
+	react := func() {
+		h := s.After(0, nop)
+		s.After(0.5, nop)
+		h.Cancel()
+	}
+	s.After(1, react)
+	s.RunAll() // warm the callback lane
+	allocs = testing.AllocsPerRun(200, func() {
+		s.After(1, react)
+		s.After(1.5, nop)
+		h := s.After(2, nop)
+		h.Cancel()
+		s.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("two-lane schedule/cancel/run allocated %v per run, want 0", allocs)
+	}
 }
 
 func BenchmarkScheduleAndRun(b *testing.B) {

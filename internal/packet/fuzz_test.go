@@ -20,6 +20,17 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
+	// A multi-entry coalesced batch, and a traced slice: the entry list
+	// and the in-band trace context are the decoder's least-seeded paths.
+	batch := &Packet{Header: Header{Kind: KindSliceBatch, Src: 19, Dst: 20, Round: 21, Seq: 22}, Entries: []SliceEntry{
+		{Dst: 20, Cipher: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}, Nonce: 23, Tag: 24, Color: Red},
+		{Dst: 25, Cipher: [8]byte{9}, Nonce: 26, Tag: 27, Color: Blue},
+		{Dst: 28, Nonce: 29, Tag: 30, Color: Red},
+	}}
+	traced := &Packet{Header: Header{Kind: KindSlice, Src: 31, Dst: 32, Round: 33, Seq: 34, TraceQ: 35, TraceSpan: 0xdeadbeef},
+		Cipher: [8]byte{0xff, 0, 0xff}, Nonce: 36, Tag: 37, Color: Blue}
+	f.Add(batch.Marshal())
+	f.Add(traced.Marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Unmarshal(data)
 		if err != nil {

@@ -87,8 +87,7 @@ type Medium struct {
 	batch     []topology.NodeID // reusable ok-receiver staging for finish
 	taps      []Tap
 
-	txUntil   []eventsim.Time // per node: end of current transmission
-	incoming  [][]*reception  // per node: receptions in progress
+	rx        []nodeRx        // per node: carrier state
 	nodeSent  []uint64        // per node: bytes transmitted
 	nodeCount []uint64        // per node: frames transmitted
 	txPool    []*transmission // recycled transmission records
@@ -156,13 +155,27 @@ func (m *Medium) SetQTrace(t *qtrace.Tracer, model energy.Model) {
 	m.qtModel = model
 }
 
-// reception is one neighbor's view of a frame in flight. Receptions live
-// inline in their transmission's recs slice; incoming lists hold pointers
-// into it, which stay valid because recs is sized up front and never grown
-// while pointers are outstanding.
+// nodeRx is one node's carrier state. Instead of listing the receptions
+// in progress at the node, it counts them and keeps a generation that
+// every corrupting event bumps: a new reception starting at the node
+// (which collides with every reception already in progress there) and the
+// node starting to transmit (half-duplex). A reception remembers the
+// generation it started in, so it survived iff the generation is
+// unchanged when it ends — the same outcome as marking every listed
+// reception corrupt, with no list to append to, scan, or hold pointers in.
+type nodeRx struct {
+	txUntil eventsim.Time // end of the node's current transmission
+	active  int32         // receptions in progress at the node
+	gen     uint32        // corrupting events seen by the node
+}
+
+// reception is one neighbor's view of a frame in flight, inline in its
+// transmission's recs slice. ok records whether the reception was clean at
+// its start; gen is the neighbor's generation right after it began.
 type reception struct {
-	nb topology.NodeID // the observer
-	ok bool
+	nb  topology.NodeID // the observer
+	gen uint32
+	ok  bool
 }
 
 // transmission is one frame in flight: the shared fields of all its
@@ -189,8 +202,7 @@ func New(sim *eventsim.Sim, net *topology.Network, rateBps float64) *Medium {
 		net:       net,
 		rateBps:   rateBps,
 		receiver:  make([]Receiver, n),
-		txUntil:   make([]eventsim.Time, n),
-		incoming:  make([][]*reception, n),
+		rx:        make([]nodeRx, n),
 		nodeSent:  make([]uint64, n),
 		nodeCount: make([]uint64, n),
 	}
@@ -199,37 +211,29 @@ func New(sim *eventsim.Sim, net *topology.Network, rateBps float64) *Medium {
 // PaperRate is the 1 Mbps data rate of the paper's simulation setup.
 const PaperRate = 1e6
 
+// Net returns the network the medium currently simulates — the one passed
+// to New or the latest Reset. MAC layers that derive geometry-dependent
+// schedules (slotted TDMA) read it at their own Reset time.
+func (m *Medium) Net() *topology.Network { return m.net }
+
 // Reset returns the medium to its post-New state over a (possibly new)
 // topology while keeping its allocated storage: per-node tables are resized
 // and cleared in place, and the transmission pool survives so the next
 // run's frames reuse this run's records. Receivers, taps, the meter, the
 // loss model, and the obs sink are all detached — exactly the fields New
 // leaves unset — so the owning stack must rewire what it needs, same as
-// after a fresh New.
-// Net returns the network the medium currently simulates — the one passed
-// to New or the latest Reset. MAC layers that derive geometry-dependent
-// schedules (slotted TDMA) read it at their own Reset time.
-func (m *Medium) Net() *topology.Network { return m.net }
-
+// after a fresh New. The owning sim must be Reset with it: frames still in
+// the air lose their end-of-air events (their records are garbage, a
+// bounded loss), and the cleared carrier state assumes none will fire.
 func (m *Medium) Reset(net *topology.Network) {
 	n := net.N()
 	m.net = net
-	m.receiver = resizeReceivers(m.receiver, n)
+	m.receiver = resizeCleared(m.receiver, n)
 	m.batchRecv = nil
 	m.taps = m.taps[:0]
-	m.txUntil = resizeTimes(m.txUntil, n)
-	if cap(m.incoming) < n {
-		m.incoming = make([][]*reception, n)
-	}
-	m.incoming = m.incoming[:n]
-	for i := range m.incoming {
-		// Receptions still "in the air" at the end of a run point into
-		// transmission records whose end-of-air event died with the old
-		// schedule; drop them (their records are garbage, a bounded loss).
-		m.incoming[i] = m.incoming[i][:0]
-	}
-	m.nodeSent = resizeCounters(m.nodeSent, n)
-	m.nodeCount = resizeCounters(m.nodeCount, n)
+	m.rx = resizeCleared(m.rx, n)
+	m.nodeSent = resizeCleared(m.nodeSent, n)
+	m.nodeCount = resizeCleared(m.nodeCount, n)
 	m.stats = Stats{}
 	m.meter = nil
 	m.lossRate = 0
@@ -239,29 +243,9 @@ func (m *Medium) Reset(net *topology.Network) {
 	m.qt = nil
 }
 
-func resizeReceivers(s []Receiver, n int) []Receiver {
+func resizeCleared[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]Receiver, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nil
-	}
-	return s
-}
-
-func resizeTimes(s []eventsim.Time, n int) []eventsim.Time {
-	if cap(s) < n {
-		return make([]eventsim.Time, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func resizeCounters(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -317,10 +301,8 @@ func (m *Medium) Duration(size int) eventsim.Time {
 // Busy reports whether node id senses the channel busy right now: it is
 // transmitting, or at least one transmitter is audible.
 func (m *Medium) Busy(id topology.NodeID) bool {
-	if m.txUntil[id] > m.sim.Now() {
-		return true
-	}
-	return len(m.incoming[id]) > 0
+	r := &m.rx[id]
+	return r.txUntil > m.sim.Now() || r.active > 0
 }
 
 // getTx pops a transmission record from the pool, building the completion
@@ -369,11 +351,15 @@ func (m *Medium) SetTxHook(h TxHook) { m.txHook = h }
 
 func (m *Medium) transmit(src topology.NodeID, dst int32, frame []byte, size int, native bool) {
 	now := m.sim.Now()
-	if m.txUntil[src] > now {
+	self := &m.rx[src]
+	if self.txUntil > now {
 		panic(fmt.Sprintf("radio: node %d transmit while transmitting", src))
 	}
 	dur := m.Duration(size)
-	m.txUntil[src] = now + dur
+	self.txUntil = now + dur
+	// A node that starts transmitting corrupts any reception in progress
+	// at itself (half-duplex).
+	self.gen++
 	if native {
 		m.nodeSent[src] += uint64(size)
 		m.nodeCount[src]++
@@ -406,41 +392,22 @@ func (m *Medium) transmit(src topology.NodeID, dst int32, frame []byte, size int
 		}
 	}
 
-	// A node that starts transmitting corrupts any reception in progress
-	// at itself (half-duplex).
-	for _, rec := range m.incoming[src] {
-		rec.ok = false
-	}
-
-	nbs := m.net.Neighbors(src)
 	tx := m.getTx()
 	tx.src, tx.dst, tx.frame, tx.size = src, topology.NodeID(dst), frame, size
-	// Size recs before taking pointers into it: incoming lists alias the
-	// slice's elements, so it must not grow until the frame resolves.
-	if cap(tx.recs) < len(nbs) {
-		tx.recs = make([]reception, len(nbs))
-	} else {
-		tx.recs = tx.recs[:len(nbs)]
-	}
-	for i, nb := range nbs {
-		rec := &tx.recs[i]
-		rec.nb = nb
-		rec.ok = true
-		if m.lossRate > 0 && m.lossRand.Bool(m.lossRate) {
-			rec.ok = false
+	tx.recs = tx.recs[:0]
+	for _, nb := range m.net.Neighbors(src) {
+		ok := !(m.lossRate > 0 && m.lossRand.Bool(m.lossRate))
+		r := &m.rx[nb]
+		// A receiver busy transmitting cannot decode, and a reception
+		// overlapping others at nb is corrupt.
+		if r.txUntil > now || r.active > 0 {
+			ok = false
 		}
-		// Receiver busy transmitting: cannot decode.
-		if m.txUntil[nb] > now {
-			rec.ok = false
-		}
-		// Overlap with other receptions corrupts all of them at nb.
-		if len(m.incoming[nb]) > 0 {
-			rec.ok = false
-			for _, other := range m.incoming[nb] {
-				other.ok = false
-			}
-		}
-		m.incoming[nb] = append(m.incoming[nb], rec)
+		// The overlap corrupts the receptions already in progress at nb
+		// too: bumping the generation invalidates them all at once.
+		r.gen++
+		r.active++
+		tx.recs = append(tx.recs, reception{nb: nb, gen: r.gen, ok: ok})
 	}
 	m.sim.At(now+dur, tx.fire)
 }
@@ -450,7 +417,7 @@ func (m *Medium) transmit(src topology.NodeID, dst int32, frame []byte, size int
 // own event, so event-level determinism is unchanged.
 //
 // With a batch receiver installed, resolution is two passes: the first
-// settles every reception's outcome and bookkeeping (incoming removal,
+// settles every reception's outcome and bookkeeping (carrier release,
 // half-duplex, energy, qtrace, taps, stats, obs) while staging the nodes
 // that decoded the frame; the second hands the frame to the batch receiver
 // once. Handlers never read transient radio state synchronously (they only
@@ -469,23 +436,15 @@ func (m *Medium) finish(tx *transmission) {
 	deliver := m.batch[:0]
 	batched := m.batchRecv != nil
 	promisc := batched && packet.FrameKind(tx.frame) == packet.KindSliceBatch
-	for i := range tx.recs {
-		rec := &tx.recs[i]
+	now := m.sim.Now()
+	for _, rec := range tx.recs {
 		nb := rec.nb
-		// Remove rec from the active set.
-		active := m.incoming[nb]
-		for j, r := range active {
-			if r == rec {
-				active[j] = active[len(active)-1]
-				m.incoming[nb] = active[:len(active)-1]
-				break
-			}
-		}
-		// If the receiver is mid-transmission at the end of the frame it
-		// also cannot have decoded it.
-		if m.txUntil[nb] > m.sim.Now() {
-			rec.ok = false
-		}
+		r := &m.rx[nb]
+		r.active--
+		// The reception decodes iff it was clean at its start, nothing
+		// corrupted it since (generation unchanged), and the receiver is not
+		// mid-transmission at the end of the frame.
+		ok := rec.ok && rec.gen == r.gen && !(r.txUntil > now)
 		if m.meter != nil {
 			m.meter.ChargeRx(nb, tx.size)
 		}
@@ -496,9 +455,9 @@ func (m *Medium) finish(tx *transmission) {
 		}
 		addressed := tx.dst == topology.NodeID(packet.Broadcast) || tx.dst == nb
 		for _, tap := range m.taps {
-			tap(nb, tx.src, tx.dst, tx.frame, !rec.ok)
+			tap(nb, tx.src, tx.dst, tx.frame, !ok)
 		}
-		if !rec.ok {
+		if !ok {
 			if addressed {
 				m.stats.FramesCollided++
 				if m.obs != nil {

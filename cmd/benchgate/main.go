@@ -23,6 +23,11 @@
 // of the newest history entry; a gates reference with allocs_per_op 0 is
 // an exact zero-allocation pin, not a relative gate.
 //
+// The benchmark always runs with -cpu 1, whatever the host's CPU count:
+// every reference was recorded at GOMAXPROCS=1, and the harness-driven
+// benchmarks scale their worker count (and with it their arenas and
+// allocations) with GOMAXPROCS.
+//
 // Usage:
 //
 //	go run ./cmd/benchgate [-bench BenchmarkFig7Overhead] [-history BENCH_fig7.json] [-tolerance 0.10] [-ns-tolerance 0.40]
@@ -101,7 +106,7 @@ func run(bench, file, key string, tolerance, nsTolerance float64, benchtime, pkg
 		}
 	}
 
-	cmd := exec.Command("go", "test", "-run", "^$",
+	cmd := exec.Command("go", "test", "-run", "^$", "-cpu", "1",
 		"-bench", "^"+bench+"$", "-benchmem", "-benchtime", benchtime, pkg)
 	out, err := cmd.CombinedOutput()
 	if err != nil {

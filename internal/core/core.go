@@ -1298,10 +1298,10 @@ func (in *Instance) scheduleSealedCoalesced(t0 eventsim.Time, round uint16, src 
 func (in *Instance) addShare(id topology.NodeID, color packet.Color, from topology.NodeID, share int64) {
 	switch color {
 	case packet.Red:
-		in.assembled[id].red.Add(from, share)
+		in.assembled[id].red.Add(share)
 		in.delivered[0][from]++
 	case packet.Blue:
-		in.assembled[id].blue.Add(from, share)
+		in.assembled[id].blue.Add(share)
 		in.delivered[1][from]++
 	}
 }

@@ -779,11 +779,12 @@ type linkEntry struct {
 // cache's footprint tracks one deployment's working set, not the union
 // of all of them. Not safe for concurrent use.
 type CipherCache struct {
-	scheme Scheme
-	suite  Suite
-	gen    uint64
-	links  map[uint64]linkEntry
-	free   []*Cipher // ciphers retired from swept or negative entries
+	scheme  Scheme
+	checker KeyChecker // scheme's KeyChecker refinement, or nil
+	suite   Suite
+	gen     uint64
+	links   map[uint64]linkEntry
+	free    []*Cipher // ciphers retired from swept or negative entries
 	// New ciphers are carved from slabs rather than allocated one by one:
 	// a deployment binds thousands of links at once, and slab allocation
 	// turns those into a handful of heap objects the collector can sweep
@@ -800,7 +801,9 @@ const cipherSlabSize = 256
 
 // NewCipherCache creates an empty cache over scheme sealing with suite.
 func NewCipherCache(scheme Scheme, suite Suite) *CipherCache {
-	return &CipherCache{scheme: scheme, suite: suite, gen: 1, links: make(map[uint64]linkEntry)}
+	cc := &CipherCache{gen: 1, links: make(map[uint64]linkEntry)}
+	cc.bind(scheme, suite)
+	return cc
 }
 
 // Suite returns the suite ciphers in this cache seal with.
@@ -820,8 +823,7 @@ func (cc *CipherCache) Suite() Suite { return cc.suite }
 // change — so which pooled cipher serves which link never shows in the
 // output.
 func (cc *CipherCache) Reset(scheme Scheme, suite Suite) {
-	cc.scheme = scheme
-	cc.suite = suite
+	cc.bind(scheme, suite)
 	for id, e := range cc.links {
 		if e.okGen < cc.gen && e.keyGen < cc.gen {
 			if e.c != nil {
@@ -831,6 +833,13 @@ func (cc *CipherCache) Reset(scheme Scheme, suite Suite) {
 		}
 	}
 	cc.gen++
+}
+
+// bind points the cache at scheme and suite.
+func (cc *CipherCache) bind(scheme Scheme, suite Suite) {
+	cc.scheme = scheme
+	cc.checker, _ = scheme.(KeyChecker)
+	cc.suite = suite
 }
 
 // linkID normalizes an unordered node pair to a map key.
@@ -845,20 +854,23 @@ func linkID(a, b topology.NodeID) uint64 {
 // HasKey reports whether the scheme gives the a–b pair a key, deriving
 // no key material when the scheme is a KeyChecker. This is the query
 // target selection wants: it probes every neighbor pair but commits to
-// few, so existence must not cost a cipher binding. KeyChecker answers
-// are deliberately NOT memoized — each pair is probed about once per
-// deployment, and combinatorial existence checks are cheaper than the
-// map growth memoizing every probed pair would cost, which also keeps
-// the link map sized by links that actually seal. Only the expensive
-// SharedKey fallback earns a map entry.
+// few, so existence must not cost a cipher binding. A KeyChecker scheme
+// is asked first, before the link map is read: its contract makes its
+// answer equal to any memoized one, and a combinatorial existence check
+// is cheaper than a map lookup. Its answers are deliberately NOT
+// memoized either — each pair is probed about once per deployment, and
+// memoizing would grow the map by every probed pair, so the map stays
+// sized by links that actually seal. Only a scheme without the
+// refinement reads the memo, and only its expensive SharedKey fallback
+// earns a map entry.
 func (cc *CipherCache) HasKey(a, b topology.NodeID) bool {
+	if cc.checker != nil {
+		return cc.checker.HasKey(a, b)
+	}
 	id := linkID(a, b)
 	e, seen := cc.links[id]
 	if seen && (e.okGen == cc.gen || e.keyGen == cc.gen) {
 		return e.ok
-	}
-	if kc, isChecker := cc.scheme.(KeyChecker); isChecker {
-		return kc.HasKey(a, b)
 	}
 	_, ok := cc.scheme.SharedKey(a, b)
 	e.ok = ok

@@ -86,10 +86,6 @@ type frameState struct {
 	retries int
 }
 
-type pairKey struct {
-	src, dst topology.NodeID
-}
-
 // MAC schedules transmissions for every node of one network. It is driven
 // by the owning simulation and is not safe for concurrent use.
 type MAC struct {
@@ -108,10 +104,15 @@ type MAC struct {
 	awaiting []uint16
 	waiting  []bool
 	acked    []bool
-	lastSeq  map[pairKey]uint16
-	stats    Stats
-	obs      *macObs
-	qt       *qtrace.Tracer
+	// lastSeq holds duplicate suppression's state per directed link: the
+	// seq of the last frame a receiver accepted from a sender, with
+	// seqSeen set once there is one. The links into node r occupy
+	// lastSeq[rxOff[r]:rxOff[r+1]], in the order of r's neighbor row.
+	lastSeq []uint32
+	rxOff   []int32
+	stats   Stats
+	obs     *macObs
+	qt      *qtrace.Tracer
 
 	// Reusable frame buffers: one data buffer and one ACK buffer per node.
 	// A node's previous frame is fully resolved by the medium before it can
@@ -168,11 +169,7 @@ type MAC struct {
 // itself as the medium receiver for every node. Protocol layers must
 // register their upcalls with SetHandler, not with the medium directly.
 func New(sim *eventsim.Sim, medium *radio.Medium, n int, cfg Config, rand *rng.Stream) *MAC {
-	m := &MAC{
-		sim:     sim,
-		medium:  medium,
-		lastSeq: make(map[pairKey]uint16),
-	}
+	m := &MAC{sim: sim, medium: medium}
 	m.batchFn = func(frame []byte, to []topology.NodeID) { m.onBatch(frame, to) }
 	m.Reset(n, cfg, rand)
 	return m
@@ -181,10 +178,12 @@ func New(sim *eventsim.Sim, medium *radio.Medium, n int, cfg Config, rand *rng.S
 // Reset returns the MAC to its post-New state for a new run over the same
 // sim/medium pair, reusing all per-node tables, frame records, and event
 // closures. Queued frames from the previous run are recycled, counters and
-// the duplicate-suppression map are cleared (keeping their storage), and
+// the duplicate-suppression table are cleared (keeping their storage), and
 // the shared receiver closure is reinstalled on the medium (which a
-// medium Reset detaches). Handlers and the obs sink are dropped — the
-// owning protocol stack rewires them, exactly as after New.
+// medium Reset detaches). The table is laid out over the medium's current
+// network, so the medium must be Reset first. Handlers and the obs sink
+// are dropped — the owning protocol stack rewires them, exactly as after
+// New.
 func (m *MAC) Reset(n int, cfg Config, rand *rng.Stream) {
 	if cfg.SlotTime <= 0 || cfg.MinWindow <= 0 || cfg.MaxWindow < cfg.MinWindow ||
 		cfg.MaxAttempts <= 0 || cfg.RetryLimit < 0 || cfg.SIFS <= 0 || cfg.MaxFrameSize < 0 {
@@ -210,7 +209,7 @@ func (m *MAC) Reset(n int, cfg Config, rand *rng.Stream) {
 	m.acked = resizeBools(m.acked, n)
 	m.txbuf = resizeBufs(m.txbuf, n)
 	m.ackbuf = resizeBufs(m.ackbuf, n)
-	clear(m.lastSeq)
+	m.resetSeqTable()
 	m.stats = Stats{}
 	m.obs = nil
 	m.qt = nil
@@ -336,6 +335,57 @@ func resizePackets(s []packet.Packet, n int) []packet.Packet {
 		s = append(s[:cap(s)], make([]packet.Packet, n-cap(s))...)
 	}
 	return s[:n]
+}
+
+// resetSeqTable lays the duplicate-suppression table out over the
+// medium's network, one cleared slot per directed link, reusing storage.
+func (m *MAC) resetSeqTable() {
+	net := m.medium.Net()
+	n := net.N()
+	m.rxOff = resizeI32(m.rxOff, n+1)
+	off := int32(0)
+	for i := 0; i < n; i++ {
+		m.rxOff[i] = off
+		off += int32(net.Degree(topology.NodeID(i)))
+	}
+	m.rxOff[n] = off
+	if cap(m.lastSeq) < int(off) {
+		m.lastSeq = make([]uint32, off)
+	} else {
+		m.lastSeq = m.lastSeq[:off]
+		clear(m.lastSeq)
+	}
+}
+
+// seqSeen marks a lastSeq slot that holds a sequence number.
+const seqSeen = 1 << 16
+
+// duplicate reports whether p repeats the last frame self accepted from
+// p.Src, counting it if so, and otherwise records p as that frame. The
+// sender's slot is its position in self's neighbor row: only a neighbor's
+// frame can reach self, so a Src outside the row means a frame whose Src
+// does not name the node that sent it, a caller bug.
+func (m *MAC) duplicate(self topology.NodeID, p *packet.Packet) bool {
+	slot := m.rxOff[self]
+	for _, nb := range m.medium.Net().Neighbors(self) {
+		if int32(nb) == p.Src {
+			break
+		}
+		slot++
+	}
+	if slot == m.rxOff[self+1] {
+		panic(fmt.Sprintf("mac: node %d decoded a frame with Src %d, which is not its neighbor", self, p.Src))
+	}
+	v := seqSeen | uint32(p.Seq)
+	if m.lastSeq[slot] == v {
+		m.stats.Duplicates++
+		if m.obs != nil {
+			m.obs.duplicates.Inc()
+		}
+		return true
+	}
+	m.lastSeq[slot] = v
+	return false
 }
 
 // SetHandler installs the upward delivery callback for a node.
@@ -637,15 +687,9 @@ func (m *MAC) deliverUnicast(self topology.NodeID, p *packet.Packet) {
 		m.ackSeq[self] = ackSeq
 		m.sim.After(m.cfg.SIFS, m.ackFn[self])
 	}
-	key := pairKey{topology.NodeID(p.Src), self}
-	if last, seen := m.lastSeq[key]; seen && last == p.Seq {
-		m.stats.Duplicates++
-		if m.obs != nil {
-			m.obs.duplicates.Inc()
-		}
+	if m.duplicate(self, p) {
 		return
 	}
-	m.lastSeq[key] = p.Seq
 	if h := m.handlers[self]; h != nil {
 		if m.retain[self] {
 			buf := m.retainBuf[self].Entries
@@ -683,16 +727,8 @@ func (m *MAC) deliver(self topology.NodeID, p *packet.Packet) {
 			m.sim.After(m.cfg.SIFS, m.ackFn[self])
 		}
 	}
-	if p.Dst != packet.Broadcast {
-		key := pairKey{topology.NodeID(p.Src), self}
-		if last, seen := m.lastSeq[key]; seen && last == p.Seq {
-			m.stats.Duplicates++
-			if m.obs != nil {
-				m.obs.duplicates.Inc()
-			}
-			return
-		}
-		m.lastSeq[key] = p.Seq
+	if p.Dst != packet.Broadcast && m.duplicate(self, p) {
+		return
 	}
 	if h := m.handlers[self]; h != nil {
 		if m.retain[self] {

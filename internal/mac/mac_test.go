@@ -504,3 +504,138 @@ func TestBatchedResolveAllocs(t *testing.T) {
 		t.Errorf("batched resolve allocates %.1f times per exchange, want 0", allocs)
 	}
 }
+
+// TestRetransmissionAfterLostAckSuppressed jams the receiver's channel
+// right after it decodes a data frame, so its ACK is never sent: the
+// sender retransmits the same frame, which the receiver must acknowledge
+// but not deliver again.
+func TestRetransmissionAfterLostAckSuppressed(t *testing.T) {
+	sim, med, m, net := setup(t, 2, 30)
+	nbs := net.Neighbors(0)
+	if len(nbs) < 2 {
+		t.Fatalf("grid gives node 0 only %d neighbors", len(nbs))
+	}
+	src, dst := nbs[0], topology.NodeID(0)
+	jammer := nbs[1]
+	if !net.InRange(jammer, dst) {
+		t.Fatal("jammer out of the receiver's range")
+	}
+	delivered := 0
+	m.SetHandler(dst, func(topology.NodeID, *packet.Packet) { delivered++ })
+	jammed := false
+	med.AddTap(func(observer, from, to topology.NodeID, frame []byte, collided bool) {
+		if jammed || observer != dst || from != src || collided {
+			return
+		}
+		jammed = true
+		// Keep dst's carrier busy across its SIFS: the ACK is suppressed.
+		sim.After(DefaultConfig().SIFS/2, func() { med.Transmit(jammer, packet.Broadcast, []byte{0}, 40) })
+	})
+	sim.At(0, func() { m.Send(src, dataPacket(src, dst, 3)) })
+	sim.RunAll()
+	s := m.Stats()
+	if !jammed || s.Retries == 0 {
+		t.Fatalf("test premise broken: jammed=%v, stats %+v", jammed, s)
+	}
+	if delivered != 1 {
+		t.Fatalf("frame delivered %d times, want 1 (stats %+v)", delivered, s)
+	}
+	if s.Duplicates == 0 || s.AcksSent == 0 || s.Dropped != 0 {
+		t.Fatalf("retransmission not suppressed and acknowledged: %+v", s)
+	}
+}
+
+// receive hands m an encoded data frame from src to dst carrying seq, as
+// the medium does after a clean decode, and reports whether it reached
+// dst's handler.
+func receive(m *MAC, src, dst topology.NodeID, seq uint16) bool {
+	p := dataPacket(src, dst, 1)
+	p.Seq = seq
+	delivered := false
+	m.SetHandler(dst, func(topology.NodeID, *packet.Packet) { delivered = true })
+	m.onBatch(p.Marshal(), []topology.NodeID{dst})
+	m.SetHandler(dst, nil)
+	return delivered
+}
+
+func TestDuplicateSeqZeroAfterWrap(t *testing.T) {
+	sim, _, m, net := setup(t, 2, 30)
+	dst := net.Neighbors(0)[0]
+	// The sender's 16-bit counter wraps: its next frames carry Seq 0, 1.
+	m.seq[0] = 0xffff
+	var seqs []uint16
+	m.SetHandler(dst, func(_ topology.NodeID, p *packet.Packet) { seqs = append(seqs, p.Seq) })
+	sim.At(0, func() {
+		m.Send(0, dataPacket(0, dst, 1))
+		m.Send(0, dataPacket(0, dst, 2))
+	})
+	sim.RunAll()
+	if len(seqs) != 2 || seqs[0] != 0 || seqs[1] != 1 {
+		t.Fatalf("delivered seqs %v, want [0 1]", seqs)
+	}
+	// A repeat of Seq 0 is still a duplicate, on a link that starts at 0.
+	other := net.Neighbors(0)[1]
+	if !receive(m, other, 0, 0) {
+		t.Fatal("first frame with Seq 0 taken for a duplicate")
+	}
+	if receive(m, other, 0, 0) {
+		t.Fatal("repeated Seq 0 delivered twice")
+	}
+	if !receive(m, other, 0, 1) {
+		t.Fatal("next seq suppressed")
+	}
+}
+
+// TestResetRelaysSeqTable moves one MAC between topologies: a denser one
+// must grow the duplicate-suppression table to its link count, and a
+// sparser one must start from cleared slots, not the previous run's.
+func TestResetRelaysSeqTable(t *testing.T) {
+	sparse, err := topology.Grid(2, 30, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := topology.Random(topology.PaperConfig(200), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := eventsim.New()
+	med := radio.New(sim, sparse, radio.PaperRate)
+	m := New(sim, med, sparse.N(), DefaultConfig(), rng.New(1))
+	links := func(net *topology.Network) int {
+		e := 0
+		for i := 0; i < net.N(); i++ {
+			e += net.Degree(topology.NodeID(i))
+		}
+		return e
+	}
+	// every delivers seq on every directed link of net and counts the
+	// frames that reached their handler.
+	every := func(net *topology.Network, seq uint16) int {
+		n := 0
+		for i := 0; i < net.N(); i++ {
+			for _, nb := range net.Neighbors(topology.NodeID(i)) {
+				if receive(m, topology.NodeID(i), nb, seq) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if got := every(sparse, 5); got != links(sparse) {
+		t.Fatalf("sparse run delivered %d of %d", got, links(sparse))
+	}
+	for _, net := range []*topology.Network{dense, sparse} {
+		sim.Reset()
+		med.Reset(net)
+		m.Reset(net.N(), DefaultConfig(), rng.New(1))
+		if len(m.lastSeq) != links(net) {
+			t.Fatalf("table has %d slots for %d directed links", len(m.lastSeq), links(net))
+		}
+		if got := every(net, 5); got != links(net) {
+			t.Fatalf("after Reset, %d of %d first frames delivered", got, links(net))
+		}
+		if got := every(net, 5); got != 0 {
+			t.Fatalf("after Reset, %d repeats delivered", got)
+		}
+	}
+}

@@ -590,7 +590,7 @@ func (in *Instance) RunSum(readings []int64) (Verdict, error) {
 			in.sealReqs = in.sealReqs[:0]
 			for idx, dst := range targets {
 				if dst == id {
-					in.assembled[id][t].Add(id, shares[idx])
+					in.assembled[id][t].Add(shares[idx])
 					continue
 				}
 				if !in.ciphers.HasKey(id, dst) {
@@ -766,7 +766,7 @@ func (in *Instance) installReceivers(round uint16) {
 					}
 					return
 				}
-				in.assembled[self][t].Add(topology.NodeID(p.Src), share)
+				in.assembled[self][t].Add(share)
 				if in.qt != nil {
 					in.qt.Instant(uint32(p.Round), qtrace.Ref(p.TraceSpan), int32(self), "slice:assembled", float64(in.sim.Now()))
 				}

@@ -19,10 +19,21 @@
 //
 // Every reception of one frame ends at the same instant (zero propagation
 // delay), so a transmission schedules exactly ONE end-of-air event that
-// resolves all neighbor receptions in deterministic neighbor order — not
-// one event per neighbor. Transmission records (and the receptions inlined
-// in them) recycle through a per-medium free list, making the steady-state
+// resolves its receptions in deterministic neighbor order — not one event
+// per neighbor. Transmission records (and the receptions inlined in them)
+// recycle through a per-medium free list, making the steady-state
 // per-frame path allocation-free.
+//
+// Carrier state needs no per-reception release. End-of-air events fire in
+// the order of their key (end time, transmission number), so the key of
+// the last one fired is a watermark: a node hears a carrier iff the
+// latest-ending reception it ever started has a key above the watermark.
+// That frees a unicast frame from touching its unaddressed hearers at
+// end-of-air: its record holds the addressee's reception alone, and
+// resolving it costs the same at any sender degree. Frames whose every
+// hearer is observable — broadcasts, promiscuous coalesced batches, and
+// any frame while a tap or query tracer is attached — record every
+// reception.
 package radio
 
 import (
@@ -88,6 +99,9 @@ type Medium struct {
 	taps      []Tap
 
 	rx        []nodeRx        // per node: carrier state
+	txNum     uint64          // transmissions started; numbers each one
+	finEnd    eventsim.Time   // watermark: the (end, num) key of the
+	finNum    uint64          // last end-of-air event fired
 	nodeSent  []uint64        // per node: bytes transmitted
 	nodeCount []uint64        // per node: frames transmitted
 	txPool    []*transmission // recycled transmission records
@@ -149,23 +163,29 @@ func (m *Medium) SetObs(sink *obs.Sink) {
 // a trace context gets its airtime, bytes, and energy (tx plus the rx
 // cost of every audible reception, under model's per-byte rates)
 // attributed to the causing span. Tracing only reads medium state; the
-// disabled path is one nil check per frame.
+// disabled path is one nil check per frame. Frames already in the air
+// when the tracer is attached are attributed only in part.
 func (m *Medium) SetQTrace(t *qtrace.Tracer, model energy.Model) {
 	m.qt = t
 	m.qtModel = model
 }
 
 // nodeRx is one node's carrier state. Instead of listing the receptions
-// in progress at the node, it counts them and keeps a generation that
-// every corrupting event bumps: a new reception starting at the node
-// (which collides with every reception already in progress there) and the
-// node starting to transmit (half-duplex). A reception remembers the
-// generation it started in, so it survived iff the generation is
-// unchanged when it ends — the same outcome as marking every listed
-// reception corrupt, with no list to append to, scan, or hold pointers in.
+// in progress at the node, it keeps the key (rxEnd, rxTx) — end time, then
+// transmission number — of the latest-ending reception ever started there,
+// and a generation that every corrupting event bumps: a new reception
+// starting at the node (which collides with every reception already in
+// progress there) and the node starting to transmit (half-duplex).
+//
+// The node hears a carrier iff its key is above the medium's watermark
+// (see carrier). A reception remembers the generation it started in, so it
+// survived iff the generation is unchanged when it ends — the same outcome
+// as marking every listed reception corrupt, with no list to append to,
+// scan, or hold pointers in, and nothing to release at end-of-air.
 type nodeRx struct {
 	txUntil eventsim.Time // end of the node's current transmission
-	active  int32         // receptions in progress at the node
+	rxEnd   eventsim.Time // end of the latest-ending reception started here
+	rxTx    uint64        // its transmission number: the key's tie-break
 	gen     uint32        // corrupting events seen by the node
 }
 
@@ -187,7 +207,9 @@ type transmission struct {
 	dst   topology.NodeID
 	frame []byte
 	size  int
-	recs  []reception
+	end   eventsim.Time // end-of-air instant
+	num   uint64        // transmission number: end-of-air tie-break
+	recs  []reception   // every hearer's, or the addressee's alone
 	fire  func()
 }
 
@@ -232,6 +254,7 @@ func (m *Medium) Reset(net *topology.Network) {
 	m.batchRecv = nil
 	m.taps = m.taps[:0]
 	m.rx = resizeCleared(m.rx, n)
+	m.txNum, m.finEnd, m.finNum = 0, 0, 0
 	m.nodeSent = resizeCleared(m.nodeSent, n)
 	m.nodeCount = resizeCleared(m.nodeCount, n)
 	m.stats = Stats{}
@@ -261,7 +284,9 @@ func (m *Medium) SetReceiver(id topology.NodeID, r Receiver) { m.receiver[id] = 
 // once, with the ordered list of nodes that decoded it. Reset detaches it.
 func (m *Medium) SetBatchReceiver(r BatchReceiver) { m.batchRecv = r }
 
-// AddTap installs a promiscuous observer over the whole medium.
+// AddTap installs a promiscuous observer over the whole medium. It sees
+// every frame that starts after it is installed; a unicast frame already
+// in the air has recorded its addressee's reception only.
 func (m *Medium) AddTap(t Tap) { m.taps = append(m.taps, t) }
 
 // SetMeter attaches an energy meter: every transmission charges its
@@ -302,7 +327,20 @@ func (m *Medium) Duration(size int) eventsim.Time {
 // transmitting, or at least one transmitter is audible.
 func (m *Medium) Busy(id topology.NodeID) bool {
 	r := &m.rx[id]
-	return r.txUntil > m.sim.Now() || r.active > 0
+	return r.txUntil > m.sim.Now() || m.carrier(r)
+}
+
+// carrier reports whether some reception started at r has not yet had
+// its end-of-air event. Every transmission schedules exactly one
+// end-of-air event, at its end time, and the event queue fires in (time,
+// scheduling sequence) order. Transmission numbers grow in scheduling
+// order, so end-of-air events fire in (end, num) order: the ones that
+// have fired are exactly those keyed at most the watermark (finEnd,
+// finNum). The latest-keyed reception at r is the last to end, so r hears
+// a carrier iff its key is above the watermark — exact-time ties
+// included, which is what the transmission-number tie-break is for.
+func (m *Medium) carrier(r *nodeRx) bool {
+	return r.rxEnd > m.finEnd || (r.rxEnd == m.finEnd && r.rxTx > m.finNum)
 }
 
 // getTx pops a transmission record from the pool, building the completion
@@ -392,39 +430,56 @@ func (m *Medium) transmit(src topology.NodeID, dst int32, frame []byte, size int
 		}
 	}
 
+	m.txNum++
+	end := now + dur
 	tx := m.getTx()
 	tx.src, tx.dst, tx.frame, tx.size = src, topology.NodeID(dst), frame, size
+	tx.end, tx.num = end, m.txNum
 	tx.recs = tx.recs[:0]
+	// Only the addressee can decode a unicast frame, so its reception is
+	// the only one finish must resolve — unless something observes every
+	// hearer: a broadcast, a tap, a query tracer (rx energy per hearer),
+	// or a coalesced batch delivered promiscuously.
+	all := dst == packet.Broadcast || len(m.taps) > 0 || m.qt != nil ||
+		(m.batchRecv != nil && packet.FrameKind(frame) == packet.KindSliceBatch)
+	rx, lossy, num := m.rx, m.lossRate > 0, m.txNum
 	for _, nb := range m.net.Neighbors(src) {
-		ok := !(m.lossRate > 0 && m.lossRand.Bool(m.lossRate))
-		r := &m.rx[nb]
-		// A receiver busy transmitting cannot decode, and a reception
-		// overlapping others at nb is corrupt.
-		if r.txUntil > now || r.active > 0 {
-			ok = false
-		}
-		// The overlap corrupts the receptions already in progress at nb
-		// too: bumping the generation invalidates them all at once.
+		ok := !(lossy && m.lossRand.Bool(m.lossRate))
+		r := &rx[nb]
+		// The overlap corrupts the receptions already in progress at nb:
+		// bumping the generation invalidates them all at once.
 		r.gen++
-		r.active++
-		tx.recs = append(tx.recs, reception{nb: nb, gen: r.gen, ok: ok})
+		if all || nb == tx.dst {
+			// A receiver busy transmitting cannot decode, and a reception
+			// overlapping others at nb is corrupt.
+			if r.txUntil > now || m.carrier(r) {
+				ok = false
+			}
+			tx.recs = append(tx.recs, reception{nb: nb, gen: r.gen, ok: ok})
+		}
+		// The new key beats every key recorded so far on its number, so it
+		// is nb's latest iff it ends no earlier.
+		if end >= r.rxEnd {
+			r.rxEnd, r.rxTx = end, num
+		}
 	}
-	m.sim.At(now+dur, tx.fire)
+	m.sim.At(end, tx.fire)
 }
 
-// finish resolves every reception of one transmission, in neighbor order —
-// the same order per-neighbor events fired in when each reception had its
-// own event, so event-level determinism is unchanged.
+// finish resolves every recorded reception of one transmission, in
+// neighbor order — the same order per-neighbor events fired in when each
+// reception had its own event, so event-level determinism is unchanged.
+// It first raises the watermark to the transmission's key, which releases
+// its carrier at every hearer at once, recorded or not.
 //
 // With a batch receiver installed, resolution is two passes: the first
-// settles every reception's outcome and bookkeeping (carrier release,
-// half-duplex, energy, qtrace, taps, stats, obs) while staging the nodes
-// that decoded the frame; the second hands the frame to the batch receiver
-// once. Handlers never read transient radio state synchronously (they only
-// schedule strictly-future events) and the bookkeeping draws no
-// randomness, so the split is behavior-identical to the interleaved
-// per-receiver dispatch — receivers still observe the frame in the same
-// relative order.
+// settles every reception's outcome and bookkeeping (half-duplex, energy,
+// qtrace, taps, stats, obs) while staging the nodes that decoded the
+// frame; the second hands the frame to the batch receiver once. Handlers
+// never read transient radio state synchronously (they only schedule
+// strictly-future events) and the bookkeeping draws no randomness, so the
+// split is behavior-identical to the interleaved per-receiver dispatch —
+// receivers still observe the frame in the same relative order.
 //
 // Coalesced multi-slice frames (packet.KindSliceBatch) are delivered
 // promiscuously: the frame is anchored to one ACKing destination but
@@ -433,21 +488,24 @@ func (m *Medium) transmit(src topology.NodeID, dst int32, frame []byte, size int
 // keeping FramesDelivered's meaning; coalescing has its own tx-side
 // counters.
 func (m *Medium) finish(tx *transmission) {
+	m.finEnd, m.finNum = tx.end, tx.num
 	deliver := m.batch[:0]
 	batched := m.batchRecv != nil
 	promisc := batched && packet.FrameKind(tx.frame) == packet.KindSliceBatch
 	now := m.sim.Now()
+	if m.meter != nil {
+		// Every hearer powers its receive chain, recorded or not.
+		for _, nb := range m.net.Neighbors(tx.src) {
+			m.meter.ChargeRx(nb, tx.size)
+		}
+	}
 	for _, rec := range tx.recs {
 		nb := rec.nb
 		r := &m.rx[nb]
-		r.active--
 		// The reception decodes iff it was clean at its start, nothing
 		// corrupted it since (generation unchanged), and the receiver is not
 		// mid-transmission at the end of the frame.
 		ok := rec.ok && rec.gen == r.gen && !(r.txUntil > now)
-		if m.meter != nil {
-			m.meter.ChargeRx(nb, tx.size)
-		}
 		if m.qt != nil {
 			if span := qtrace.Ref(packet.FrameTraceSpan(tx.frame)); span != qtrace.None {
 				m.qt.AddJoules(span, float64(tx.size)*m.qtModel.RxPerByte)

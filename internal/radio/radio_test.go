@@ -455,6 +455,37 @@ func BenchmarkTransmitDenseQTraceDisabled(b *testing.B) {
 	}
 }
 
+// BenchmarkTransmitDenseUnicast is BenchmarkTransmitDense with each frame
+// addressed to one neighbor of its sender and nothing observing the other
+// hearers (no taps, tracer, or meter): the path the round datapath's
+// slices, aggregates, and ACKs take, where end-of-air resolves the
+// addressee's reception alone. Pinned at 0 allocs/op (benchgate gates
+// entry in BENCH_fig7.json).
+func BenchmarkTransmitDenseUnicast(b *testing.B) {
+	net, err := topology.Random(topology.PaperConfig(400), rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var srcs, dsts []topology.NodeID
+	for i := 0; i < net.N(); i++ {
+		if nbs := net.Neighbors(topology.NodeID(i)); len(nbs) > 0 {
+			srcs = append(srcs, topology.NodeID(i))
+			dsts = append(dsts, nbs[i%len(nbs)])
+		}
+	}
+	sim := eventsim.New()
+	m := New(sim, net, PaperRate)
+	frame := make([]byte, 21)
+	frame[0] = byte(packet.KindSlice)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(srcs)
+		m.Transmit(srcs[k], int32(dsts[k]), frame, 32)
+		sim.RunAll()
+	}
+}
+
 func TestOutOfRangeNoDelivery(t *testing.T) {
 	// Two isolated nodes: craft with a sparse grid (spacing > range).
 	net, err := topology.Grid(2, 200, 50)

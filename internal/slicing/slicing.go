@@ -221,27 +221,19 @@ func pickAppend(dst []topology.NodeID, xs []topology.NodeID, k int, r *rng.Strea
 type Assembler struct {
 	total    int64
 	received int
-	senders  map[topology.NodeID]int
 }
 
 // NewAssembler returns an empty assembler.
-func NewAssembler() *Assembler {
-	return &Assembler{senders: make(map[topology.NodeID]int)}
-}
+func NewAssembler() *Assembler { return &Assembler{} }
 
 // Reset clears the assembler in place so it can be reused for another
-// round without reallocating its sender map.
-func (a *Assembler) Reset() {
-	a.total = 0
-	a.received = 0
-	clear(a.senders)
-}
+// round.
+func (a *Assembler) Reset() { *a = Assembler{} }
 
 // Add folds in one received (already decrypted) slice.
-func (a *Assembler) Add(from topology.NodeID, share int64) {
+func (a *Assembler) Add(share int64) {
 	a.total += share // wrapping
 	a.received++
-	a.senders[from]++
 }
 
 // Total returns the assembled value r(j).
@@ -249,6 +241,3 @@ func (a *Assembler) Total() int64 { return a.total }
 
 // Received returns the number of slices folded in.
 func (a *Assembler) Received() int { return a.received }
-
-// Contributors returns the number of distinct senders seen.
-func (a *Assembler) Contributors() int { return len(a.senders) }

@@ -55,7 +55,6 @@ func main() {
 		cipher      = flag.String("cipher", "aes", "link-encryption keystream suite: aes | sha256 (results are suite-independent)")
 		macScheme   = flag.String("mac", "csma", "channel-access scheme: csma | tdma")
 		coalesce    = flag.Bool("coalesce", false, "pack each node's same-round slices into one multi-slice frame (changes byte/frame counts)")
-		precompute  = flag.Bool("precompute", true, "streaming mode: warm next-round AES keystream blocks between firings (behavior-neutral)")
 		compare     = flag.Bool("compare", false, "also run the TAG baseline")
 		traceFile   = flag.String("trace", "", "write a JSON-lines protocol timeline to this file")
 		traceRing   = flag.Bool("trace-ring", false, "capture the trace as a ring buffer (keep the last events instead of the first)")
@@ -124,7 +123,7 @@ func main() {
 	}
 
 	if *epochs > 0 {
-		runStream(net, *epochs, *interval, *precompute)
+		runStream(net, *epochs, *interval)
 	} else {
 		kind, ok := map[string]ipda.Kind{
 			"count": ipda.Count, "sum": ipda.Sum, "average": ipda.Average,
@@ -278,7 +277,7 @@ func main() {
 // runStream drives the continuous smart-metering pipeline: the standing
 // day-query mix (per-interval SUM, hourly AVG/VAR, 3-hour peak MAX) over
 // diurnal household profiles, one epoch per metering interval.
-func runStream(net *ipda.Network, epochs int, interval float64, precompute bool) {
+func runStream(net *ipda.Network, epochs int, interval float64) {
 	eph := int(3600/interval + 0.5)
 	if eph < 1 {
 		eph = 1
@@ -290,8 +289,7 @@ func runStream(net *ipda.Network, epochs int, interval float64, precompute bool)
 		Readings: func(id, epoch int) int64 {
 			return ipda.DiurnalLoad(id, float64(epoch)*interval/3600)
 		},
-		Metered:    true,
-		Precompute: precompute,
+		Metered: true,
 	})
 	if err != nil {
 		fail(err)
@@ -312,9 +310,6 @@ func runStream(net *ipda.Network, epochs int, interval float64, precompute bool)
 	fmt.Printf("energy:     %.4g J network total, %.4g uJ/reading (radio + idle)\n",
 		res.Joules, 1e6*res.JoulesPerReading)
 	fmt.Printf("rounds:     %d cumulative aggregation rounds, link-key era %d\n", res.Rounds, res.KeyEra)
-	if res.WarmedBlocks > 0 {
-		fmt.Printf("precompute: %d AES keystream blocks warmed between firings\n", res.WarmedBlocks)
-	}
 	if frames, slices := net.Coalescing(); frames > 0 {
 		fmt.Printf("coalesce:   %d multi-slice frames carried %d slices (%.2f slices/frame)\n",
 			frames, slices, float64(slices)/float64(frames))

@@ -701,57 +701,6 @@ func (in *Instance) Rounds() uint64 { return in.round }
 // the same key.
 func (in *Instance) KeyEra() uint64 { return in.era }
 
-// PrecomputeKeystreams warms the per-link AES keystream-block cache for
-// the NEXT additive round: every potential sender warms the blocks its
-// slice nonces would select toward every keyed tree-neighbor candidate.
-// Target selection draws its rng only when the round actually runs, so
-// the candidate set is the tightest superset knowable ahead of time;
-// warming a link that ends up unchosen costs one cached block and
-// changes nothing. The call is behavior-neutral by construction — no rng,
-// no events, pure cache population (see linksec.Cipher.Warm) — so every
-// table and trace is byte-identical with or without it. Exactly one
-// round ahead is the useful horizon: the block cache's slot map aliases
-// rounds, so blocks warmed further out would be evicted by the
-// intervening round's own traffic, and a multi-round firing runs its
-// later rounds back to back with no idle gap to exploit anyway. A next
-// round that crosses the key-era boundary warms nothing: its links seal
-// under rotated keys that do not exist yet. Returns the number of AES
-// blocks computed.
-func (in *Instance) PrecomputeKeystreams() int {
-	if in.Cfg.Suite != linksec.SuiteAESCTR || in.Trees == nil {
-		return 0
-	}
-	next := in.round + 1
-	if next>>16 != in.era {
-		return 0
-	}
-	round := uint16(next)
-	warmed := 0
-	warm := func(src topology.NodeID, cands []topology.NodeID) {
-		for _, dst := range cands {
-			c, ok := in.ciphers.Link(src, dst)
-			if !ok {
-				continue
-			}
-			for idx := 0; idx < in.Cfg.Slices; idx++ {
-				if c.Warm(sliceNonce(round, src, dst, idx)) {
-					warmed++
-				}
-			}
-		}
-	}
-	n := in.Net.N()
-	for i := 1; i < n; i++ {
-		id := topology.NodeID(i)
-		if in.disabled(id) || in.Trees.Role[id] == tree.RoleBase {
-			continue
-		}
-		warm(id, in.Trees.RedNeighbors[id])
-		warm(id, in.Trees.BlueNeighbors[id])
-	}
-	return warmed
-}
-
 // advanceRound bumps the cumulative round counter and returns the wire
 // round. Crossing a 16-bit boundary rotates the key era: the cipher cache
 // is rebound to era-qualified keys (a pure key copy per link under the

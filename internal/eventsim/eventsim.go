@@ -5,8 +5,9 @@
 // broken by scheduling order, so a run is a pure function of the initial
 // schedule and the random streams the callbacks consume. The kernel is
 // single-threaded by design: reproducibility matters more than parallelism
-// inside one simulated network, and the experiment harness parallelizes
-// across independent trials instead.
+// inside one simulated network, and parallelism comes from outside it —
+// the experiment harness runs independent trials, and the shard package
+// independent regions, each on its own kernel.
 //
 // The kernel is allocation-free in steady state: event slots are recycled
 // through a free list as soon as they fire or are cancelled. Cancellation
@@ -371,63 +372,4 @@ func (s *Sim) Run(deadline Time) uint64 {
 // time limit. It returns the number of events fired by this call.
 func (s *Sim) RunAll() uint64 {
 	return s.Run(Time(math.Inf(1)))
-}
-
-// NextAt returns the time of the earliest scheduled event, or false when
-// the queue is empty. It is the peek a conservative parallel coordinator
-// needs to derive a safe horizon from neighboring kernels' schedules.
-func (s *Sim) NextAt() (Time, bool) {
-	h := s.front()
-	if h == nil {
-		return 0, false
-	}
-	return (*h)[0].at, true
-}
-
-// RunUntil executes events strictly before limit and returns the number
-// fired. Unlike Run, it does NOT advance the clock to limit when the queue
-// drains early: the clock stays at the last fired event, so events merged
-// in from outside afterwards (cross-shard frames with timestamps in
-// (now, limit)) can still be scheduled without violating monotonic time.
-// This is the bounded-horizon drain the sharded engine runs between
-// synchronization barriers.
-func (s *Sim) RunUntil(limit Time) uint64 {
-	start := s.fired
-	s.halted = false
-	for !s.halted {
-		h := s.front()
-		if h == nil || (*h)[0].at >= limit {
-			break
-		}
-		s.fire(h)
-	}
-	return s.fired - start
-}
-
-// RunAt executes every event scheduled exactly at time t, including events
-// those callbacks newly schedule at t, and returns the number fired. It is
-// the serialized tie-breaking step of the sharded engine: when several
-// shards share the same next-event instant, the coordinator drains that
-// one instant shard by shard in deterministic order. Calling RunAt with t
-// already in the past panics — it would reorder history.
-func (s *Sim) RunAt(t Time) uint64 {
-	if t < s.now {
-		panic(fmt.Sprintf("eventsim: RunAt(%v) before now %v", t, s.now))
-	}
-	start := s.fired
-	s.halted = false
-	for !s.halted {
-		h := s.front()
-		if h == nil {
-			break
-		}
-		if at := (*h)[0].at; at != t {
-			if at < t {
-				panic(fmt.Sprintf("eventsim: RunAt(%v) found earlier event at %v", t, at))
-			}
-			break
-		}
-		s.fire(h)
-	}
-	return s.fired - start
 }

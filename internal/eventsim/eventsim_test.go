@@ -360,96 +360,3 @@ func BenchmarkEventChurn(b *testing.B) {
 	}
 	s.RunAll()
 }
-
-func TestNextAt(t *testing.T) {
-	s := New()
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("NextAt on empty sim reported an event")
-	}
-	s.At(3, func() {})
-	s.At(1, func() {})
-	s.At(2, func() {})
-	if at, ok := s.NextAt(); !ok || at != 1 {
-		t.Fatalf("NextAt = %v, %v; want 1, true", at, ok)
-	}
-	s.RunAll()
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("NextAt after drain reported an event")
-	}
-}
-
-func TestRunUntilStrictBound(t *testing.T) {
-	// RunUntil fires strictly before the limit and leaves the clock at the
-	// last fired event, NOT at the limit — so events injected afterwards
-	// with timestamps inside (now, limit) remain schedulable.
-	s := New()
-	var fired []Time
-	for _, at := range []Time{1, 2, 3, 4} {
-		at := at
-		s.At(at, func() { fired = append(fired, at) })
-	}
-	n := s.RunUntil(3)
-	if n != 2 || len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
-		t.Fatalf("RunUntil(3) fired %v (n=%d), want [1 2]", fired, n)
-	}
-	if s.Now() != 2 {
-		t.Fatalf("Now = %v after RunUntil(3); want 2 (clock must not advance to the limit)", s.Now())
-	}
-	// An event at 2.5 — between the clock and the unexecuted horizon — must
-	// be schedulable and must run before the event already queued at 3.
-	s.At(2.5, func() { fired = append(fired, 2.5) })
-	s.RunUntil(3.5)
-	if len(fired) != 4 || fired[2] != 2.5 || fired[3] != 3 {
-		t.Fatalf("after injection fired %v, want [... 2.5 3]", fired)
-	}
-}
-
-func TestRunUntilEventAtLimitStays(t *testing.T) {
-	s := New()
-	ran := false
-	s.At(5, func() { ran = true })
-	if n := s.RunUntil(5); n != 0 || ran {
-		t.Fatalf("RunUntil(5) fired the event AT the limit")
-	}
-	if s.Now() != 0 {
-		t.Fatalf("Now = %v, want 0 (nothing fired)", s.Now())
-	}
-}
-
-func TestRunAtDrainsInstant(t *testing.T) {
-	// RunAt(t) fires every event at exactly t, including events scheduled
-	// at t by the callbacks themselves, and stops before later events.
-	s := New()
-	var order []string
-	s.At(1, func() {
-		order = append(order, "a")
-		s.At(1, func() { order = append(order, "a2") }) // same instant, mid-drain
-	})
-	s.At(1, func() { order = append(order, "b") })
-	s.At(2, func() { order = append(order, "later") })
-	n := s.RunAt(1)
-	if n != 3 {
-		t.Fatalf("RunAt(1) fired %d, want 3", n)
-	}
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "a2" {
-		t.Fatalf("order = %v", order)
-	}
-	if s.Now() != 1 {
-		t.Fatalf("Now = %v, want 1", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1 (the t=2 event)", s.Pending())
-	}
-}
-
-func TestRunAtPastPanics(t *testing.T) {
-	s := New()
-	s.At(2, func() {})
-	s.RunAll()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunAt in the past did not panic")
-		}
-	}()
-	s.RunAt(1)
-}

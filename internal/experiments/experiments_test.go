@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -305,5 +306,39 @@ func TestTableFprintAlignment(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "long-column") {
 		t.Fatalf("header missing: %q", lines[1])
+	}
+}
+
+// TestIndistRingMatchesTheory checks Eq. (11) through the harness and the
+// table path: at the default 20,000 games per cell, every full-ring
+// advantage in the indist table must lie within 4σ of its theory column
+// ε = 1 − (1 − p_x^l)². A game is won with probability p = (1+ε)/2 and
+// the cell reports 2p̂−1 over T games, whose binomial standard error is
+// σ = √(4p(1−p)/T) = √((1−ε²)/T). With 10 cells the chance that a correct
+// implementation strays past 4σ in any of them is below 10⁻³.
+func TestIndistRingMatchesTheory(t *testing.T) {
+	const games = 20000
+	tb, err := Indistinguishability(Options{Seed: 2024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := map[string]int{}
+	for i, c := range tb.Columns {
+		col[c] = i
+	}
+	for _, l := range []string{"2", "3"} {
+		ring, okR := col["ring l="+l]
+		theory, okT := col["theory l="+l]
+		if !okR || !okT {
+			t.Fatalf("table lacks the l=%s ring/theory columns: %v", l, tb.Columns)
+		}
+		for row := range tb.Rows {
+			got, eps := cell(t, tb, row, ring), cell(t, tb, row, theory)
+			sigma := math.Sqrt((1 - eps*eps) / games)
+			if math.Abs(got-eps) > 4*sigma {
+				t.Errorf("p_x=%s l=%s: advantage %v, theory %v, |diff| %.4g > 4σ = %.4g",
+					tb.Rows[row][0], l, got, eps, math.Abs(got-eps), 4*sigma)
+			}
+		}
 	}
 }

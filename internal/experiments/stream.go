@@ -75,15 +75,6 @@ func Stream(o Options) (*Table, error) {
 				return stream.DiurnalLoad(id, float64(epoch)/epochsPerHour)
 			},
 			Meter: meter,
-			// Keystream warming (stream.Config.Precompute) stays off here:
-			// it is behavior-neutral — results and tables are byte-identical
-			// on or off — but it is a per-firing latency knob, not a
-			// throughput win (sealer and opener share each link's cipher, so
-			// warming only moves AES work between firings, and the sound
-			// candidate superset costs more blocks than a round consumes).
-			// BenchmarkStreamingDay measures this path; paying speculative
-			// warming there would tax the gate for work the table never
-			// sees. ipda-sim -precompute demonstrates the warming.
 		})
 		if err != nil {
 			return err

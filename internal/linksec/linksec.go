@@ -483,10 +483,11 @@ var ErrShort = errors.New("linksec: sealed payload truncated")
 // ctr = nonce>>1 carries the direction bit at bit 6 and idx>>1 in its low
 // bits; the slot map gives each direction its own half of the cache and
 // covers idx 0..7 without conflict — the paper's operating points use
-// idx 0..3. Rounds alias (the round bits are above the slot map), which
-// is why Cipher.Warm only ever runs one round ahead: blocks warmed for
-// the next round land in exactly the slots that round will read, with no
-// intervening traffic to evict them. Collisions only cost a recompute.
+// idx 0..3. Rounds alias (the round bits are above the slot map), so a
+// round's blocks evict the previous round's; what the cache serves is the
+// repeats within a round — the second seal of a nonce pair, the Open
+// matching a Seal, an ARQ-retransmitted slice. Collisions only cost a
+// recompute.
 // Kept small deliberately: arena-pooled sweeps hold one Cipher per link
 // of every deployment, so cache bytes multiply by hundreds of thousands
 // of instances.
@@ -643,27 +644,6 @@ func (c *Cipher) aesBlock(ctr uint32) (lo, hi uint64) {
 	c.ksTag[s] = ctr + 1
 	c.ksLo[s], c.ksHi[s] = lo, hi
 	return lo, hi
-}
-
-// Warm precomputes and caches the AES keystream block covering nonce, so
-// a later Seal or Open of that nonce (or its pair partner 2k/2k+1) finds
-// the block resident instead of running AES on the sealing path. Warming
-// is pure cache population — it never changes what any Seal or Open
-// returns — and is the primitive under the epoch-amortized precompute of
-// the streaming pipeline: between epochs, every standing query's links
-// warm the next round's blocks. It reports whether a block was actually
-// computed; already-resident blocks and the SHA-256 suite (whose
-// keystream is not block-cached) report false.
-func (c *Cipher) Warm(nonce uint32) bool {
-	if c.suite != SuiteAESCTR {
-		return false
-	}
-	ctr := nonce >> 1
-	if c.ksTag[ksSlot(ctr)] == ctr+1 {
-		return false
-	}
-	c.aesBlock(ctr)
-	return true
 }
 
 // keystream returns the 8 keystream bytes for nonce as a uint64.

@@ -94,7 +94,6 @@ type MAC struct {
 	cfg      Config
 	rand     *rng.Stream
 	handlers []Handler
-	passive  []bool
 	queues   [][]*frameState
 	fsFree   []*frameState // recycled frame records
 	busy     []bool
@@ -125,13 +124,8 @@ type MAC struct {
 	// deliveries hand the scratch to the handler directly (see Handler).
 	// The medium delivers each frame once per transmission (batch path),
 	// so a broadcast decodes one time no matter how many nodes heard it —
-	// every non-retaining receiver aliases this shared view.
+	// every receiver aliases this shared view.
 	rxScratch packet.Packet
-	// retain marks nodes whose handler keeps the packet past the call:
-	// their deliveries are copied out of the shared scratch into a
-	// per-node buffer that stays valid until the node's next delivery.
-	retain    []bool
-	retainBuf []packet.Packet
 	// batchFn is the single batch receiver closure shared by the whole
 	// medium; the medium hands over each frame once with the ordered list
 	// of nodes that decoded it.
@@ -199,9 +193,6 @@ func (m *MAC) Reset(n int, cfg Config, rand *rng.Stream) {
 	}
 	m.queues = resizeQueues(m.queues, n)
 	m.handlers = resizeHandlers(m.handlers, n)
-	m.passive = resizeBools(m.passive, n)
-	m.retain = resizeBools(m.retain, n)
-	m.retainBuf = resizePackets(m.retainBuf, n)
 	m.busy = resizeBools(m.busy, n)
 	m.seq = resizeU16(m.seq, n)
 	m.awaiting = resizeU16(m.awaiting, n)
@@ -328,15 +319,6 @@ func resizeFns(s []func(), n int) []func() {
 	return s[:n]
 }
 
-func resizePackets(s []packet.Packet, n int) []packet.Packet {
-	if cap(s) < n {
-		// Keep old entries: retained copies are overwritten before use and
-		// their Entries buffers recycle across runs.
-		s = append(s[:cap(s)], make([]packet.Packet, n-cap(s))...)
-	}
-	return s[:n]
-}
-
 // resetSeqTable lays the duplicate-suppression table out over the
 // medium's network, one cleared slot per directed link, reusing storage.
 func (m *MAC) resetSeqTable() {
@@ -391,22 +373,6 @@ func (m *MAC) duplicate(self topology.NodeID, p *packet.Packet) bool {
 // SetHandler installs the upward delivery callback for a node.
 func (m *MAC) SetHandler(id topology.NodeID, h Handler) { m.handlers[id] = h }
 
-// SetRetaining marks node id's handler as retaining: instead of aliasing
-// the shared decode scratch — which the next delivery overwrites — the
-// node receives a private copy that stays valid until its own next
-// delivery. Handlers that consume the packet synchronously (every in-tree
-// protocol layer) should leave this off; it exists for upward deliveries
-// that hold the packet across events. Reset clears all retaining marks.
-func (m *MAC) SetRetaining(id topology.NodeID, retaining bool) { m.retain[id] = retaining }
-
-// SetPassive marks a node as a border mirror owned by another shard: its
-// radio presence (carrier sense, collisions, injected foreign frames) is
-// fully modelled, but this MAC never acts for it — no ACKs, no upward
-// delivery, no duplicate bookkeeping. The node's home shard does all of
-// that; reacting here too would double every response. Reset clears all
-// passive marks.
-func (m *MAC) SetPassive(id topology.NodeID, passive bool) { m.passive[id] = passive }
-
 // macObs holds the MAC's pre-resolved instrument handles; nil disables
 // instrumentation for one pointer check per event.
 type macObs struct {
@@ -458,9 +424,6 @@ func (m *MAC) QueueLen(id topology.NodeID) int { return len(m.queues[id]) }
 // copied at enqueue — the caller keeps pkt and may reuse it immediately —
 // and the MAC assigns the copy's Seq.
 func (m *MAC) Send(src topology.NodeID, pkt *packet.Packet) {
-	if m.passive[src] {
-		panic(fmt.Sprintf("mac: Send from passive mirror node %d", src))
-	}
 	m.stats.Enqueued++
 	m.seq[src]++
 	f := m.getFrame()
@@ -649,9 +612,6 @@ func (m *MAC) onBatch(frame []byte, to []topology.NodeID) {
 	}
 	if p.Kind == packet.KindAck {
 		for _, self := range to {
-			if m.passive[self] {
-				continue
-			}
 			if m.waiting[self] && p.Seq == m.awaiting[self] {
 				m.acked[self] = true
 			}
@@ -675,9 +635,6 @@ func (m *MAC) onBatch(frame []byte, to []topology.NodeID) {
 // point-to-point frame: the Dst checks inside deliver are foregone
 // conclusions here. Behavior is identical.
 func (m *MAC) deliverUnicast(self topology.NodeID, p *packet.Packet) {
-	if m.passive[self] {
-		return
-	}
 	ackDst, ackSeq := p.Src, p.Seq
 	if m.ackArmed[self] {
 		m.sim.After(m.cfg.SIFS, func() { m.sendAck(self, ackDst, ackSeq) })
@@ -691,13 +648,6 @@ func (m *MAC) deliverUnicast(self topology.NodeID, p *packet.Packet) {
 		return
 	}
 	if h := m.handlers[self]; h != nil {
-		if m.retain[self] {
-			buf := m.retainBuf[self].Entries
-			m.retainBuf[self] = *p
-			m.retainBuf[self].Entries = append(buf[:0], p.Entries...)
-			h(self, &m.retainBuf[self])
-			return
-		}
 		h(self, p)
 	}
 }
@@ -708,9 +658,6 @@ func (m *MAC) deliverUnicast(self topology.NodeID, p *packet.Packet) {
 // promiscuously and retransmissions must not double-deliver there either),
 // and the upward handler call. The whole path costs no allocation.
 func (m *MAC) deliver(self topology.NodeID, p *packet.Packet) {
-	if m.passive[self] {
-		return
-	}
 	if p.Dst == int32(self) {
 		// Acknowledge one SIFS later if the radio is free; a suppressed
 		// ACK just means the sender retransmits. At most one ACK can be
@@ -731,15 +678,6 @@ func (m *MAC) deliver(self topology.NodeID, p *packet.Packet) {
 		return
 	}
 	if h := m.handlers[self]; h != nil {
-		if m.retain[self] {
-			// Copy the shared view into the node's private buffer, reusing
-			// its previous copy's Entries storage.
-			buf := m.retainBuf[self].Entries
-			m.retainBuf[self] = *p
-			m.retainBuf[self].Entries = append(buf[:0], p.Entries...)
-			h(self, &m.retainBuf[self])
-			return
-		}
 		h(self, p)
 	}
 }

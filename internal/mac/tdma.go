@@ -12,8 +12,7 @@
 //
 // The assignment is a pure function of the network topology — no rng, no
 // tree state — so it is byte-identical across trial workers and shard
-// counts, and every coupled-mode shard domain (which sees the full global
-// net) computes the same table independently.
+// counts.
 package mac
 
 import (

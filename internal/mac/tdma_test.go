@@ -148,6 +148,8 @@ func TestTDMABroadcastStormCollisionFree(t *testing.T) {
 
 // TestTDMATransmissionsStayInOwnedSlots taps the medium and checks every
 // data transmission starts exactly at one of the sender's slot boundaries.
+// A tap fires at end of air, so the start is that instant minus the
+// frame's airtime.
 func TestTDMATransmissionsStayInOwnedSlots(t *testing.T) {
 	net, err := topology.Grid(4, 30, 50)
 	if err != nil {
@@ -160,8 +162,12 @@ func TestTDMATransmissionsStayInOwnedSlots(t *testing.T) {
 		at  eventsim.Time
 	}
 	var txs []tx
-	medium.SetTxHook(func(src topology.NodeID, _ int32, _ []byte, _ int) {
-		txs = append(txs, tx{src, sim.Now()})
+	var decoded packet.Packet
+	medium.AddTap(func(_, src, _ topology.NodeID, frame []byte, _ bool) {
+		if err := packet.DecodeFrame(&decoded, frame); err != nil {
+			t.Fatalf("tap saw an undecodable frame: %v", err)
+		}
+		txs = append(txs, tx{src, sim.Now() - medium.Duration(decoded.Size())})
 	})
 	for i := 0; i < net.N(); i++ {
 		m.SetHandler(topology.NodeID(i), func(topology.NodeID, *packet.Packet) {})

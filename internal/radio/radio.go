@@ -68,11 +68,6 @@ type BatchReceiver func(frame []byte, to []topology.NodeID)
 // frame slice must not be retained past the call.
 type Tap func(observer topology.NodeID, src, dst topology.NodeID, frame []byte, collided bool)
 
-// TxHook observes every native transmission at its start — the export
-// point for cross-shard frame mirroring. Injected foreign frames never
-// fire it. The frame slice must not be retained past the call.
-type TxHook func(src topology.NodeID, dst int32, frame []byte, size int)
-
 // Stats are cumulative medium counters.
 type Stats struct {
 	FramesSent      uint64
@@ -80,7 +75,7 @@ type Stats struct {
 	FramesDelivered uint64 // successful decodes at addressed receivers
 	FramesCollided  uint64 // receptions lost to collisions or half-duplex
 
-	// FramesCoalesced counts native KindSliceBatch transmissions and
+	// FramesCoalesced counts KindSliceBatch transmissions and
 	// SlicesCoalesced the slices they carried — the frame economy the
 	// -coalesce mode buys (both stay 0 with coalescing off).
 	FramesCoalesced uint64
@@ -110,7 +105,6 @@ type Medium struct {
 	lossRate  float64
 	lossRand  *rng.Stream
 	obs       *mediumObs
-	txHook    TxHook
 	qt        *qtrace.Tracer
 	qtModel   energy.Model // per-byte joule attribution for traced frames
 }
@@ -159,7 +153,7 @@ func (m *Medium) SetObs(sink *obs.Sink) {
 	m.obs = mo
 }
 
-// SetQTrace attaches a query tracer: every native transmission carrying
+// SetQTrace attaches a query tracer: every transmission carrying
 // a trace context gets its airtime, bytes, and energy (tx plus the rx
 // cost of every audible reception, under model's per-byte rates)
 // attributed to the causing span. Tracing only reads medium state; the
@@ -262,7 +256,6 @@ func (m *Medium) Reset(net *topology.Network) {
 	m.lossRate = 0
 	m.lossRand = nil
 	m.obs = nil
-	m.txHook = nil
 	m.qt = nil
 }
 
@@ -366,28 +359,6 @@ func (m *Medium) getTx() *transmission {
 // sender's degree: all receptions end at the same instant and are resolved
 // by the same event in neighbor order.
 func (m *Medium) Transmit(src topology.NodeID, dst int32, frame []byte, size int) {
-	m.transmit(src, dst, frame, size, true)
-}
-
-// InjectForeign replays a transmission that originated in another shard's
-// medium: the physics — channel occupancy at the source mirror, carrier
-// sense, collisions, half-duplex, receptions — are identical to Transmit,
-// but tx-side accounting (frame/byte counters, energy charge, obs tx
-// metrics) is skipped, because the frame's home medium already charged
-// them, and the tx hook does not re-fire, so a mirrored frame can never
-// echo back across the border. The caller must invoke it at the frame's
-// original timestamp (schedule it via the owning sim).
-func (m *Medium) InjectForeign(src topology.NodeID, dst int32, frame []byte, size int) {
-	m.transmit(src, dst, frame, size, false)
-}
-
-// SetTxHook installs a callback fired at the start of every native
-// transmission (never for injected foreign ones). The sharded engine uses
-// it to export border traffic to neighbor shards. The frame slice is only
-// valid for the duration of the call. Reset detaches the hook.
-func (m *Medium) SetTxHook(h TxHook) { m.txHook = h }
-
-func (m *Medium) transmit(src topology.NodeID, dst int32, frame []byte, size int, native bool) {
 	now := m.sim.Now()
 	self := &m.rx[src]
 	if self.txUntil > now {
@@ -398,35 +369,30 @@ func (m *Medium) transmit(src topology.NodeID, dst int32, frame []byte, size int
 	// A node that starts transmitting corrupts any reception in progress
 	// at itself (half-duplex).
 	self.gen++
-	if native {
-		m.nodeSent[src] += uint64(size)
-		m.nodeCount[src]++
-		m.stats.FramesSent++
-		m.stats.BytesSent += uint64(size)
-		if m.meter != nil {
-			m.meter.ChargeTx(src, size)
-		}
-		if c := packet.FrameBatchCount(frame); c > 0 {
-			m.stats.FramesCoalesced++
-			m.stats.SlicesCoalesced += uint64(c)
-			if m.obs != nil {
-				m.obs.coalesced.Inc()
-				m.obs.slicesPerFrame.Observe(float64(c))
-			}
-		}
+	m.nodeSent[src] += uint64(size)
+	m.nodeCount[src]++
+	m.stats.FramesSent++
+	m.stats.BytesSent += uint64(size)
+	if m.meter != nil {
+		m.meter.ChargeTx(src, size)
+	}
+	if c := packet.FrameBatchCount(frame); c > 0 {
+		m.stats.FramesCoalesced++
+		m.stats.SlicesCoalesced += uint64(c)
 		if m.obs != nil {
-			k := packet.FrameKind(frame)
-			m.obs.txFrames[k].Inc()
-			m.obs.txBytes[k].Add(float64(size))
+			m.obs.coalesced.Inc()
+			m.obs.slicesPerFrame.Observe(float64(c))
 		}
-		if m.qt != nil {
-			if span := qtrace.Ref(packet.FrameTraceSpan(frame)); span != qtrace.None {
-				m.qt.AddAir(span, float64(dur), size)
-				m.qt.AddJoules(span, float64(size)*m.qtModel.TxPerByte)
-			}
-		}
-		if m.txHook != nil {
-			m.txHook(src, dst, frame, size)
+	}
+	if m.obs != nil {
+		k := packet.FrameKind(frame)
+		m.obs.txFrames[k].Inc()
+		m.obs.txBytes[k].Add(float64(size))
+	}
+	if m.qt != nil {
+		if span := qtrace.Ref(packet.FrameTraceSpan(frame)); span != qtrace.None {
+			m.qt.AddAir(span, float64(dur), size)
+			m.qt.AddJoules(span, float64(size)*m.qtModel.TxPerByte)
 		}
 	}
 

@@ -516,94 +516,3 @@ func TestOutOfRangeNoDelivery(t *testing.T) {
 		t.Fatal("isolated node's frame was delivered")
 	}
 }
-
-func TestTxHookFiresOnNativeOnly(t *testing.T) {
-	net, err := topology.Grid(2, 30, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := eventsim.New()
-	m := New(sim, net, PaperRate)
-	type export struct {
-		src  topology.NodeID
-		dst  int32
-		size int
-	}
-	var hooked []export
-	m.SetTxHook(func(src topology.NodeID, dst int32, frame []byte, size int) {
-		hooked = append(hooked, export{src, dst, size})
-	})
-	sim.At(0, func() { m.Transmit(0, packet.Broadcast, []byte{1}, 30) })
-	sim.At(0.01, func() { m.InjectForeign(1, packet.Broadcast, []byte{2}, 40) })
-	sim.RunAll()
-	if len(hooked) != 1 || hooked[0] != (export{0, packet.Broadcast, 30}) {
-		t.Fatalf("hook saw %v, want exactly the native transmit", hooked)
-	}
-}
-
-func TestInjectForeignPhysicsMatchTransmit(t *testing.T) {
-	// Run the same scenario twice — once all-native, once with one sender
-	// replayed via InjectForeign — and require identical delivery and
-	// collision outcomes at every observer. Stats differ only on the tx
-	// side (the foreign frame's home medium owns those).
-	run := func(foreign bool) (delivered map[topology.NodeID]int, st Stats) {
-		net, err := topology.Grid(2, 30, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim := eventsim.New()
-		m := New(sim, net, PaperRate)
-		delivered = map[topology.NodeID]int{}
-		for i := 0; i < net.N(); i++ {
-			id := topology.NodeID(i)
-			m.SetReceiver(id, func(self topology.NodeID, _ []byte) { delivered[self]++ })
-		}
-		// Two overlapping broadcasts (collision at common hearers), then a
-		// clean one.
-		put := func(src topology.NodeID, frame []byte, size int) {
-			if foreign && src == 1 {
-				m.InjectForeign(src, packet.Broadcast, frame, size)
-			} else {
-				m.Transmit(src, packet.Broadcast, frame, size)
-			}
-		}
-		sim.At(0, func() { put(0, []byte{1}, 30) })
-		sim.At(0.00001, func() { put(1, []byte{2}, 30) })
-		sim.At(0.01, func() { put(1, []byte{3}, 30) })
-		sim.RunAll()
-		return delivered, m.Stats()
-	}
-	dNative, stNative := run(false)
-	dForeign, stForeign := run(true)
-	if len(dNative) != len(dForeign) {
-		t.Fatalf("delivery maps differ: %v vs %v", dNative, dForeign)
-	}
-	for id, n := range dNative {
-		if dForeign[id] != n {
-			t.Fatalf("node %d: native %d deliveries, foreign %d", id, n, dForeign[id])
-		}
-	}
-	if stForeign.FramesSent != stNative.FramesSent-2 {
-		t.Fatalf("foreign FramesSent = %d, want %d (tx-side accounting skipped)",
-			stForeign.FramesSent, stNative.FramesSent-2)
-	}
-	if stForeign.FramesDelivered != stNative.FramesDelivered ||
-		stForeign.FramesCollided != stNative.FramesCollided {
-		t.Fatalf("rx-side stats diverged: %+v vs %+v", stForeign, stNative)
-	}
-}
-
-func TestInjectForeignSkipsSenderCounters(t *testing.T) {
-	net, err := topology.Grid(2, 30, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := eventsim.New()
-	m := New(sim, net, PaperRate)
-	sim.At(0, func() { m.InjectForeign(0, packet.Broadcast, []byte{1}, 30) })
-	sim.RunAll()
-	if m.NodeBytesSent(0) != 0 || m.NodeFramesSent(0) != 0 || m.TotalBytes() != 0 {
-		t.Fatalf("foreign injection charged the sender mirror: bytes=%d frames=%d total=%d",
-			m.NodeBytesSent(0), m.NodeFramesSent(0), m.TotalBytes())
-	}
-}

@@ -1,10 +1,9 @@
-// Hierarchical sharded aggregation: the path to 10^5-node fields.
+// Package shard scales a single simulated trial across CPU cores by
+// hierarchical spatial decomposition: the path to 10^5-node fields.
 //
-// Where the coupled engine (shard.go) keeps every region on one shared
-// channel and pays for it with synchronization, the hierarchical mode
-// gives each cluster region its own channel — the standard
-// frequency-planning assumption of large-scale WSN deployments — so the
-// regions' event kernels never interact and execute embarrassingly
+// The hierarchical mode gives each cluster region its own channel — the
+// standard frequency-planning assumption of large-scale WSN deployments —
+// so the regions' event kernels never interact and execute embarrassingly
 // parallel across shard workers. Each region runs a full iPDA instance
 // (Phase I disjoint trees, Phase II slicing, Phase III dual aggregation)
 // over the subnetwork induced by its nodes, rooted at a cluster head, and

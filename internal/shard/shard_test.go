@@ -1,219 +1,13 @@
 package shard
 
 import (
-	"sort"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/core"
-	"github.com/ipda-sim/ipda/internal/eventsim"
-	"github.com/ipda-sim/ipda/internal/mac"
-	"github.com/ipda-sim/ipda/internal/packet"
-	"github.com/ipda-sim/ipda/internal/radio"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 	"github.com/ipda-sim/ipda/internal/world"
 )
-
-// regionStreams derives each domain's private MAC randomness from one
-// root, by region index only.
-func regionStreams(seed uint64) func(region int) *rng.Stream {
-	root := rng.New(seed)
-	return func(region int) *rng.Stream { return root.Split(uint64(region) + 1) }
-}
-
-// TestMACCrossBorderARQ exercises the full stop-and-wait handshake across
-// a region border: the data frame crosses src→dst as an injected mirror
-// frame, the ACK crosses back the same way, and neither domain
-// double-counts the exchange.
-func TestMACCrossBorderARQ(t *testing.T) {
-	net := borderNet(t)
-	part := topology.PartitionGrid(net, 2)
-	src, dst := lattice(2, 2), lattice(3, 2)
-	if part.Owner[src] == part.Owner[dst] {
-		t.Fatalf("src %d and dst %d landed in the same region %d", src, dst, part.Owner[src])
-	}
-	c := NewCoupled(part, radio.PaperRate, 2)
-	c.AttachMACs(mac.DefaultConfig(), regionStreams(42))
-
-	home := c.Domains[part.Owner[dst]]
-	away := c.Domains[part.Owner[src]]
-	delivered, spurious := 0, 0
-	var got packet.Packet
-	home.MAC.SetHandler(dst, func(_ topology.NodeID, p *packet.Packet) { got = *p; delivered++ })
-	away.MAC.SetHandler(dst, func(_ topology.NodeID, p *packet.Packet) { spurious++ })
-
-	pkt := &packet.Packet{
-		Header: packet.Header{Kind: packet.KindAggregate, Src: int32(src), Dst: int32(dst), Round: 9},
-		Value:  123,
-	}
-	away.Sim.At(0, func() { away.MAC.Send(src, pkt) })
-	c.Run()
-
-	if delivered != 1 {
-		t.Fatalf("delivered %d times in dst's home domain, want 1", delivered)
-	}
-	if got.Round != 9 || got.Value != 123 {
-		t.Fatalf("delivered packet corrupted: %+v", got)
-	}
-	if spurious != 0 {
-		t.Fatalf("passive mirror of dst delivered %d frames in src's domain", spurious)
-	}
-	hs, as := home.MAC.Stats(), away.MAC.Stats()
-	if hs.AcksSent != 1 {
-		t.Fatalf("dst domain AcksSent = %d, want 1", hs.AcksSent)
-	}
-	if as.AcksSent != 0 {
-		t.Fatalf("src domain AcksSent = %d, want 0 (dst is passive there)", as.AcksSent)
-	}
-	if as.Retries != 0 || as.Dropped != 0 {
-		t.Fatalf("src domain saw retries/drops: %+v", as)
-	}
-}
-
-type delivery struct {
-	at    eventsim.Time
-	self  topology.NodeID
-	src   int32
-	round uint16
-}
-
-// runMACTraffic drives scripted unicast traffic through a coupled engine
-// with MACs attached and returns the merged, sorted delivery log plus the
-// per-domain MAC stats.
-func runMACTraffic(t *testing.T, net *topology.Network, regions, workers int, cfg mac.Config) ([]delivery, []mac.Stats) {
-	t.Helper()
-	part := topology.PartitionGrid(net, regions)
-	c := NewCoupled(part, radio.PaperRate, workers)
-	c.AttachMACs(cfg, regionStreams(7))
-	logs := make([][]delivery, len(c.Domains))
-	for i, d := range c.Domains {
-		d, region := d, i
-		for id := 0; id < net.N(); id++ {
-			if int(part.Owner[id]) != region {
-				continue
-			}
-			self := topology.NodeID(id)
-			d.MAC.SetHandler(self, func(_ topology.NodeID, p *packet.Packet) {
-				logs[region] = append(logs[region], delivery{d.Sim.Now(), self, p.Src, p.Round})
-			})
-		}
-	}
-	for id := 1; id < net.N(); id++ {
-		src := topology.NodeID(id)
-		nbs := net.Neighbors(src)
-		if len(nbs) == 0 {
-			continue
-		}
-		dst := nbs[id%len(nbs)]
-		d := c.Domains[part.Owner[src]]
-		at := eventsim.Time(id) * 0.0017
-		round := uint16(id)
-		d.Sim.At(at, func() {
-			d.MAC.Send(src, &packet.Packet{
-				Header: packet.Header{Kind: packet.KindAggregate, Src: int32(src), Dst: int32(dst), Round: round},
-				Value:  int64(id),
-			})
-		})
-	}
-	c.Run()
-	var all []delivery
-	for _, l := range logs {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.self != b.self {
-			return a.self < b.self
-		}
-		return a.round < b.round
-	})
-	stats := make([]mac.Stats, len(c.Domains))
-	for i, d := range c.Domains {
-		stats[i] = d.MAC.Stats()
-	}
-	return all, stats
-}
-
-// TestCoupledWorkerIndependence pins the engine's determinism guarantee at
-// the MAC layer: identical delivery logs and per-domain MAC counters for 1
-// and 8 workers. Run under -race this also exercises the parallel phase
-// for data races.
-func TestCoupledWorkerIndependence(t *testing.T) {
-	net := borderNet(t)
-	for _, regions := range []int{2, 4} {
-		want, wantStats := runMACTraffic(t, net, regions, 1, mac.DefaultConfig())
-		if len(want) == 0 {
-			t.Fatalf("regions=%d: no deliveries at all", regions)
-		}
-		got, gotStats := runMACTraffic(t, net, regions, 8, mac.DefaultConfig())
-		if len(got) != len(want) {
-			t.Fatalf("regions=%d: %d deliveries with 8 workers, %d with 1", regions, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("regions=%d: delivery %d = %+v with 8 workers, %+v with 1", regions, i, got[i], want[i])
-			}
-		}
-		for i := range wantStats {
-			if gotStats[i] != wantStats[i] {
-				t.Fatalf("regions=%d: domain %d stats %+v with 8 workers, %+v with 1",
-					regions, i, gotStats[i], wantStats[i])
-			}
-		}
-	}
-}
-
-// TestCoupledTDMA pins the slotted MAC on the coupled engine: every
-// domain independently derives the same global slot table (each domain's
-// medium holds the full net, mirrors included), the schedule stays
-// contention-free across domains — zero retries, drops, or deferrals —
-// and delivery logs remain worker-count independent.
-func TestCoupledTDMA(t *testing.T) {
-	cfg := mac.DefaultConfig()
-	cfg.Scheme = mac.SchemeTDMA
-	net := borderNet(t)
-	for _, regions := range []int{2, 4} {
-		want, wantStats := runMACTraffic(t, net, regions, 1, cfg)
-		if len(want) == 0 {
-			t.Fatalf("regions=%d: no deliveries at all", regions)
-		}
-		got, gotStats := runMACTraffic(t, net, regions, 8, cfg)
-		if len(got) != len(want) {
-			t.Fatalf("regions=%d: %d deliveries with 8 workers, %d with 1", regions, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("regions=%d: delivery %d = %+v with 8 workers, %+v with 1", regions, i, got[i], want[i])
-			}
-		}
-		for i := range wantStats {
-			if gotStats[i] != wantStats[i] {
-				t.Fatalf("regions=%d: domain %d stats %+v with 8 workers, %+v with 1",
-					regions, i, gotStats[i], wantStats[i])
-			}
-			if s := wantStats[i]; s.Retries != 0 || s.Dropped != 0 || s.Deferred != 0 {
-				t.Fatalf("regions=%d: contention in domain %d under TDMA: %+v", regions, i, s)
-			}
-		}
-	}
-	// The per-domain slot tables must agree node for node: passive-mirror
-	// awareness is exactly "a mirrored sender owns the same slot
-	// everywhere it is audible".
-	part := topology.PartitionGrid(net, 4)
-	c := NewCoupled(part, radio.PaperRate, 1)
-	c.AttachMACs(cfg, regionStreams(7))
-	base := c.Domains[0].MAC
-	for i, d := range c.Domains[1:] {
-		for id := 0; id < net.N(); id++ {
-			if d.MAC.Slot(topology.NodeID(id)) != base.Slot(topology.NodeID(id)) {
-				t.Fatalf("domain %d slot table differs from domain 0 at node %d", i+1, id)
-			}
-		}
-	}
-}
 
 func TestDefaultRegions(t *testing.T) {
 	cases := []struct{ n, want int }{

@@ -81,14 +81,6 @@ type Config struct {
 	// and charged for idle listening across the run's full simulated
 	// span, so Result.Joules is the network's total energy bill.
 	Meter *energy.Meter
-	// Precompute enables epoch-amortized keystream warming: before each
-	// standing-query firing, the pipeline precomputes the AES keystream
-	// blocks the firing's rounds will seal with on every candidate link
-	// (core.Instance.PrecomputeKeystreams) — the between-firing idle a
-	// real metering network would spend the work in. Behavior-neutral by
-	// construction: results are byte-identical on or off; only
-	// Result.WarmedBlocks and the placement of the AES work change.
-	Precompute bool
 }
 
 func (c Config) validate() error {
@@ -155,9 +147,6 @@ type Result struct {
 	// past 65,536 the key era has rotated at least once.
 	Rounds uint64
 	Era    uint64
-	// WarmedBlocks is the number of AES keystream blocks precomputed
-	// between firings (0 unless Config.Precompute).
-	WarmedBlocks int
 }
 
 // ReadingsPerSecond is the collection throughput in simulated time.
@@ -202,12 +191,16 @@ func New(in *core.Instance, cfg Config) (*Pipeline, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// The ring holds the largest window any query can fill. A query whose
+	// Window exceeds Epochs never fires (it needs that many readings), so
+	// the ring is capped at Epochs: an unreachable window must not size it.
 	maxWin := 1
 	for _, q := range cfg.Queries {
 		if q.Window > maxWin {
 			maxWin = q.Window
 		}
 	}
+	maxWin = min(maxWin, cfg.Epochs)
 	n := in.Net.N()
 	p := &Pipeline{
 		in:          in,
@@ -257,9 +250,6 @@ func (p *Pipeline) Step() error {
 			continue
 		}
 		p.fold(q)
-		if p.cfg.Precompute {
-			p.res.WarmedBlocks += p.in.PrecomputeKeystreams()
-		}
 		res, err := p.in.Run(q.spec(), p.windowed)
 		if err != nil {
 			if errors.Is(err, aggregate.ErrNoData) {

@@ -401,39 +401,3 @@ func TestBackPressure(t *testing.T) {
 		t.Fatalf("cumulative rounds %d, want 4", res.Rounds)
 	}
 }
-
-// TestPrecomputeNeutral pins the epoch-amortized keystream precompute as
-// behavior-invisible: the same pipeline with Precompute on and off must
-// produce identical Results except for the WarmedBlocks accounting, which
-// must be positive only when the precompute ran.
-func TestPrecomputeNeutral(t *testing.T) {
-	run := func(pre bool) *Result {
-		in := randomDeploy(t, 200, 9, core.DefaultConfig())
-		p, err := New(in, Config{
-			Epochs:     6,
-			Interval:   90,
-			Queries:    DayQueries(2),
-			Readings:   readingAt,
-			Precompute: pre,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	warm, cold := run(true), run(false)
-	if warm.WarmedBlocks == 0 {
-		t.Error("Precompute warmed no keystream blocks")
-	}
-	if cold.WarmedBlocks != 0 {
-		t.Errorf("WarmedBlocks = %d without Precompute, want 0", cold.WarmedBlocks)
-	}
-	warm.WarmedBlocks = 0
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatalf("precompute perturbed the pipeline:\n%+v\nvs\n%+v", warm, cold)
-	}
-}

@@ -16,62 +16,20 @@ type Region struct {
 }
 
 // Partition is a grid decomposition of a deployment into rectangular
-// regions, the spatial substrate of the sharded simulation engine. It is
-// a pure function of (net, want): same inputs, same partition — region
-// membership, neighbor sets, and export lists never depend on how many
-// workers later execute the regions.
-//
-// Beyond ownership, the partition precomputes the radio coupling between
-// regions: two regions are neighbors when their rectangles are within one
-// transmission range of each other, and each node carries an export list —
-// the foreign regions whose rectangle is within range of the node. A
-// transmission can only be heard inside a region if its sender is within
-// range of some node there, and every such node lies inside the region's
-// rectangle, so mirroring each frame into exactly the sender's export
-// regions reproduces all cross-region physics.
+// regions, the spatial substrate of the sharded simulation: each region
+// becomes one cluster of the hierarchical mode. It is a pure function of
+// (net, want): same inputs, same partition — region membership never
+// depends on how many workers later execute the regions.
 type Partition struct {
 	Net     *Network
 	Cols    int
 	Rows    int
 	Regions []Region
 	Owner   []int32 // node -> owning region index
-
-	neighbors [][]int32 // region -> regions within Range of its rect (excl. itself)
-	expOff    []int32   // CSR offsets into expRegions, per node
-	expRegs   []int32   // export region lists, back to back
 }
 
 // R returns the number of regions.
 func (p *Partition) R() int { return len(p.Regions) }
-
-// Neighbors returns the regions whose rectangle lies within one
-// transmission range of region r's rectangle, excluding r itself. The
-// returned slice is shared; callers must not modify it.
-func (p *Partition) Neighbors(r int) []int32 { return p.neighbors[r] }
-
-// Exports returns the foreign regions a transmission from node id must be
-// mirrored into: every region other than the owner whose rectangle is
-// within transmission range of the node. Interior nodes return an empty
-// slice. The returned slice is shared; callers must not modify it.
-func (p *Partition) Exports(id NodeID) []int32 {
-	return p.expRegs[p.expOff[id]:p.expOff[id+1]]
-}
-
-// rectDist2 returns the squared distance from point (x, y) to rectangle r
-// (zero when the point is inside).
-func rectDist2(x, y float64, r geom.Rect) float64 {
-	dx := math.Max(math.Max(r.MinX-x, 0), x-r.MaxX)
-	dy := math.Max(math.Max(r.MinY-y, 0), y-r.MaxY)
-	return dx*dx + dy*dy
-}
-
-// rectGap2 returns the squared distance between two rectangles (zero when
-// they touch or overlap).
-func rectGap2(a, b geom.Rect) float64 {
-	dx := math.Max(math.Max(a.MinX-b.MaxX, 0), b.MinX-a.MaxX)
-	dy := math.Max(math.Max(a.MinY-b.MaxY, 0), b.MinY-a.MaxY)
-	return dx*dx + dy*dy
-}
 
 // PartitionGrid splits net's bounding rectangle into a near-square grid of
 // at least 1 and approximately want regions and assigns every node to the
@@ -86,7 +44,8 @@ func PartitionGrid(net *Network, want int) *Partition {
 		panic(fmt.Sprintf("topology: PartitionGrid over degenerate bounds %+v", net.Bounds))
 	}
 	// Shape the grid to the field's aspect ratio so regions stay near-square
-	// (compact regions minimize border area, hence cross-region traffic).
+	// (compact regions minimize border area, hence the links that cross a
+	// region border).
 	rows := int(math.Round(math.Sqrt(float64(want) * h / w)))
 	if rows < 1 {
 		rows = 1
@@ -138,48 +97,5 @@ func PartitionGrid(net *Network, want int) *Partition {
 		p.Owner[id] = int32(r)
 		p.Regions[r].Owned = append(p.Regions[r].Owned, NodeID(id))
 	}
-
-	// Region neighbor sets: rectangles within one transmission range. Region
-	// counts are small (hundreds), so the quadratic sweep is negligible next
-	// to node assignment.
-	r2 := net.Range * net.Range
-	p.neighbors = make([][]int32, len(p.Regions))
-	for a := range p.Regions {
-		for b := range p.Regions {
-			if a != b && rectGap2(p.Regions[a].Bounds, p.Regions[b].Bounds) <= r2 {
-				p.neighbors[a] = append(p.neighbors[a], int32(b))
-			}
-		}
-	}
-
-	// Per-node export lists (CSR): foreign regions within range of the node.
-	// Candidate regions are bounded to the grid ring the range can reach so
-	// the pass stays O(N · ring), not O(N · R).
-	ringX := int(math.Ceil(net.Range/cellW)) + 1
-	ringY := int(math.Ceil(net.Range/cellH)) + 1
-	p.expOff = make([]int32, net.N()+1)
-	for id, pt := range net.Positions {
-		p.expOff[id] = int32(len(p.expRegs))
-		home := cellIdx(pt)
-		hx, hy := home%cols, home/cols
-		for cy := hy - ringY; cy <= hy+ringY; cy++ {
-			if cy < 0 || cy >= rows {
-				continue
-			}
-			for cx := hx - ringX; cx <= hx+ringX; cx++ {
-				if cx < 0 || cx >= cols {
-					continue
-				}
-				r := cy*cols + cx
-				if r == int(p.Owner[id]) {
-					continue
-				}
-				if rectDist2(pt.X, pt.Y, p.Regions[r].Bounds) <= r2 {
-					p.expRegs = append(p.expRegs, int32(r))
-				}
-			}
-		}
-	}
-	p.expOff[net.N()] = int32(len(p.expRegs))
 	return p
 }

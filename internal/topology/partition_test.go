@@ -37,50 +37,7 @@ func TestPartitionGridCoversAllNodes(t *testing.T) {
 	}
 }
 
-func TestPartitionExportsCoverCrossRegionEdges(t *testing.T) {
-	// Soundness of border mirroring: for every radio edge (a, b) crossing a
-	// region boundary, a's export list must contain b's region — otherwise
-	// a frame from a would be invisible where b could hear it.
-	net, err := Random(PaperConfig(400), rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []int{2, 4, 8} {
-		p := PartitionGrid(net, want)
-		for a := 0; a < net.N(); a++ {
-			for _, b := range net.Neighbors(NodeID(a)) {
-				ra, rb := p.Owner[a], p.Owner[b]
-				if ra == rb {
-					continue
-				}
-				found := false
-				for _, e := range p.Exports(NodeID(a)) {
-					if e == rb {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("want=%d: edge %d(r%d)->%d(r%d) not covered by exports %v",
-						want, a, ra, b, rb, p.Exports(NodeID(a)))
-				}
-				// And the regions must know they are coupled.
-				inNbrs := false
-				for _, q := range p.Neighbors(int(ra)) {
-					if q == rb {
-						inNbrs = true
-						break
-					}
-				}
-				if !inNbrs {
-					t.Fatalf("want=%d: regions %d and %d share edge %d-%d but are not neighbors", want, ra, rb, a, b)
-				}
-			}
-		}
-	}
-}
-
-func TestPartitionSingleRegionHasNoExports(t *testing.T) {
+func TestPartitionGridSingleRegion(t *testing.T) {
 	net, err := Random(PaperConfig(100), rng.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -89,13 +46,8 @@ func TestPartitionSingleRegionHasNoExports(t *testing.T) {
 	if p.R() != 1 {
 		t.Fatalf("R() = %d, want 1", p.R())
 	}
-	for id := 0; id < net.N(); id++ {
-		if len(p.Exports(NodeID(id))) != 0 {
-			t.Fatalf("node %d exports %v in a one-region partition", id, p.Exports(NodeID(id)))
-		}
-	}
-	if len(p.Neighbors(0)) != 0 {
-		t.Fatal("sole region has neighbors")
+	if len(p.Regions[0].Owned) != net.N() {
+		t.Fatalf("sole region owns %d of %d nodes", len(p.Regions[0].Owned), net.N())
 	}
 }
 

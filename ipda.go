@@ -447,11 +447,6 @@ type StreamConfig struct {
 	// Metered enables the per-node energy model (radio tx/rx plus idle
 	// listening over the whole span); the result then reports Joules.
 	Metered bool
-	// Precompute enables epoch-amortized keystream warming between
-	// firings (see the stream package). Behavior-neutral: results are
-	// byte-identical on or off; only StreamResult.WarmedBlocks and the
-	// placement of the AES work change.
-	Precompute bool
 }
 
 // StreamFiring is one answered firing of a standing query.
@@ -485,9 +480,6 @@ type StreamResult struct {
 	// rounds so slice nonces never repeat under one key).
 	Rounds uint64
 	KeyEra uint64
-	// WarmedBlocks counts the AES keystream blocks precomputed between
-	// firings (0 unless StreamConfig.Precompute).
-	WarmedBlocks int
 }
 
 // RunStream runs a continuous multi-epoch collection over the deployed
@@ -497,10 +489,9 @@ type StreamResult struct {
 // network's round counter keeps advancing across calls.
 func (n *Network) RunStream(cfg StreamConfig) (*StreamResult, error) {
 	scfg := stream.Config{
-		Epochs:     cfg.Epochs,
-		Interval:   cfg.Interval,
-		Readings:   cfg.Readings,
-		Precompute: cfg.Precompute,
+		Epochs:   cfg.Epochs,
+		Interval: cfg.Interval,
+		Readings: cfg.Readings,
 	}
 	for _, q := range cfg.Queries {
 		scfg.Queries = append(scfg.Queries, stream.Query{
@@ -535,7 +526,6 @@ func (n *Network) RunStream(cfg StreamConfig) (*StreamResult, error) {
 		JoulesPerReading:  res.JoulesPerReading(),
 		Rounds:            res.Rounds,
 		KeyEra:            res.Era,
-		WarmedBlocks:      res.WarmedBlocks,
 	}
 	for _, q := range res.Queries {
 		out.Firings = append(out.Firings, StreamFiring{

@@ -397,11 +397,11 @@ func TestRoundStateReuseAcrossRounds(t *testing.T) {
 	}
 	contribs := &inst.contribs[0]
 	childSum := &inst.childSum[0]
-	asm := inst.assembled[1].red
+	asm := &inst.asm[inst.m] // node 1, tree 0
 	if _, err := inst.Run(aggregate.SpecFor(aggregate.Average), readings); err != nil {
 		t.Fatal(err)
 	}
-	if &inst.contribs[0] != contribs || &inst.childSum[0] != childSum || inst.assembled[1].red != asm {
+	if &inst.contribs[0] != contribs || &inst.childSum[0] != childSum || &inst.asm[inst.m] != asm {
 		t.Fatal("per-round buffers were reallocated across rounds")
 	}
 	// Warm resets must stay off the allocator entirely.

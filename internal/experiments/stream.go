@@ -37,7 +37,7 @@ func Stream(o Options) (*Table, error) {
 			"one deployment per trial serves the whole day: Phase I amortized, mid-day churn repaired in place (CrashRate=0.01/round, RecoverRate=0.3)",
 			"queries: SUM per 15 min, AVG + VAR per hour, MAX over 3 h windows, phase-staggered; readings/s is simulated-time throughput",
 			"uJ/reading covers radio tx/rx plus idle listening across the 86,400 s day; per-round latencies feed the -obs quantile histogram",
-			"single coupled world per trial: tables are byte-identical across -workers and -shards by construction",
+			"one world per trial: tables are byte-identical across -workers and -shards by construction",
 		},
 	}
 	sizes := o.sizes()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 )
@@ -382,6 +383,49 @@ func TestDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic: %v vs %v", a, b)
+		}
+	}
+}
+
+// TestExactTotalsUnderTDMA checks every tree total against the truth. On
+// the collision-free TDMA channel no slice or aggregate is lost, so each
+// of the m totals must equal the participants' reading sum exactly, and
+// the non-participants' large readings must not leak into any tree.
+func TestExactTotalsUnderTDMA(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, m := range []int{2, 3, 4} {
+			net, err := topology.Random(topology.PaperConfig(900), rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(m)
+			cfg.MAC = mac.DefaultConfig()
+			cfg.MAC.Scheme = mac.SchemeTDMA
+			in, err := New(net, cfg, seed+77)
+			if err != nil {
+				t.Fatal(err)
+			}
+			readings := make([]int64, net.N())
+			for i := range readings {
+				readings[i] = 1000
+			}
+			var want int64
+			participants := in.Participants()
+			for _, id := range participants {
+				readings[id] = int64(id%17 + 3)
+				want += readings[id]
+			}
+			v, err := in.RunSum(readings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("seed %d m=%d: %d participants, sum %d", seed, m, len(participants), want)
+			for tr, got := range v.Totals {
+				if got != want {
+					t.Errorf("seed %d m=%d: tree %d total %d, want %d over %d participants (totals %v)",
+						seed, m, tr, got, want, len(participants), v.Totals)
+				}
+			}
 		}
 	}
 }

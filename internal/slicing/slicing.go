@@ -3,12 +3,12 @@
 //
 // A node hides its private reading d(i) by splitting it into l additive
 // shares, independently for each tree: l shares go to red aggregators and l
-// to blue aggregators in its one-hop neighborhood (including itself when it
-// is an aggregator — that share never touches the air). Shares are uniform
-// over the full 64-bit ring, so any strict subset of a reading's shares is
-// statistically independent of the reading; only the complete per-tree set
-// sums back to d(i) (mod 2^64), which is exact in two's-complement
-// arithmetic.
+// to blue aggregators (l to each tree when there are m of them) in its
+// one-hop neighborhood, including itself when it is an aggregator — that
+// share never touches the air. Shares are uniform over the full 64-bit
+// ring, so any strict subset of a reading's shares is statistically
+// independent of the reading; only the complete per-tree set sums back to
+// d(i) (mod 2^64), which is exact in two's-complement arithmetic.
 package slicing
 
 import (
@@ -115,81 +115,73 @@ func Combine(shares []int64) int64 {
 }
 
 // Targets is the outcome of slice-target selection for one node: the
-// aggregators that will receive its shares, per tree. KeptLocal reports
-// whether the first entry of the node's own color is the node itself (that
-// share is kept locally and never transmitted).
+// aggregators that will receive its shares, per tree (Trees[t] lists tree
+// t's targets). KeptLocal reports whether the first entry of the node's own
+// tree is the node itself (that share is kept locally and never
+// transmitted).
 type Targets struct {
-	Red       []topology.NodeID
-	Blue      []topology.NodeID
+	Trees     [][]topology.NodeID
 	KeptLocal bool
 }
 
 // Transmissions returns the number of radio sends the node performs in the
-// slicing step: 2l normally, 2l-1 when one share stays local — the paper's
-// "each node takes 2l-1 transmissions" counts the local share as saved.
+// slicing step: m·l normally, m·l-1 when one share stays local — with two
+// trees, the paper's "each node takes 2l-1 transmissions" counts the local
+// share as saved.
 func (t Targets) Transmissions() int {
-	n := len(t.Red) + len(t.Blue)
+	n := 0
+	for _, ts := range t.Trees {
+		n += len(ts)
+	}
 	if t.KeptLocal {
 		n--
 	}
 	return n
 }
 
-// ChooseTargets selects l red and l blue slice targets for node id from the
-// aggregator neighborhoods discovered in Phase I, per Section III-C.1: an
-// aggregator always selects itself plus l-1 others of its own color. ok is
-// false when the neighborhoods cannot support l slices per tree; such a
-// node does not participate (loss factor (b) of Section IV-B.3).
+// Choose selects l slice targets per tree for node id from the aggregator
+// neighborhoods discovered in Phase I (cands[t] lists the tree-t
+// aggregators id heard; they must not contain id itself), per Section
+// III-C.1: an aggregator always selects itself plus l-1 others of its own
+// tree. own is the tree id aggregates on, or any index outside cands for a
+// node that aggregates on none. It reports false when the neighborhoods
+// cannot support l slices per tree; such a node does not participate (loss
+// factor (b) of Section IV-B.3) and no random draw is consumed.
 //
-// selfColorRed/selfColorBlue report the node's own role; at most one may be
-// true. The candidate lists must not contain id itself.
-func ChooseTargets(id topology.NodeID, selfRed, selfBlue bool, redNbrs, blueNbrs []topology.NodeID, l int, r *rng.Stream) (Targets, bool) {
-	var t Targets
-	if !t.Choose(id, selfRed, selfBlue, redNbrs, blueNbrs, l, r) {
-		return Targets{}, false
-	}
-	return t, true
-}
-
-// Choose is ChooseTargets writing into t's existing backing arrays: Red and
-// Blue are truncated and refilled, so a node's Targets can be re-selected
-// every round with no allocation once the slices have grown to l entries.
-// It consumes exactly the same random draws as ChooseTargets (none at all
-// when the neighborhoods are too small) and fills t with the same targets
-// in the same order, so the two are interchangeable mid-protocol.
-func (t *Targets) Choose(id topology.NodeID, selfRed, selfBlue bool, redNbrs, blueNbrs []topology.NodeID, l int, r *rng.Stream) bool {
+// The own tree is drawn first, then the others in index order. t.Trees is
+// truncated and refilled in place, so a node's Targets can be re-selected
+// every round with no allocation once its slices have grown.
+func (t *Targets) Choose(id topology.NodeID, own int, cands [][]topology.NodeID, l int, r *rng.Stream) bool {
 	if l < 1 {
-		panic(fmt.Sprintf("slicing: ChooseTargets with l = %d", l))
+		panic(fmt.Sprintf("slicing: Choose with l = %d", l))
 	}
-	if selfRed && selfBlue {
-		panic("slicing: node cannot be on both trees")
+	m := len(cands)
+	hasOwn := own >= 0 && own < m
+	for tr, c := range cands {
+		need := l
+		if tr == own {
+			need = l - 1
+		}
+		if len(c) < need {
+			return false
+		}
 	}
-	t.Red = t.Red[:0]
-	t.Blue = t.Blue[:0]
-	t.KeptLocal = false
-	switch {
-	case selfRed:
-		if len(redNbrs) < l-1 || len(blueNbrs) < l {
-			return false
+	if cap(t.Trees) < m {
+		t.Trees = append(t.Trees[:cap(t.Trees)], make([][]topology.NodeID, m-cap(t.Trees))...)
+	}
+	t.Trees = t.Trees[:m]
+	for tr := range t.Trees {
+		t.Trees[tr] = t.Trees[tr][:0]
+	}
+	t.KeptLocal = hasOwn
+	if hasOwn {
+		t.Trees[own] = append(t.Trees[own], id)
+		t.Trees[own] = pickAppend(t.Trees[own], cands[own], l-1, r)
+	}
+	for tr := range t.Trees {
+		if tr != own {
+			t.Trees[tr] = pickAppend(t.Trees[tr], cands[tr], l, r)
 		}
-		t.Red = append(t.Red, id)
-		t.Red = pickAppend(t.Red, redNbrs, l-1, r)
-		t.Blue = pickAppend(t.Blue, blueNbrs, l, r)
-		t.KeptLocal = true
-	case selfBlue:
-		if len(blueNbrs) < l-1 || len(redNbrs) < l {
-			return false
-		}
-		t.Blue = append(t.Blue, id)
-		t.Blue = pickAppend(t.Blue, blueNbrs, l-1, r)
-		t.Red = pickAppend(t.Red, redNbrs, l, r)
-		t.KeptLocal = true
-	default:
-		if len(redNbrs) < l || len(blueNbrs) < l {
-			return false
-		}
-		t.Red = pickAppend(t.Red, redNbrs, l, r)
-		t.Blue = pickAppend(t.Blue, blueNbrs, l, r)
 	}
 	return true
 }

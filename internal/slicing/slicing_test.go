@@ -161,13 +161,20 @@ func ids(xs ...int) []topology.NodeID {
 	return out
 }
 
+// choose runs Targets.Choose over a red and a blue neighborhood.
+func choose(id topology.NodeID, own int, red, blue []topology.NodeID, l int, r *rng.Stream) (Targets, bool) {
+	var tg Targets
+	ok := tg.Choose(id, own, [][]topology.NodeID{red, blue}, l, r)
+	return tg, ok
+}
+
 func TestChooseTargetsLeaf(t *testing.T) {
 	r := rng.New(7)
-	tg, ok := ChooseTargets(5, false, false, ids(1, 2, 3), ids(4, 6, 7), 2, r)
+	tg, ok := choose(5, -1, ids(1, 2, 3), ids(4, 6, 7), 2, r)
 	if !ok {
 		t.Fatal("leaf with enough neighbors rejected")
 	}
-	if len(tg.Red) != 2 || len(tg.Blue) != 2 {
+	if len(tg.Trees[0]) != 2 || len(tg.Trees[1]) != 2 {
 		t.Fatalf("targets %+v", tg)
 	}
 	if tg.KeptLocal {
@@ -180,12 +187,12 @@ func TestChooseTargetsLeaf(t *testing.T) {
 
 func TestChooseTargetsRedAggregator(t *testing.T) {
 	r := rng.New(9)
-	tg, ok := ChooseTargets(5, true, false, ids(1, 2), ids(4, 6), 2, r)
+	tg, ok := choose(5, 0, ids(1, 2), ids(4, 6), 2, r)
 	if !ok {
 		t.Fatal("red aggregator rejected")
 	}
-	if tg.Red[0] != 5 {
-		t.Fatalf("aggregator must select itself first: %v", tg.Red)
+	if tg.Trees[0][0] != 5 {
+		t.Fatalf("aggregator must select itself first: %v", tg.Trees[0])
 	}
 	if !tg.KeptLocal {
 		t.Fatal("KeptLocal false for aggregator")
@@ -198,26 +205,26 @@ func TestChooseTargetsRedAggregator(t *testing.T) {
 
 func TestChooseTargetsBlueAggregator(t *testing.T) {
 	r := rng.New(11)
-	tg, ok := ChooseTargets(9, false, true, ids(1, 2, 3), ids(4), 2, r)
+	tg, ok := choose(9, 1, ids(1, 2, 3), ids(4), 2, r)
 	if !ok {
 		t.Fatal("blue aggregator rejected")
 	}
-	if tg.Blue[0] != 9 || len(tg.Blue) != 2 || len(tg.Red) != 2 {
+	if tg.Trees[1][0] != 9 || len(tg.Trees[1]) != 2 || len(tg.Trees[0]) != 2 {
 		t.Fatalf("targets %+v", tg)
 	}
 }
 
 func TestChooseTargetsInsufficientNeighbors(t *testing.T) {
 	r := rng.New(13)
-	if _, ok := ChooseTargets(5, false, false, ids(1), ids(2, 3), 2, r); ok {
+	if _, ok := choose(5, -1, ids(1), ids(2, 3), 2, r); ok {
 		t.Fatal("leaf with 1 red neighbor accepted for l=2")
 	}
-	if _, ok := ChooseTargets(5, true, false, ids(1), ids(2), 3, r); ok {
+	if _, ok := choose(5, 0, ids(1), ids(2), 3, r); ok {
 		t.Fatal("red aggregator without l-1=2 red neighbors accepted")
 	}
 	// Aggregator with zero same-color neighbors but l=1 is fine: it keeps
 	// its whole same-color share and sends one to the other tree.
-	if _, ok := ChooseTargets(5, true, false, nil, ids(2), 1, r); !ok {
+	if _, ok := choose(5, 0, nil, ids(2), 1, r); !ok {
 		t.Fatal("l=1 aggregator with one opposite neighbor rejected")
 	}
 }
@@ -225,27 +232,18 @@ func TestChooseTargetsInsufficientNeighbors(t *testing.T) {
 func TestChooseTargetsDistinct(t *testing.T) {
 	r := rng.New(17)
 	for trial := 0; trial < 200; trial++ {
-		tg, ok := ChooseTargets(5, true, false, ids(1, 2, 3, 4), ids(6, 7, 8), 3, r)
+		tg, ok := choose(5, 0, ids(1, 2, 3, 4), ids(6, 7, 8), 3, r)
 		if !ok {
 			t.Fatal("rejected")
 		}
 		seen := map[topology.NodeID]bool{}
-		for _, x := range append(append([]topology.NodeID{}, tg.Red...), tg.Blue...) {
+		for _, x := range append(append([]topology.NodeID{}, tg.Trees[0]...), tg.Trees[1]...) {
 			if seen[x] {
 				t.Fatalf("duplicate target %d in %+v", x, tg)
 			}
 			seen[x] = true
 		}
 	}
-}
-
-func TestChooseTargetsBothColorsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ChooseTargets(1, true, true, nil, nil, 1, rng.New(1))
 }
 
 func TestAssembler(t *testing.T) {

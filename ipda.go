@@ -873,7 +873,9 @@ func (n *MultiTreeNetwork) Size() int { return n.topo.N() }
 // Coverage returns the fraction of sensors reached by all m trees.
 func (n *MultiTreeNetwork) Coverage() float64 { return n.inst.CoverageFraction() }
 
-// TreeOf returns the tree index node id aggregates on, or -1 for leaves.
+// TreeOf returns the tree index node id aggregates on: -1 for leaves and
+// nodes Phase I never reached, -2 for the base station (the root of every
+// tree).
 func (n *MultiTreeNetwork) TreeOf(id int) int { return n.inst.TreeOf[id] }
 
 // InjectPollution makes node id a pollution attacker; delta 0 removes it.

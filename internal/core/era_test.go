@@ -24,7 +24,7 @@ func TestSliceNonceIdentityNeverRepeats(t *testing.T) {
 	seen := make(map[ident]uint64, rounds)
 	for r := uint64(1); r <= rounds; r++ {
 		era := r >> 16 // the rotation advanceRound applies
-		n := sliceNonce(uint16(r), src, dst, 3)
+		n := sliceNonce(uint16(r), src, dst, 0, 3)
 		id := ident{era, n}
 		if prev, dup := seen[id]; dup {
 			t.Fatalf("rounds %d and %d share nonce identity (era %d, nonce %#x)", prev, r, era, n)
@@ -34,7 +34,7 @@ func TestSliceNonceIdentityNeverRepeats(t *testing.T) {
 	// Sanity: without the era component the wire nonce alone DOES repeat
 	// at exactly one wraparound apart — the bug this PR fixes.
 	wrapped := uint64(1 + 1<<16)
-	if a, b := sliceNonce(uint16(1), src, dst, 0), sliceNonce(uint16(wrapped), src, dst, 0); a != b {
+	if a, b := sliceNonce(uint16(1), src, dst, 0, 0), sliceNonce(uint16(wrapped), src, dst, 0, 0); a != b {
 		t.Fatalf("wire nonces unexpectedly differ across the wraparound: %#x vs %#x", a, b)
 	}
 }
@@ -72,7 +72,7 @@ func TestEraRekeyDistinctCiphertexts(t *testing.T) {
 			}
 
 			const share = int64(424242)
-			nonce := sliceNonce(1, src, dst, 0) // wire round 1's nonce
+			nonce := sliceNonce(1, src, dst, 0, 0) // wire round 1's nonce
 			seal := func() linksec.Sealed {
 				reqs := []linksec.SealReq{{Src: src, Dst: dst, Nonce: nonce, Value: share}}
 				in.ciphers.SealBatch(reqs)

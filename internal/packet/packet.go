@@ -83,6 +83,14 @@ func (c Color) String() string {
 	}
 }
 
+// TreeColor is the Color tree index t (0, 1, …) goes on the air as, so
+// trees 0 and 1 are Red and Blue. Color.Tree inverts it.
+func TreeColor(t int) Color { return Color(t + 1) }
+
+// Tree returns the tree index c carries: 0 for Red, 1 for Blue, and -1 for
+// NoColor.
+func (c Color) Tree() int { return int(c) - 1 }
+
 // Other returns the opposite tree color; NoColor maps to itself.
 func (c Color) Other() Color {
 	switch c {

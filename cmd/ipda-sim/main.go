@@ -14,7 +14,7 @@
 //	ipda-sim -nodes 400 -epochs 96 -interval 900 -churn 0.01 -repair
 //	ipda-sim -nodes 400 -kill 17,42 -repair   # scripted crashes before round 0
 //	ipda-sim -nodes 400 -metrics out.prom     # Prometheus metric snapshot
-//	ipda-sim -nodes 400 -spans round.trace.json  # Perfetto phase spans
+//	ipda-sim -nodes 400 -spans round.trace.json  # query trace for Perfetto
 //	ipda-sim -nodes 400 -qtrace q.jsonl       # causal per-query trace (see ipda-trace)
 package main
 
@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -56,11 +57,9 @@ func main() {
 		macScheme   = flag.String("mac", "csma", "channel-access scheme: csma | tdma")
 		coalesce    = flag.Bool("coalesce", false, "pack each node's same-round slices into one multi-slice frame (changes byte/frame counts)")
 		compare     = flag.Bool("compare", false, "also run the TAG baseline")
-		traceFile   = flag.String("trace", "", "write a JSON-lines protocol timeline to this file")
-		traceRing   = flag.Bool("trace-ring", false, "capture the trace as a ring buffer (keep the last events instead of the first)")
 		metricsFile = flag.String("metrics", "", "write a Prometheus text-format metric snapshot to this file")
 		metricsAddr = flag.String("metrics-addr", "", "after the run, serve the metric snapshot on this address (e.g. :9090) until interrupted")
-		spansFile   = flag.String("spans", "", "write protocol phase spans as Chrome trace-event JSON (load in ui.perfetto.dev)")
+		spansFile   = flag.String("spans", "", "write the query trace as Chrome trace-event JSON (load in ui.perfetto.dev)")
 		qtraceFile  = flag.String("qtrace", "", "write the causal per-query trace as JSON lines to this file (inspect with ipda-trace)")
 	)
 	flag.Parse()
@@ -71,8 +70,8 @@ func main() {
 	cfg.Slices = *slices
 	cfg.Threshold = *threshold
 	cfg.Seed = *seed
-	cfg.Observe = *metricsFile != "" || *metricsAddr != "" || *spansFile != ""
-	cfg.TraceQueries = *qtraceFile != ""
+	cfg.Observe = *metricsFile != "" || *metricsAddr != ""
+	cfg.TraceQueries = *qtraceFile != "" || *spansFile != ""
 	cfg.Repair = *repair
 	cfg.Cipher = *cipher
 	cfg.MAC = *macScheme
@@ -100,14 +99,6 @@ func main() {
 	fmt.Printf("trees:      coverage %.1f%%, participation %.1f%% (%d sensors)\n",
 		100*net.Coverage(), 100*net.Participation(), net.Participants())
 
-	var tr *ipda.Trace
-	if *traceFile != "" {
-		if *traceRing {
-			tr = net.EnableRingTrace(1 << 20)
-		} else {
-			tr = net.EnableTrace(1 << 20)
-		}
-	}
 	var eav *ipda.Eavesdropper
 	if *eavesdrop >= 0 {
 		eav = net.AttachEavesdropper(*eavesdrop)
@@ -197,62 +188,23 @@ func main() {
 		}
 	}
 
-	if tr != nil {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fail(err)
-		}
-		if err := tr.WriteJSON(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("trace:      %d events written to %s (%d dropped)\n", tr.Len(), *traceFile, tr.Dropped())
-	}
-
 	if q := net.QueryTrace(); q != nil {
-		f, err := os.Create(*qtraceFile)
-		if err != nil {
-			fail(err)
+		if *qtraceFile != "" {
+			writeFile(*qtraceFile, q.WriteJSONL)
+			fmt.Printf("qtrace:     %d spans written to %s (%d dropped); inspect with ipda-trace\n",
+				q.Len(), *qtraceFile, q.Dropped())
 		}
-		if err := q.WriteJSONL(f); err != nil {
-			fail(err)
+		if *spansFile != "" {
+			writeFile(*spansFile, q.WriteChromeTrace)
+			fmt.Printf("spans:      %d spans written to %s (%d dropped); load in ui.perfetto.dev\n",
+				q.Len(), *spansFile, q.Dropped())
 		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("qtrace:     %d spans written to %s (%d dropped); inspect with ipda-trace\n",
-			q.Len(), *qtraceFile, q.Dropped())
 	}
 
 	if o := net.Obs(); o != nil {
 		if *metricsFile != "" {
-			f, err := os.Create(*metricsFile)
-			if err != nil {
-				fail(err)
-			}
-			if err := o.WritePrometheus(f); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
+			writeFile(*metricsFile, o.WritePrometheus)
 			fmt.Printf("metrics:    snapshot written to %s\n", *metricsFile)
-		}
-		if *spansFile != "" {
-			f, err := os.Create(*spansFile)
-			if err != nil {
-				fail(err)
-			}
-			if err := o.WriteChromeTrace(f); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Printf("spans:      %d spans written to %s (%d dropped); load in ui.perfetto.dev\n",
-				o.Spans(), *spansFile, o.DroppedSpans())
 		}
 		if *metricsAddr != "" {
 			// The registry is not safe for concurrent use, so render the
@@ -321,6 +273,20 @@ func abs(v int64) int64 {
 		return -v
 	}
 	return v
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	if err := write(f); err != nil {
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
 }
 
 func fail(err error) {

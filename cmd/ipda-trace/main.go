@@ -1,30 +1,23 @@
-// Command ipda-trace inspects the two JSON-lines trace formats the
-// simulator produces.
+// Command ipda-trace inspects the causal per-query traces the simulator
+// produces (ipda-sim -qtrace, ipda-bench -qtrace-out). It prints a
+// summary by default and supports three query modes:
 //
-// For causal per-query traces (ipda-sim -qtrace, ipda-bench -qtrace-out)
-// it prints a summary by default and supports three query modes:
-//
-//	ipda-trace q.jsonl                  # per-trial summary
+//	ipda-trace q.jsonl                  # per-trial summary + frame table
 //	ipda-trace -query 1 q.jsonl         # causal span tree of query 1
 //	ipda-trace -critical-path q.jsonl   # tail-latency chain per round
 //	ipda-trace -health q.jsonl          # full round-health report
 //
-// For legacy protocol timelines (ipda-sim -trace) it prints the original
-// radio-level summary: event counts by message type, collision totals,
-// the busiest observer, and the time span. The format is autodetected
-// from the file's first record.
+// The summary's frame table is the radio-level view: per span name, the
+// frames, bytes, airtime, MAC retries and drops attributed to it.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
 	"github.com/ipda-sim/ipda/internal/qtrace"
-	"github.com/ipda-sim/ipda/internal/trace"
 )
 
 func main() {
@@ -38,111 +31,93 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: ipda-trace [-query N | -critical-path | -health] <trace.jsonl>")
 		os.Exit(2)
 	}
-	path := flag.Arg(0)
-
-	if isQueryTrace(path) {
-		f, err := os.Open(path)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		lines, dropped, err := qtrace.ReadJSONL(f)
-		if err != nil {
-			fail(err)
-		}
-		groups, order := qtrace.GroupByTrial(lines)
-		switch {
-		case *query >= 0:
-			for _, k := range order {
-				spans := filterQuery(groups[k], uint32(*query))
-				if len(spans) == 0 {
-					continue
-				}
-				fmt.Printf("== %s ==\n", k)
-				if err := qtrace.WriteText(os.Stdout, spans); err != nil {
-					fail(err)
-				}
-			}
-		case *critPath:
-			for _, k := range order {
-				fmt.Printf("== %s ==\n", k)
-				for _, h := range qtrace.Analyze(groups[k]) {
-					fmt.Printf("query %d (%s, %.4fs):\n", h.Query, verdictOf(h), h.End-h.Begin)
-					for _, hop := range h.CriticalPath {
-						fmt.Printf("  %s node=%d [%.4f %.4f]\n", hop.Name, hop.Node, hop.Begin, hop.End)
-					}
-				}
-			}
-		case *health:
-			for _, k := range order {
-				fmt.Printf("== %s ==\n", k)
-				if err := qtrace.WriteHealth(os.Stdout, groups[k]); err != nil {
-					fail(err)
-				}
-			}
-		default:
-			fmt.Printf("trials:  %d (%d spans, %d dropped at capture)\n", len(order), len(lines), dropped)
-			for _, k := range order {
-				spans := groups[k]
-				rounds := qtrace.Analyze(spans)
-				accepted := 0
-				for _, h := range rounds {
-					if h.Verdict == "accepted" {
-						accepted++
-					}
-				}
-				fmt.Printf("  %-24s %6d spans, %d rounds (%d accepted)\n", k, len(spans), len(rounds), accepted)
-			}
-			fmt.Println("modes:   -query N | -critical-path | -health")
-		}
-		return
-	}
-
-	f, err := os.Open(path)
+	f, err := os.Open(flag.Arg(0))
 	if err != nil {
 		fail(err)
 	}
 	defer f.Close()
-	log, err := trace.ReadJSON(f, 1<<22)
+	lines, dropped, err := qtrace.ReadJSONL(f)
 	if err != nil {
 		fail(err)
 	}
-	s := trace.Summarize(log)
-	fmt.Printf("capture:     %s mode\n", log.Mode())
-	fmt.Printf("events:      %d (%d dropped at capture)\n", s.Events, s.Dropped)
-	fmt.Printf("span:        %.3fs .. %.3fs (%.3fs)\n", s.First, s.Last, s.Last-s.First)
-	fmt.Printf("collisions:  %d\n", s.Collisions)
-	fmt.Printf("busiest:     node %d\n", s.BusiestNode)
-	kinds := make([]string, 0, len(s.ByDetailKind))
-	for k := range s.ByDetailKind {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(a, b int) bool { return s.ByDetailKind[kinds[a]] > s.ByDetailKind[kinds[b]] })
-	fmt.Println("by type:")
-	for _, k := range kinds {
-		fmt.Printf("  %-10s %d\n", k, s.ByDetailKind[k])
+	groups, order := qtrace.GroupByTrial(lines)
+	switch {
+	case *query >= 0:
+		for _, k := range order {
+			spans := filterQuery(groups[k], uint32(*query))
+			if len(spans) == 0 {
+				continue
+			}
+			fmt.Printf("== %s ==\n", k)
+			if err := qtrace.WriteText(os.Stdout, spans); err != nil {
+				fail(err)
+			}
+		}
+	case *critPath:
+		for _, k := range order {
+			fmt.Printf("== %s ==\n", k)
+			for _, h := range qtrace.Analyze(groups[k]) {
+				fmt.Printf("query %d (%s, %.4fs):\n", h.Query, verdictOf(h), h.End-h.Begin)
+				for _, hop := range h.CriticalPath {
+					fmt.Printf("  %s node=%d [%.4f %.4f]\n", hop.Name, hop.Node, hop.Begin, hop.End)
+				}
+			}
+		}
+	case *health:
+		for _, k := range order {
+			fmt.Printf("== %s ==\n", k)
+			if err := qtrace.WriteHealth(os.Stdout, groups[k]); err != nil {
+				fail(err)
+			}
+		}
+	default:
+		fmt.Printf("trials:  %d (%d spans, %d dropped at capture)\n", len(order), len(lines), dropped)
+		for _, k := range order {
+			spans := groups[k]
+			rounds := qtrace.Analyze(spans)
+			accepted := 0
+			for _, h := range rounds {
+				if h.Verdict == "accepted" {
+					accepted++
+				}
+			}
+			fmt.Printf("  %-24s %6d spans, %d rounds (%d accepted)\n", k, len(spans), len(rounds), accepted)
+			writeFrames(spans)
+		}
+		fmt.Println("modes:   -query N | -critical-path | -health")
 	}
 }
 
-// isQueryTrace peeks at the file's first JSON record: qtrace lines carry
-// "name" and "id" fields, legacy timeline events carry "kind"/"detail".
-func isQueryTrace(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
+// writeFrames prints one row per span name: how many spans carry it and
+// the frames, bytes, airtime, retries and drops attributed to them.
+func writeFrames(spans []qtrace.Span) {
+	type row struct {
+		count, frames, bytes, retries, drops uint64
+		air                                  float64
 	}
-	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReader(f))
-	var raw map[string]json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
-		return false
+	rows := map[string]*row{}
+	var names []string
+	for i := range spans {
+		s := &spans[i]
+		r := rows[s.Name]
+		if r == nil {
+			r = &row{}
+			rows[s.Name] = r
+			names = append(names, s.Name)
+		}
+		r.count++
+		r.frames += uint64(s.Frames)
+		r.bytes += s.Bytes
+		r.air += s.Airtime
+		r.retries += uint64(s.Retries)
+		r.drops += uint64(s.Drops)
 	}
-	if _, ok := raw["kind"]; ok {
-		return false
+	sort.Strings(names)
+	fmt.Printf("    %-28s %7s %7s %9s %10s %7s %6s\n", "span", "count", "frames", "bytes", "airtime", "retries", "drops")
+	for _, name := range names {
+		r := rows[name]
+		fmt.Printf("    %-28s %7d %7d %9d %10.6f %7d %6d\n", name, r.count, r.frames, r.bytes, r.air, r.retries, r.drops)
 	}
-	_, hasName := raw["name"]
-	_, hasDropped := raw["dropped"]
-	return hasName || hasDropped
 }
 
 // filterQuery keeps the spans of one query.

@@ -519,10 +519,13 @@ func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, build
 	in.Net = net
 	in.Cfg = cfg
 	in.Trees = nil
+	// Every builder's Phase I shares one network-wide span (query 0).
+	phase1 := in.qt.Start(0, qtrace.None, -1, "phase1:tree-construction", float64(in.Sim.Now()))
 	forest, err := build(root)
 	if err != nil {
 		return err
 	}
+	in.qt.End(phase1, float64(in.Sim.Now()))
 	if err := forest.check(n); err != nil {
 		return fmt.Errorf("core: phase I produced overlapping trees: %w", err)
 	}
@@ -784,10 +787,8 @@ func (in *Instance) Verdict(accepted bool) {
 	if in.obs != nil {
 		if accepted {
 			in.obs.roundsAccepted.Inc()
-			in.Cfg.Obs.Instant(obs.TrackGlobal, "bs:verify:accepted", float64(in.Sim.Now()), uint32(uint16(in.round)))
 		} else {
 			in.obs.roundsRejected.Inc()
-			in.Cfg.Obs.Instant(obs.TrackGlobal, "bs:verify:rejected", float64(in.Sim.Now()), uint32(uint16(in.round)))
 		}
 	}
 	if in.qt != nil {
@@ -938,17 +939,13 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
 		for t, targets := range p.targets.Trees {
 			in.planned[int(id)*m+t] = uint16(len(targets))
 		}
-		if in.Cfg.Obs != nil {
-			// The node's slicing window has a statically known extent, so
-			// the span is recorded up front instead of via an end event
-			// that would perturb the simulation's event sequence.
-			in.Cfg.Obs.Span(int32(id), "phase2:slicing", float64(at), float64(at+in.Cfg.SliceWindow), uint32(round))
-		}
 		slSpan := qtrace.None
 		if in.qt != nil {
-			// Same statically-known extent as the obs span above. With a
-			// query flood the span parents to the received QUERY frame's
-			// span (causal); scheduled epochs parent to the round root.
+			// The node's slicing window has a statically known extent, so
+			// the span is closed up front instead of via an end event that
+			// would perturb the simulation's event sequence. With a query
+			// flood the span parents to the received QUERY frame's span
+			// (causal); scheduled epochs parent to the round root.
 			parent := in.queryParent
 			if parent == qtrace.None {
 				parent = in.roundSpan
@@ -996,17 +993,13 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
 	}
 
 	deadline := t1 + eventsim.Time(maxHop+2)*in.Cfg.AggSlot + 1.0
-	if in.Cfg.Obs != nil {
-		r := uint32(round)
-		in.Cfg.Obs.Span(obs.TrackGlobal, "round", float64(t0), float64(deadline), r)
-		if in.Cfg.DisseminateQuery {
-			in.Cfg.Obs.Span(obs.TrackGlobal, "phase2:query-dissemination", float64(t0), float64(t0+floodBudget), r)
-		}
-		in.Cfg.Obs.Span(obs.TrackGlobal, "phase2:report-and-assemble", float64(t0+floodBudget), float64(t1), r)
-		in.Cfg.Obs.Span(obs.TrackGlobal, "phase3:tree-aggregation", float64(t1), float64(deadline), r)
-	}
 	if in.qt != nil {
 		in.qt.End(in.roundSpan, float64(deadline))
+		if in.Cfg.DisseminateQuery {
+			in.phaseSpan(round, "phase2:query-dissemination", t0, t0+floodBudget)
+		}
+		in.phaseSpan(round, "phase2:report-and-assemble", t0+floodBudget, t1)
+		in.phaseSpan(round, "phase3:tree-aggregation", t1, deadline)
 	}
 	in.Sim.Run(deadline)
 
@@ -1191,6 +1184,13 @@ func (in *Instance) fireSlice(ev *sliceEvent) {
 	if in.obs != nil {
 		in.obs.slicesSent.Add(float64(slices))
 	}
+}
+
+// phaseSpan records one network-wide protocol phase of round under the
+// round span; its extent is statically known when the round is scheduled.
+func (in *Instance) phaseSpan(round uint16, name string, begin, end eventsim.Time) {
+	s := in.qt.Start(uint32(round), in.roundSpan, -1, name, float64(begin))
+	in.qt.End(s, float64(end))
 }
 
 // floodQuery broadcasts a QUERY from the base station and lets every
@@ -1573,6 +1573,5 @@ func (in *Instance) sendAggregate(round uint16, id topology.NodeID) {
 	in.MAC.Send(id, &pkt)
 	if in.obs != nil {
 		in.obs.aggregatesSent.Inc()
-		in.Cfg.Obs.Instant(int32(id), "aggregate:sent", float64(in.Sim.Now()), uint32(round))
 	}
 }

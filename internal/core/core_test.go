@@ -11,6 +11,7 @@ import (
 	"github.com/ipda-sim/ipda/internal/linksec"
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/obs"
+	"github.com/ipda-sim/ipda/internal/qtrace"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 	"github.com/ipda-sim/ipda/internal/tree"
@@ -1019,16 +1020,17 @@ func TestDeterministicRun(t *testing.T) {
 }
 
 // TestObsDoesNotPerturbRun is the determinism contract of the
-// instrumentation layer: attaching a sink must leave every protocol
-// outcome bit-identical to the uninstrumented run.
+// instrumentation layers: attaching a metrics sink and a tracer must
+// leave every protocol outcome bit-identical to the uninstrumented run.
 func TestObsDoesNotPerturbRun(t *testing.T) {
-	run := func(sink *obs.Sink) *Result {
+	run := func(sink *obs.Sink, qt *qtrace.Tracer) *Result {
 		net, err := topology.Random(topology.PaperConfig(250), rng.New(77))
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig()
 		cfg.Obs = sink
+		cfg.QTrace = qt
 		inst, err := New(net, cfg, 88)
 		if err != nil {
 			t.Fatal(err)
@@ -1044,27 +1046,25 @@ func TestObsDoesNotPerturbRun(t *testing.T) {
 		}
 		return res
 	}
-	plain := run(nil)
+	plain := run(nil, nil)
 	sink := obs.NewSink()
-	observed := run(sink)
+	qt := qtrace.New(0)
+	observed := run(sink, qt)
 	if !reflect.DeepEqual(plain, observed) {
 		t.Fatalf("instrumentation changed the run:\nplain:    %+v\nobserved: %+v", plain, observed)
-	}
-	if sink.Spans.Len() == 0 {
-		t.Fatal("observed run recorded no spans")
 	}
 	if len(sink.Reg.Snapshot()) == 0 {
 		t.Fatal("observed run recorded no metrics")
 	}
-	// The recorded spans must include the nested tree-construction and
-	// per-node slicing phases the trace viewer shows.
+	// The trace must include the Phase I span, the round's phase spans,
+	// the per-node slicing windows and the verdict the viewer shows.
 	names := map[string]bool{}
-	for _, ev := range sink.Spans.Events() {
-		names[ev.Name] = true
+	for _, s := range qt.Spans() {
+		names[s.Name] = true
 	}
 	for _, want := range []string{
-		"phase1:tree-construction", "phase1:red-flood", "phase1:blue-flood",
-		"phase2:slicing", "phase3:tree-aggregation", "round",
+		"phase1:tree-construction", "round", "slicing",
+		"phase3:tree-aggregation", "verify:accepted",
 	} {
 		if !names[want] {
 			t.Fatalf("missing span %q in %v", want, names)

@@ -122,7 +122,6 @@ type Injector struct {
 }
 
 type injObs struct {
-	sink     *obs.Sink
 	crashes  obs.Counter
 	recovers obs.Counter
 	dead     obs.Gauge
@@ -165,7 +164,6 @@ func (inj *Injector) SetObs(sink *obs.Sink) {
 		return
 	}
 	inj.o = &injObs{
-		sink:     sink,
 		crashes:  sink.Reg.Counter("ipda_fault_crashes_total", "node crashes injected (churn and scripted)"),
 		recovers: sink.Reg.Counter("ipda_fault_recoveries_total", "node recoveries injected (churn and scripted)"),
 		dead:     sink.Reg.Gauge("ipda_fault_dead_nodes", "nodes currently down"),
@@ -228,7 +226,6 @@ func (inj *Injector) crash(id topology.NodeID, at float64, tgt Target) {
 	if inj.o != nil {
 		inj.o.crashes.Inc()
 		inj.o.dead.Set(float64(inj.DeadCount()))
-		inj.o.sink.Instant(int32(id), "fault:crash", at, uint32(inj.round))
 	}
 	if inj.qt != nil {
 		inj.qt.Instant(uint32(inj.round), qtrace.None, int32(id), "fault:crash", at)
@@ -245,7 +242,6 @@ func (inj *Injector) recover(id topology.NodeID, at float64, tgt Target) {
 	if inj.o != nil {
 		inj.o.recovers.Inc()
 		inj.o.dead.Set(float64(inj.DeadCount()))
-		inj.o.sink.Instant(int32(id), "fault:recover", at, uint32(inj.round))
 	}
 	if inj.qt != nil {
 		inj.qt.Instant(uint32(inj.round), qtrace.None, int32(id), "fault:recover", at)

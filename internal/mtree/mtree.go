@@ -173,7 +173,6 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 func (in *Instance) buildTrees(root *rng.Stream) (core.Forest, error) {
 	sim, link := in.eng.Sim, in.eng.MAC
 	roleRand := root.Split(2)
-	buildStart := float64(sim.Now())
 	n := in.Net.N()
 	m := in.Cfg.Trees
 	in.TreeOf = make([]int, n)
@@ -302,9 +301,6 @@ func (in *Instance) buildTrees(root *rng.Stream) (core.Forest, error) {
 		}
 	})
 	sim.Run(sim.Now() + in.Cfg.Deadline)
-	if in.Cfg.Obs != nil {
-		in.Cfg.Obs.Span(obs.TrackGlobal, "phase1:mtree-construction", buildStart, float64(sim.Now()), 0)
-	}
 	return core.Forest{Tree: in.TreeOf, Parent: in.Parent, Hop: in.Hop, Heard: in.Heard}, nil
 }
 

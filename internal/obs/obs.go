@@ -1,9 +1,9 @@
 // Package obs is the protocol-wide instrumentation layer: a registry of
-// labeled counters, gauges and histograms, plus a span recorder keyed to
-// the simulated clock. Every layer of the stack (radio, mac, tree, core,
-// tag, mtree, energy, harness) exposes a SetObs-style hook that resolves
-// its instruments once at attach time and then updates them from the hot
-// path with plain field stores.
+// labeled counters, gauges and histograms (spans live in qtrace). Every
+// layer of the stack (radio, mac, tree, core, tag, mtree, energy,
+// harness) exposes a SetObs-style hook that resolves its instruments once
+// at attach time and then updates them from the hot path with plain
+// field stores.
 //
 // Two design rules keep the layer compatible with the simulator's
 // performance and determinism contracts:
@@ -366,33 +366,14 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// Sink bundles the two recorders a protocol stack is instrumented
-// against. A nil *Sink (or a nil field) disables the corresponding
-// instrumentation: layers guard their hot paths with one pointer check,
-// and the span helpers below are safe to call through a nil receiver.
+// Sink is the registry a protocol stack is instrumented against. A nil
+// *Sink (or a nil Reg) disables instrumentation: layers guard their hot
+// paths with one pointer check.
 type Sink struct {
-	Reg   *Registry
-	Spans *SpanRecorder
+	Reg *Registry
 }
 
-// NewSink returns a sink with a fresh registry and a span recorder with
-// the default capacity.
+// NewSink returns a sink with a fresh registry.
 func NewSink() *Sink {
-	return &Sink{Reg: NewRegistry(), Spans: NewSpanRecorder(DefaultSpanLimit)}
-}
-
-// Span records a completed phase span; a no-op on a nil sink or recorder.
-func (s *Sink) Span(track int32, name string, begin, end float64, round uint32) {
-	if s == nil || s.Spans == nil {
-		return
-	}
-	s.Spans.Span(track, name, begin, end, round)
-}
-
-// Instant records a point event; a no-op on a nil sink or recorder.
-func (s *Sink) Instant(track int32, name string, at float64, round uint32) {
-	if s == nil || s.Spans == nil {
-		return
-	}
-	s.Spans.Instant(track, name, at, round)
+	return &Sink{Reg: NewRegistry()}
 }

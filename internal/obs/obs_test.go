@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 )
@@ -42,9 +40,6 @@ func TestZeroHandlesAreNoOps(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatalf("zero handles must read 0")
 	}
-	var s *Sink
-	s.Span(0, "x", 0, 1, 1) // must not panic
-	s.Instant(0, "x", 0, 1)
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -93,7 +88,6 @@ func TestUpdatesAllocFree(t *testing.T) {
 	c := r.Counter("c", "h", Label{"k", "v"})
 	g := r.Gauge("g", "h")
 	h := r.Histogram("hist", "h", []float64{1, 10, 100})
-	sr := NewSpanRecorder(16)
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(2)
@@ -102,9 +96,6 @@ func TestUpdatesAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("metric updates allocate %v/op, want 0", n)
 	}
-	// Span recording allocates only on slice growth; within capacity it
-	// must be free. Pre-fill to capacity minus headroom.
-	_ = sr
 }
 
 func TestWritePromDeterministicAndParses(t *testing.T) {
@@ -218,90 +209,13 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestSpanRecorderLimit(t *testing.T) {
-	sr := NewSpanRecorder(3)
-	for i := 0; i < 5; i++ {
-		sr.Span(int32(i), "p", float64(i), float64(i)+1, 1)
-	}
-	if sr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", sr.Len())
-	}
-	if sr.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", sr.Dropped())
-	}
-	if sr.Events()[0].Track != 0 || sr.Events()[2].Track != 2 {
-		t.Fatalf("recorder must keep the first N events, got %+v", sr.Events())
-	}
-}
-
-func TestWriteChromeTraceValidJSON(t *testing.T) {
-	sr := NewSpanRecorder(0)
-	sr.Span(TrackGlobal, "phase1:tree-construction", 0, 2.5, 0)
-	sr.Span(TrackGlobal, "phase1:red-flood", 0, 1.5, 0)
-	sr.Span(7, "phase2:slicing", 3.0, 3.2, 1)
-	sr.Instant(7, "slice:sent", 3.05, 1)
-	var buf bytes.Buffer
-	if err := sr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-		TraceEvents     []struct {
-			Ph   string          `json:"ph"`
-			Name string          `json:"name"`
-			Pid  int             `json:"pid"`
-			Tid  int             `json:"tid"`
-			Ts   float64         `json:"ts"`
-			Dur  float64         `json:"dur"`
-			S    string          `json:"s"`
-			Args json.RawMessage `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
-	}
-	// 2 tracks × (thread_name + thread_sort_index) + 4 events.
-	if len(doc.TraceEvents) != 8 {
-		t.Fatalf("got %d trace events, want 8:\n%s", len(doc.TraceEvents), buf.String())
-	}
-	var sawMeta, sawSpan, sawInstant bool
-	for _, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			sawMeta = true
-		case "X":
-			sawSpan = true
-			if ev.Name == "phase2:slicing" {
-				if ev.Tid != 8 { // node 7 -> tid 8
-					t.Fatalf("slicing span tid = %d, want 8", ev.Tid)
-				}
-				if math.Abs(ev.Ts-3.0e6) > 1e-6 || math.Abs(ev.Dur-0.2e6) > 1e-3 {
-					t.Fatalf("slicing span ts/dur = %v/%v", ev.Ts, ev.Dur)
-				}
-				if !strings.Contains(string(ev.Args), `"round":1`) {
-					t.Fatalf("slicing span args = %s", ev.Args)
-				}
-			}
-		case "i":
-			sawInstant = true
-			if ev.S != "t" {
-				t.Fatalf("instant scope = %q, want t", ev.S)
-			}
-		}
-	}
-	if !sawMeta || !sawSpan || !sawInstant {
-		t.Fatalf("missing event kinds: meta=%v span=%v instant=%v", sawMeta, sawSpan, sawInstant)
-	}
-}
-
 func TestSinkHelpers(t *testing.T) {
 	s := NewSink()
-	if s.Reg == nil || s.Spans == nil {
-		t.Fatal("NewSink must populate both recorders")
+	if s.Reg == nil {
+		t.Fatal("NewSink must populate the registry")
 	}
-	s.Span(1, "p", 0, 1, 2)
-	s.Instant(1, "q", 0.5, 2)
-	if s.Spans.Len() != 2 {
-		t.Fatalf("sink recorded %d spans, want 2", s.Spans.Len())
+	s.Reg.Counter("c_total", "h").Inc()
+	if snap := s.Reg.Snapshot(); len(snap) != 1 || snap[0].Value != 1 {
+		t.Fatalf("sink registry snapshot = %+v", snap)
 	}
 }

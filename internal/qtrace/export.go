@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"github.com/ipda-sim/ipda/internal/obs"
+	"strings"
 )
 
 // Line is one JSONL trace record: a span plus the coordinates locating
@@ -100,30 +99,30 @@ func writeSpans(w io.Writer, head Line, t *Tracer) error {
 }
 
 // ReadJSONL parses a trace file produced by either WriteJSONL. Trailer
-// lines (drop counts) are skipped; Dropped returns their sum.
+// records (drop counts) are summed into dropped; any other record must
+// be a span (id >= 1, non-empty name), so a file in another format is an
+// error naming the first offending record (1-based).
 func ReadJSONL(r io.Reader) (lines []Line, dropped int, err error) {
 	dec := json.NewDecoder(r)
-	for {
-		var raw map[string]json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
+	for rec := 1; ; rec++ {
+		var v struct {
+			Line
+			Dropped *int `json:"dropped"`
+		}
+		if err := dec.Decode(&v); err != nil {
 			if err == io.EOF {
 				return lines, dropped, nil
 			}
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("qtrace: record %d: %w", rec, err)
 		}
-		if d, ok := raw["dropped"]; ok {
-			var n int
-			if json.Unmarshal(d, &n) == nil {
-				dropped += n
-			}
+		if v.Dropped != nil {
+			dropped += *v.Dropped
 			continue
 		}
-		var ln Line
-		blob, _ := json.Marshal(raw)
-		if err := json.Unmarshal(blob, &ln); err != nil {
-			return nil, 0, err
+		if v.ID == 0 || v.Name == "" {
+			return nil, 0, fmt.Errorf("qtrace: record %d is neither a span nor a drop trailer", rec)
 		}
-		lines = append(lines, ln)
+		lines = append(lines, v.Line)
 	}
 }
 
@@ -151,20 +150,95 @@ func GroupByTrial(lines []Line) (map[string][]Span, []string) {
 }
 
 // WriteChromeTrace renders one trial's spans as Chrome trace-event JSON
-// by replaying them into an obs.SpanRecorder (track = node, network
-// spans on the global track) — the same Perfetto-loadable format the
-// obs layer exports, so both kinds of trace open in the same UI.
+// (the "JSON Array Format" object variant that Perfetto and
+// chrome://tracing both load). Simulated seconds map to microseconds of
+// trace time, every node becomes a named thread under process 0 (spans
+// on negative nodes share the "network" thread), spans on one thread
+// nest by time containment, and a span with End == Begin renders as an
+// instant. Output is deterministic: metadata sorted by thread, then
+// events in slice order.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
-	rec := obs.NewSpanRecorder(len(spans) + 1)
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
+	first := true
+	emit := func(format string, a ...any) {
+		if !first {
+			bw.WriteByte(',')
+		}
+		first = false
+		bw.WriteString("\n")
+		fmt.Fprintf(bw, format, a...)
+	}
+
+	// Thread-name metadata: one per thread, sorted, so Perfetto shows
+	// "node 7" instead of a bare tid.
+	seen := map[int64]bool{}
+	var tids []int64
+	for i := range spans {
+		if t := tid(spans[i].Node); !seen[t] {
+			seen[t] = true
+			tids = append(tids, t)
+		}
+	}
+	sort.Slice(tids, func(a, b int) bool { return tids[a] < tids[b] })
+	for _, t := range tids {
+		label := fmt.Sprintf("node %d", t-1)
+		if t == 0 {
+			label = "network"
+		}
+		emit(`{"ph":"M","name":"thread_name","pid":0,"tid":%d,"args":{"name":%s}}`, t, escapeJSON(label))
+	}
+	// sort_index metadata pins the network thread above the node threads.
+	for _, t := range tids {
+		emit(`{"ph":"M","name":"thread_sort_index","pid":0,"tid":%d,"args":{"sort_index":%d}}`, t, t)
+	}
+
 	for i := range spans {
 		s := &spans[i]
-		track := s.Node
-		if track < 0 {
-			track = obs.TrackGlobal
+		ts := s.Begin * 1e6 // simulated seconds -> trace µs
+		args := ""
+		if s.Query != 0 {
+			args = fmt.Sprintf(`,"args":{"round":%d}`, s.Query)
 		}
-		rec.Span(track, s.Name, s.Begin, s.End, s.Query)
+		if s.End > s.Begin {
+			emit(`{"ph":"X","name":%s,"pid":0,"tid":%d,"ts":%g,"dur":%g%s}`,
+				escapeJSON(s.Name), tid(s.Node), ts, (s.End-s.Begin)*1e6, args)
+		} else {
+			emit(`{"ph":"i","name":%s,"pid":0,"tid":%d,"ts":%g,"s":"t"%s}`,
+				escapeJSON(s.Name), tid(s.Node), ts, args)
+		}
 	}
-	return rec.WriteChromeTrace(w)
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
+}
+
+// tid maps a node to a viewer thread ID, which must be non-negative:
+// network-wide spans (negative nodes) go to 0, node n to n+1.
+func tid(node int32) int64 {
+	if node < 0 {
+		return 0
+	}
+	return int64(node) + 1
+}
+
+// escapeJSON writes s as a JSON string literal (span names are ASCII,
+// but be correct regardless).
+func escapeJSON(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for _, c := range []byte(s) {
+		switch {
+		case c == '"' || c == '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case c < 0x20:
+			fmt.Fprintf(&b, `\u%04x`, c)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
 }
 
 // WriteText renders spans as a deterministic indented tree, children

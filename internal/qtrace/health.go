@@ -69,6 +69,9 @@ func Analyze(spans []Span) []Health {
 		}
 	}
 
+	// Subtrees are disjoint in a well-formed trace, so one visited set
+	// serves every rollup; it stops parent cycles in hand-edited files.
+	visited := make([]bool, len(spans))
 	var out []Health
 	for i := range spans {
 		if spans[i].Name != "round" {
@@ -107,7 +110,7 @@ func Analyze(spans []Span) []Health {
 				if k := strings.IndexByte(c.Name, ':'); k >= 0 {
 					st.Tree = c.Name[k+1:]
 				}
-				rollup(spans, children, ci, &st, map[int32]bool{})
+				rollup(spans, children, ci, &st, map[int32]bool{}, visited)
 				h.Subtrees = append(h.Subtrees, st)
 			}
 			sort.Slice(h.Subtrees, func(a, b int) bool {
@@ -124,8 +127,13 @@ func Analyze(spans []Span) []Health {
 	return out
 }
 
-// rollup accumulates the aggregate spans of one subtree depth-first.
-func rollup(spans []Span, children map[uint32][]int, i int, st *Subtree, nodes map[int32]bool) {
+// rollup accumulates the aggregate spans of one subtree depth-first,
+// skipping spans already visited.
+func rollup(spans []Span, children map[uint32][]int, i int, st *Subtree, nodes map[int32]bool, visited []bool) {
+	if visited[i] {
+		return
+	}
+	visited[i] = true
 	s := &spans[i]
 	if strings.HasPrefix(s.Name, "aggregate") && !strings.HasSuffix(s.Name, ":rx") {
 		if !nodes[s.Node] {
@@ -144,7 +152,7 @@ func rollup(spans []Span, children map[uint32][]int, i int, st *Subtree, nodes m
 		st.LastArrival = s.End
 	}
 	for _, ci := range children[uint32(s.ID)] {
-		rollup(spans, children, ci, st, nodes)
+		rollup(spans, children, ci, st, nodes, visited)
 	}
 }
 

@@ -1,5 +1,6 @@
-// Package qtrace is the causal per-query tracing layer: where obs (the
-// metrics layer) answers "how much", qtrace answers "why" — every query
+// Package qtrace is the simulator's one span recorder: where obs (the
+// metrics layer) answers "how much", qtrace answers "why". Phase I and
+// each round's protocol phases are network-wide spans, and every query
 // round yields a causally linked span tree covering dissemination down
 // the aggregation trees, slice exchange, per-node aggregation, MAC
 // retries and backoffs, and verification at the base station, with
@@ -20,7 +21,9 @@
 //     run is byte-identical to an untraced one, and equal seeds produce
 //     byte-identical traces at any worker or shard count.
 //   - Span extents are recorded from statically known schedule bounds
-//     (and extended by observed completions), mirroring obs/span.go.
+//     (and extended by observed completions), so recording a span never
+//     schedules an event of its own, which would renumber the event
+//     sequence.
 package qtrace
 
 // DefaultLimit bounds a tracer's span storage. A paper-scale round

@@ -2,6 +2,9 @@ package qtrace
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -162,5 +165,141 @@ func TestTextAndHealth(t *testing.T) {
 	}
 	if !strings.Contains(chrome.String(), `"traceEvents"`) {
 		t.Fatalf("chrome trace:\n%s", chrome.String())
+	}
+}
+
+// TestAnalyzeParentCycle is the regression test for a hand-edited file
+// whose parent links form a cycle (round -> verify -> aggregate ->
+// round): the subtree rollup used to recurse until the stack overflowed.
+func TestAnalyzeParentCycle(t *testing.T) {
+	f, err := os.Open("testdata/cycle.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lines, _, err := ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, _ := GroupByTrial(lines)
+	hs := Analyze(spans["run"])
+	if len(hs) != 1 || len(hs[0].Subtrees) != 1 {
+		t.Fatalf("health: %+v", hs)
+	}
+	if st := hs[0].Subtrees[0]; st.Root != 5 || st.Nodes != 1 {
+		t.Fatalf("subtree rollup: %+v", st)
+	}
+	var buf bytes.Buffer
+	if err := WriteHealth(&buf, spans["run"]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadJSONLRejectsNonSpans pins the reader's format check: a record
+// that is neither a drop trailer nor a span (an old radio-timeline event,
+// any other object, a span without an ID or name) is an error naming
+// its record number, never a silently zeroed span.
+func TestReadJSONLRejectsNonSpans(t *testing.T) {
+	span := `{"id":1,"node":-1,"name":"round","begin":0,"end":1}` + "\n"
+	for _, tc := range []struct{ name, bad string }{
+		{"timeline event", `{"t":1.5,"kind":"rx","node":3,"detail":"SLICE 2->3"}`},
+		{"other object", `{"foo":1}`},
+		{"no id", `{"node":2,"name":"slice","begin":0,"end":1}`},
+		{"no name", `{"id":2,"node":2,"begin":0,"end":1}`},
+		{"syntax", `{"id":2,`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := ReadJSONL(strings.NewReader(span + `{"dropped":1}` + "\n" + tc.bad + "\n"))
+			if err == nil || !strings.Contains(err.Error(), "record 3") {
+				t.Fatalf("err = %v, want an error naming record 3", err)
+			}
+		})
+	}
+	lines, dropped, err := ReadJSONL(strings.NewReader(span + `{"dropped":4}` + "\n"))
+	if err != nil || len(lines) != 1 || dropped != 4 {
+		t.Fatalf("valid file: lines=%d dropped=%d err=%v", len(lines), dropped, err)
+	}
+}
+
+func TestWriteChromeTraceValidJSON(t *testing.T) {
+	tr := New(0)
+	tr.End(tr.Start(0, None, -1, "phase1:tree-construction", 0), 2.5)
+	round := tr.Start(1, None, -1, "round", 3)
+	tr.End(round, 4)
+	tr.End(tr.Start(1, round, 7, "slicing", 3.0), 3.2)
+	tr.Instant(1, round, 7, "slice:assembled", 3.05)
+	tr.Instant(1, round, 2, "a\"b\\c\n", 3.1)
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, tr.Spans()); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+		TraceEvents     []struct {
+			Ph   string          `json:"ph"`
+			Name string          `json:"name"`
+			Pid  int             `json:"pid"`
+			Tid  int             `json:"tid"`
+			Ts   float64         `json:"ts"`
+			Dur  float64         `json:"dur"`
+			S    string          `json:"s"`
+			Args json.RawMessage `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
+	}
+	// 3 threads x (thread_name + thread_sort_index) + 5 events.
+	if len(doc.TraceEvents) != 11 {
+		t.Fatalf("got %d trace events, want 11:\n%s", len(doc.TraceEvents), buf.String())
+	}
+	// Metadata comes first, sorted by thread, network (tid 0) first.
+	for i, want := range []struct {
+		name string
+		tid  int
+	}{
+		{"thread_name", 0}, {"thread_name", 3}, {"thread_name", 8},
+		{"thread_sort_index", 0}, {"thread_sort_index", 3}, {"thread_sort_index", 8},
+	} {
+		ev := doc.TraceEvents[i]
+		if ev.Ph != "M" || ev.Name != want.name || ev.Tid != want.tid {
+			t.Fatalf("metadata %d = %+v, want %s on tid %d", i, ev, want.name, want.tid)
+		}
+	}
+	if !strings.Contains(string(doc.TraceEvents[0].Args), `"network"`) ||
+		!strings.Contains(string(doc.TraceEvents[2].Args), `"node 7"`) {
+		t.Fatalf("thread labels: %s, %s", doc.TraceEvents[0].Args, doc.TraceEvents[2].Args)
+	}
+	var sawSpan, sawInstant, sawEscaped bool
+	for _, ev := range doc.TraceEvents[6:] {
+		switch ev.Ph {
+		case "X":
+			sawSpan = true
+			if ev.Name == "slicing" {
+				if ev.Tid != 8 { // node 7 -> tid 8
+					t.Fatalf("slicing span tid = %d, want 8", ev.Tid)
+				}
+				if math.Abs(ev.Ts-3.0e6) > 1e-6 || math.Abs(ev.Dur-0.2e6) > 1e-3 {
+					t.Fatalf("slicing span ts/dur = %v/%v", ev.Ts, ev.Dur)
+				}
+				if !strings.Contains(string(ev.Args), `"round":1`) {
+					t.Fatalf("slicing span args = %s", ev.Args)
+				}
+			}
+			if ev.Name == "phase1:tree-construction" && (ev.Tid != 0 || ev.Args != nil) {
+				t.Fatalf("phase I span = %+v, want tid 0 and no round", ev)
+			}
+		case "i":
+			sawInstant = true
+			if ev.S != "t" {
+				t.Fatalf("instant scope = %q, want t", ev.S)
+			}
+			sawEscaped = sawEscaped || ev.Name == "a\"b\\c\n"
+		default:
+			t.Fatalf("unexpected event after metadata: %+v", ev)
+		}
+	}
+	if !sawSpan || !sawInstant || !sawEscaped {
+		t.Fatalf("missing events: span=%v instant=%v escaped=%v", sawSpan, sawInstant, sawEscaped)
 	}
 }

@@ -165,11 +165,9 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 	in.Medium.SetQTrace(cfg.QTrace, energy.DefaultModel())
 	in.MAC.SetQTrace(cfg.QTrace)
 	in.roundSpan = qtrace.None
-	buildStart := float64(in.Sim.Now())
+	phase1 := in.qt.Start(0, qtrace.None, -1, "phase1:tree-construction", float64(in.Sim.Now()))
 	tr := in.builder.Build(in.Sim, in.Medium, in.MAC, net, cfg.TreeDeadline)
-	if cfg.Obs != nil {
-		cfg.Obs.Span(obs.TrackGlobal, "tag:tree-construction", buildStart, float64(in.Sim.Now()), 0)
-	}
+	in.qt.End(phase1, float64(in.Sim.Now()))
 	in.Net = net
 	in.Cfg = cfg
 	in.Tree = tr
@@ -358,9 +356,6 @@ func (in *Instance) runRound(contribs []int64) Outcome {
 		in.Sim.At(t0+slot+jitter, ev.fire)
 	}
 	deadline := t0 + eventsim.Time(maxHop+2)*in.Cfg.AggSlot + 1.0
-	if in.Cfg.Obs != nil {
-		in.Cfg.Obs.Span(obs.TrackGlobal, "tag:epoch", float64(t0), float64(deadline), uint32(round))
-	}
 	if in.qt != nil {
 		in.qt.End(in.roundSpan, float64(deadline))
 	}

@@ -323,12 +323,11 @@ type Builder struct {
 	kickoffFn func()
 
 	// Per-build context, set by Build and read by the event callbacks.
-	sim               *eventsim.Sim
-	m                 *mac.MAC
-	cfg               Config
-	roleRand          *rng.Stream
-	lastRed, lastBlue float64
-	roleCount         [RoleBase + 1]obs.Counter
+	sim       *eventsim.Sim
+	m         *mac.MAC
+	cfg       Config
+	roleRand  *rng.Stream
+	roleCount [RoleBase + 1]obs.Counter
 }
 
 // BuildDisjoint runs Phase I over the given network and returns the
@@ -377,8 +376,6 @@ func (b *Builder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net
 	b.cfg = cfg
 	b.roleRand = rand.Split(1)
 
-	phaseStart := float64(sim.Now())
-	b.lastRed, b.lastBlue = phaseStart, phaseStart
 	b.roleCount = [RoleBase + 1]obs.Counter{}
 	if cfg.Obs != nil && cfg.Obs.Reg != nil {
 		for _, role := range []Role{RoleUndecided, RoleLeaf, RoleRed, RoleBlue} {
@@ -411,16 +408,6 @@ func (b *Builder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net
 
 	sim.After(0, b.kickoffFn)
 	sim.Run(sim.Now() + cfg.Deadline)
-
-	if cfg.Obs != nil {
-		end := b.lastRed
-		if b.lastBlue > end {
-			end = b.lastBlue
-		}
-		cfg.Obs.Span(obs.TrackGlobal, "phase1:tree-construction", phaseStart, end, 0)
-		cfg.Obs.Span(obs.TrackGlobal, "phase1:red-flood", phaseStart, b.lastRed, 0)
-		cfg.Obs.Span(obs.TrackGlobal, "phase1:blue-flood", phaseStart, b.lastBlue, 0)
-	}
 
 	res := &b.res
 	res.Role = resizeRoles(res.Role, n)
@@ -465,14 +452,6 @@ func (b *Builder) sendHello(src topology.NodeID, color packet.Color, hop uint16)
 		Color:  color,
 		Hop:    hop,
 	})
-	if b.cfg.Obs != nil {
-		switch color {
-		case packet.Red:
-			b.lastRed = float64(b.sim.Now())
-		case packet.Blue:
-			b.lastBlue = float64(b.sim.Now())
-		}
-	}
 }
 
 func (b *Builder) decide(id topology.NodeID) {
@@ -516,17 +495,7 @@ func (b *Builder) decide(id topology.NodeID) {
 	default:
 		st.role = RoleLeaf
 	}
-	if cfg.Obs != nil {
-		b.roleCount[st.role].Inc()
-		switch st.role {
-		case RoleRed:
-			cfg.Obs.Instant(int32(id), "role:red", float64(b.sim.Now()), 0)
-		case RoleBlue:
-			cfg.Obs.Instant(int32(id), "role:blue", float64(b.sim.Now()), 0)
-		case RoleLeaf:
-			cfg.Obs.Instant(int32(id), "role:leaf", float64(b.sim.Now()), 0)
-		}
-	}
+	b.roleCount[st.role].Inc()
 }
 
 func (b *Builder) onHello(self topology.NodeID, p *packet.Packet) {

@@ -42,7 +42,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/stream"
 	"github.com/ipda-sim/ipda/internal/tag"
 	"github.com/ipda-sim/ipda/internal/topology"
-	"github.com/ipda-sim/ipda/internal/trace"
 	"github.com/ipda-sim/ipda/internal/tree"
 )
 
@@ -102,13 +101,13 @@ type Config struct {
 	// Seed drives every random choice; equal configs reproduce runs
 	// exactly.
 	Seed uint64
-	// Observe attaches the instrumentation layer (labeled metrics plus
-	// simulated-clock phase spans) to the deployment. Observation never
-	// alters protocol behavior or results; read what was recorded through
-	// Network.Obs.
+	// Observe attaches the instrumentation layer (labeled metrics) to the
+	// deployment. Observation never alters protocol behavior or results;
+	// read what was recorded through Network.Obs.
 	Observe bool
-	// TraceQueries attaches the causal per-query tracer: every query
-	// yields a span tree linking dissemination, slice exchange, per-node
+	// TraceQueries attaches the causal per-query tracer: Phase I and
+	// every query's protocol phases are spans, and each query yields a
+	// span tree linking dissemination, slice exchange, per-node
 	// aggregation, MAC retries, and base-station verification, with
 	// per-span latency/airtime/energy attribution. Like Observe it never
 	// alters protocol behavior or results; read the trace through
@@ -727,20 +726,6 @@ func (o *Observer) WritePrometheus(w io.Writer) error {
 	return o.sink.Reg.WriteProm(w)
 }
 
-// WriteChromeTrace emits the recorded phase spans as a Chrome trace-event
-// JSON document loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. Simulated seconds map to trace microseconds, so a
-// 1-second protocol phase renders as a 1 ms slice.
-func (o *Observer) WriteChromeTrace(w io.Writer) error {
-	return o.sink.Spans.WriteChromeTrace(w)
-}
-
-// Spans returns the number of recorded phase spans and instants.
-func (o *Observer) Spans() int { return o.sink.Spans.Len() }
-
-// DroppedSpans returns how many spans overflowed the recorder's limit.
-func (o *Observer) DroppedSpans() uint64 { return o.sink.Spans.Dropped() }
-
 // QueryTrace exposes the causal per-query trace a deployment recorded.
 // Obtain one from Network.QueryTrace after deploying with
 // Config.TraceQueries set.
@@ -768,7 +753,10 @@ func (q *QueryTrace) Dropped() int { return q.t.Dropped() }
 func (q *QueryTrace) WriteJSONL(w io.Writer) error { return q.t.WriteJSONL(w) }
 
 // WriteChromeTrace emits the trace as Chrome trace-event JSON loadable
-// in Perfetto (ui.perfetto.dev), one track per node.
+// in Perfetto (ui.perfetto.dev) or chrome://tracing, one track per node
+// plus a network track for Phase I and the per-round phases. Simulated
+// seconds map to trace microseconds, so a 1-second phase renders as a
+// 1 ms slice.
 func (q *QueryTrace) WriteChromeTrace(w io.Writer) error {
 	return qtrace.WriteChromeTrace(w, q.t.Spans())
 }
@@ -784,42 +772,6 @@ func (q *QueryTrace) WriteText(w io.Writer) error {
 func (q *QueryTrace) WriteHealth(w io.Writer) error {
 	return qtrace.WriteHealth(w, q.t.Spans())
 }
-
-// Trace is a recorded protocol timeline (see EnableTrace).
-type Trace struct {
-	log *trace.Log
-}
-
-// EnableTrace starts recording every audible frame as a timeline event,
-// keeping at most limit events (the first limit — the tail is dropped).
-// Enable before running queries; write the result with WriteJSON.
-func (n *Network) EnableTrace(limit int) *Trace {
-	l := trace.New(limit)
-	trace.AttachRadio(l, n.inst.Sim, n.inst.Medium)
-	return &Trace{log: l}
-}
-
-// EnableRingTrace is EnableTrace with ring-buffer retention: once full,
-// each new event evicts the oldest, so long runs keep the *last* limit
-// events instead of the first.
-func (n *Network) EnableRingTrace(limit int) *Trace {
-	l := trace.NewRing(limit)
-	trace.AttachRadio(l, n.inst.Sim, n.inst.Medium)
-	return &Trace{log: l}
-}
-
-// Len returns the number of recorded events.
-func (t *Trace) Len() int { return len(t.log.Events()) }
-
-// Dropped returns how many events overflowed the buffer (in ring mode,
-// how many old events were evicted).
-func (t *Trace) Dropped() int { return t.log.Dropped() }
-
-// Mode reports the capture mode: "head" or "ring".
-func (t *Trace) Mode() string { return t.log.Mode() }
-
-// WriteJSON emits the timeline as JSON lines.
-func (t *Trace) WriteJSON(w io.Writer) error { return t.log.WriteJSON(w) }
 
 // MultiTreeNetwork is the m > 2 generalization of iPDA (the extension
 // Section III-B sketches): m node-disjoint aggregation trees with

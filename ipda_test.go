@@ -2,6 +2,7 @@ package ipda
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -342,27 +343,6 @@ func TestQueryExtremum(t *testing.T) {
 	}
 }
 
-func TestEnableTrace(t *testing.T) {
-	net, err := Deploy(DefaultConfig(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := net.EnableTrace(500)
-	if _, err := net.Count(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 500 || tr.Dropped() == 0 {
-		t.Fatalf("trace len %d dropped %d; expected a full buffer", tr.Len(), tr.Dropped())
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "SLICE") && !strings.Contains(buf.String(), "AGG") {
-		t.Fatal("trace has no protocol events")
-	}
-}
-
 func TestRedBlueAggregatorsPartition(t *testing.T) {
 	net, err := Deploy(DefaultConfig(300))
 	if err != nil {
@@ -396,6 +376,7 @@ func TestAnalyticHelpers(t *testing.T) {
 func TestObserveExportsMetricsAndSpans(t *testing.T) {
 	cfg := DefaultConfig(250)
 	cfg.Observe = true
+	cfg.TraceQueries = true
 	net, err := Deploy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -419,21 +400,31 @@ func TestObserveExportsMetricsAndSpans(t *testing.T) {
 			t.Fatalf("prometheus export missing %q", want)
 		}
 	}
+	q := net.QueryTrace()
+	if q == nil {
+		t.Fatal("QueryTrace() nil with TraceQueries set")
+	}
 	var spans bytes.Buffer
-	if err := o.WriteChromeTrace(&spans); err != nil {
+	if err := q.WriteChromeTrace(&spans); err != nil {
 		t.Fatal(err)
 	}
-	if o.Spans() == 0 || !strings.Contains(spans.String(), "phase1:tree-construction") {
-		t.Fatalf("span export missing phases (%d spans)", o.Spans())
+	if !json.Valid(spans.Bytes()) {
+		t.Fatal("span export is not valid JSON")
+	}
+	for _, want := range []string{"phase1:tree-construction", "phase3:tree-aggregation"} {
+		if q.Len() == 0 || !strings.Contains(spans.String(), want) {
+			t.Fatalf("span export missing %q (%d spans)", want, q.Len())
+		}
 	}
 
-	// Same config without Observe: no observer, identical results.
+	// Same config without Observe and TraceQueries: no observer, no
+	// trace, identical results.
 	plainNet, err := Deploy(DefaultConfig(250))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plainNet.Obs() != nil {
-		t.Fatal("Obs() non-nil without Observe")
+	if plainNet.Obs() != nil || plainNet.QueryTrace() != nil {
+		t.Fatal("Obs() or QueryTrace() non-nil without Observe and TraceQueries")
 	}
 	plain, err := plainNet.Count()
 	if err != nil {
@@ -442,6 +433,7 @@ func TestObserveExportsMetricsAndSpans(t *testing.T) {
 	observed, err := func() (*QueryResult, error) {
 		c := DefaultConfig(250)
 		c.Observe = true
+		c.TraceQueries = true
 		n, err := Deploy(c)
 		if err != nil {
 			return nil, err
@@ -453,36 +445,6 @@ func TestObserveExportsMetricsAndSpans(t *testing.T) {
 	}
 	if *plain != *observed {
 		t.Fatalf("observation perturbed the round: %+v vs %+v", plain, observed)
-	}
-}
-
-func TestRingTraceKeepsTail(t *testing.T) {
-	net, err := Deploy(DefaultConfig(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := net.EnableRingTrace(20)
-	if tr.Mode() != "ring" {
-		t.Fatalf("mode %q", tr.Mode())
-	}
-	if _, err := net.Count(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 20 || tr.Dropped() == 0 {
-		t.Fatalf("ring len %d dropped %d; expected a wrapped buffer", tr.Len(), tr.Dropped())
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"mode":"ring"`) {
-		t.Fatal("ring trailer missing from JSON export")
-	}
-	// A ring keeps the end of the timeline: the last recorded event must
-	// sit at the end of the run, after aggregation started.
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if !strings.Contains(lines[len(lines)-2], "AGG") && !strings.Contains(lines[len(lines)-2], "ACK") {
-		t.Fatalf("tail event unexpected: %s", lines[len(lines)-2])
 	}
 }
 

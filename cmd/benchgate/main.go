@@ -12,9 +12,10 @@
 // a lost fast path), so its default tolerance is a generous 40% and the
 // history files record the machine the reference was measured on.
 //
-// CI gates two (benchmark, history) pairs: BenchmarkFig7Overhead against
-// BENCH_fig7.json (the single-world protocol path) and
-// BenchmarkShardScale against BENCH_scale.json (the sharded scale path).
+// CI gates three (benchmark, history) pairs: BenchmarkFig7Overhead
+// against BENCH_fig7.json (the single-world protocol path),
+// BenchmarkShardScale against BENCH_scale.json (the sharded scale path)
+// and BenchmarkStreamingDay against BENCH_stream.json (the epoch path).
 //
 // Besides the append-only "history" list, a file may carry a "gates" map
 // of named absolute references — fixed ceilings for micro-benchmarks
@@ -28,10 +29,16 @@
 // benchmarks scale their worker count (and with it their arenas and
 // allocations) with GOMAXPROCS.
 //
+// -count N runs the benchmark N times (go test -count N) for gates whose
+// timing trips on a busy host: the ns/op gate then checks the median of
+// the N runs, so one run slowed by a neighbour cannot fail it, while the
+// allocs/op gate checks the largest of the N counts, so repetition never
+// loosens it.
+//
 // Usage:
 //
-//	go run ./cmd/benchgate [-bench BenchmarkFig7Overhead] [-history BENCH_fig7.json] [-tolerance 0.10] [-ns-tolerance 0.40]
-//	go run ./cmd/benchgate -bench BenchmarkPRFKeystream -key BenchmarkPRFKeystream -pkg ./internal/linksec
+//	go run ./cmd/benchgate [-bench BenchmarkFig7Overhead] [-history BENCH_fig7.json] [-tolerance 0.10] [-ns-tolerance 0.40] [-count 1]
+//	go run ./cmd/benchgate -bench BenchmarkPRFKeystream -key BenchmarkPRFKeystream -pkg ./internal/linksec -count 5
 package main
 
 import (
@@ -41,6 +48,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"strconv"
 )
 
@@ -65,15 +73,20 @@ func main() {
 	benchtime := flag.String("benchtime", "3x", "-benchtime passed to go test")
 	pkg := flag.String("pkg", ".", "package holding the benchmark")
 	key := flag.String("key", "", "gate against this entry of the history file's \"gates\" map instead of the newest history entry")
+	count := flag.Int("count", 1, "runs of the benchmark (go test -count); ns/op is gated on their median, allocs/op on their maximum")
 	flag.Parse()
+	if *count < 1 {
+		fmt.Fprintln(os.Stderr, "benchgate: -count must be at least 1")
+		os.Exit(2)
+	}
 
-	if err := run(*bench, *file, *key, *tolerance, *nsTolerance, *benchtime, *pkg); err != nil {
+	if err := run(*bench, *file, *key, *tolerance, *nsTolerance, *benchtime, *pkg, *count); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(bench, file, key string, tolerance, nsTolerance float64, benchtime, pkg string) error {
+func run(bench, file, key string, tolerance, nsTolerance float64, benchtime, pkg string, count int) error {
 	raw, err := os.ReadFile(file)
 	if err != nil {
 		return err
@@ -106,15 +119,22 @@ func run(bench, file, key string, tolerance, nsTolerance float64, benchtime, pkg
 		}
 	}
 
-	cmd := exec.Command("go", "test", "-run", "^$", "-cpu", "1",
+	cmd := exec.Command("go", "test", "-run", "^$", "-cpu", "1", "-count", strconv.Itoa(count),
 		"-bench", "^"+bench+"$", "-benchmem", "-benchtime", benchtime, pkg)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("%v:\n%s", err, out)
 	}
-	ns, allocs, err := parseResult(bench, string(out))
+	results, err := parseResults(bench, string(out))
 	if err != nil {
 		return fmt.Errorf("%w in output:\n%s", err, out)
+	}
+	if len(results) != count {
+		return fmt.Errorf("%d result lines for %s, want %d, in output:\n%s", len(results), bench, count, out)
+	}
+	ns, allocs := summarize(results)
+	if count > 1 {
+		fmt.Printf("benchgate: %s ran %d times; gating the median ns/op and the largest allocs/op\n", bench, count)
 	}
 
 	limit := ref.AllocsPerOp * (1 + tolerance)
@@ -142,22 +162,49 @@ func run(bench, file, key string, tolerance, nsTolerance float64, benchtime, pkg
 	return nil
 }
 
-// parseResult extracts the ns/op and allocs/op figures from a -benchmem
-// result line (`BenchmarkX  N  ns/op  B/op  allocs/op`), tolerating the
-// -cpu suffix go test appends to the benchmark name.
-func parseResult(bench, out string) (float64, int64, error) {
+// result is one -benchmem result line's figures.
+type result struct {
+	ns     float64
+	allocs int64
+}
+
+// parseResults extracts the ns/op and allocs/op figures from every
+// -benchmem result line (`BenchmarkX  N  ns/op  B/op  allocs/op`) for
+// bench, one per -count run, tolerating the -cpu suffix go test appends
+// to the benchmark name.
+func parseResults(bench, out string) ([]result, error) {
 	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(bench) + `(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+[\d.]+ B/op\s+(\d+) allocs/op`)
-	m := re.FindStringSubmatch(out)
-	if m == nil {
-		return 0, 0, fmt.Errorf("no -benchmem result line for %s", bench)
+	var rs []result
+	for _, m := range re.FindAllStringSubmatch(out, -1) {
+		ns, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			return nil, err
+		}
+		allocs, err := strconv.ParseInt(m[2], 10, 64)
+		if err != nil {
+			return nil, err
+		}
+		rs = append(rs, result{ns, allocs})
 	}
-	ns, err := strconv.ParseFloat(m[1], 64)
-	if err != nil {
-		return 0, 0, err
+	if rs == nil {
+		return nil, fmt.Errorf("no -benchmem result line for %s", bench)
 	}
-	allocs, err := strconv.ParseInt(m[2], 10, 64)
-	if err != nil {
-		return 0, 0, err
+	return rs, nil
+}
+
+// summarize returns the median ns/op and the maximum allocs/op of rs,
+// which must be non-empty.
+func summarize(rs []result) (ns float64, allocs int64) {
+	times := make([]float64, len(rs))
+	for i, r := range rs {
+		times[i] = r.ns
+		allocs = max(allocs, r.allocs)
 	}
-	return ns, allocs, nil
+	slices.Sort(times)
+	if n := len(times); n%2 == 1 {
+		ns = times[n/2]
+	} else {
+		ns = (times[n/2-1] + times[n/2]) / 2
+	}
+	return ns, allocs
 }

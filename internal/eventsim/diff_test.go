@@ -39,7 +39,13 @@ type refEntry struct {
 	id  int
 }
 
+// at schedules as Sim.At specifies: a time of -0 is scheduled as +0. The
+// reference orders with float comparisons, where -0 equals +0, so the
+// normalisation only fixes the clock a firing sets.
 func (r *refSim) at(t Time, id int) {
+	if t == 0 {
+		t = 0
+	}
 	r.pend = append(r.pend, refEntry{at: t, seq: r.seq, id: id})
 	r.seq++
 }
@@ -114,20 +120,33 @@ type simModel struct {
 	crossTies   int // fired while the other lane's head shared its time
 	resetsBoth  int // Reset with both lanes holding live entries
 	cancelsLane [2]int
+	resorts     int // out-of-order pre-planned At with the cursor past 0
+	negZeros    int // pre-planned At(-0) behind a later tail
+}
+
+// otherHead returns the live head of the lane id was not scheduled in.
+func (m *simModel) otherHead(id int) (entry, bool) {
+	if m.lane[id] {
+		return m.s.schedHead()
+	}
+	return m.s.queueHead()
 }
 
 func (m *simModel) at(t Time, id int) {
-	h := m.s.At(t, func() {
-		other := &m.s.queue
-		if m.lane[id] {
-			other = &m.s.sched
-		}
-		m.s.prune(other)
-		if len(*other) > 0 && (*other)[0].at == m.s.now {
+	s := m.s
+	pre, wasUnsorted := !s.running, s.unsorted
+	if n := len(s.sched); pre && n > s.head && t < s.sched[n-1].at && t == 0 && math.Signbit(float64(t)) {
+		m.negZeros++
+	}
+	h := s.At(t, func() {
+		if o, ok := m.otherHead(id); ok && o.at == s.now {
 			m.crossTies++
 		}
 		m.fire(id)
 	})
+	if pre && !wasUnsorted && s.unsorted && s.head > 0 {
+		m.resorts++ // the next front read sorts sched[head:] with head > 0
+	}
 	m.handles[id] = &h
 	m.lane[id] = m.s.running
 }
@@ -154,9 +173,9 @@ func (m *simModel) now() Time                { return m.s.Now() }
 func (m *simModel) pending() int             { return m.s.Pending() }
 
 func (m *simModel) reset() {
-	m.s.prune(&m.s.sched)
-	m.s.prune(&m.s.queue)
-	if len(m.s.sched) > 0 && len(m.s.queue) > 0 {
+	_, sok := m.s.schedHead()
+	_, qok := m.s.queueHead()
+	if sok && qok {
 		m.resetsBoth++
 	}
 	m.s.Reset()
@@ -164,8 +183,9 @@ func (m *simModel) reset() {
 
 // deltas are the offsets events are scheduled at. They are few and
 // exactly representable, so equal-time ties — within a lane and across
-// lanes — are common.
-var deltas = []Time{0, 0.25, 0.5, 1, 2}
+// lanes — are common. -0 schedules at -0 while the clock reads zero (see
+// schedule), a time whose float bits sort after every positive time.
+var deltas = []Time{0, Time(math.Copysign(0, -1)), 0.25, 0.5, 1, 2}
 
 // script is one random schedule. Each event's reaction (children
 // scheduled from inside its callback, a cancel, a halt) derives from
@@ -184,7 +204,11 @@ const maxScriptEvents = 1500
 func (sc *script) schedule(d Time) {
 	id := sc.next
 	sc.next++
-	sc.m.at(sc.m.now()+d, id)
+	t := sc.m.now() + d
+	if t == 0 {
+		t = d // +0 + -0 is +0; keep the delta's sign at time zero
+	}
+	sc.m.at(t, id)
 }
 
 func (sc *script) record(format string, args ...any) {
@@ -219,7 +243,11 @@ func (sc *script) drive() {
 		switch op := r.Intn(10); op {
 		case 0, 1, 2:
 			for k := 1 + r.Intn(4); k > 0; k-- {
-				sc.schedule(deltas[r.Intn(len(deltas))] + Time(r.Intn(3)))
+				d := deltas[r.Intn(len(deltas))]
+				if off := r.Intn(3); off > 0 {
+					d += Time(off) // only a zero offset keeps a -0 delta's sign
+				}
+				sc.schedule(d)
 			}
 			sc.record("scheduled up to %d", sc.next)
 		case 3:
@@ -250,7 +278,7 @@ func (sc *script) drive() {
 var inf = Time(math.Inf(1))
 
 func TestDifferentialAgainstReference(t *testing.T) {
-	var crossTies, resetsBoth int
+	var crossTies, resetsBoth, resorts, negZeros int
 	var cancels [2]int
 	for seed := uint64(1); seed <= 60; seed++ {
 		ref := &script{seed: seed}
@@ -272,11 +300,14 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		resetsBoth += sm.resetsBoth
 		cancels[0] += sm.cancelsLane[0]
 		cancels[1] += sm.cancelsLane[1]
+		resorts += sm.resorts
+		negZeros += sm.negZeros
 	}
 	// The schedules must have exercised what the lanes could get wrong.
-	if crossTies == 0 || resetsBoth == 0 || cancels[0] == 0 || cancels[1] == 0 {
-		t.Fatalf("coverage: %d cross-lane ties, %d resets with both lanes live, %v live cancels per lane",
-			crossTies, resetsBoth, cancels)
+	if crossTies == 0 || resetsBoth == 0 || cancels[0] == 0 || cancels[1] == 0 || resorts == 0 || negZeros == 0 {
+		t.Fatalf("coverage: %d cross-lane ties, %d resets with both lanes live, %v live cancels per lane, "+
+			"%d re-sorts after a partial drain, %d pre-planned -0 times behind a later tail",
+			crossTies, resetsBoth, cancels, resorts, negZeros)
 	}
 }
 
@@ -303,8 +334,8 @@ func TestCrossLaneTieOrder(t *testing.T) {
 	})
 	s.Run(0)
 	s.At(2, func() { order = append(order, "C") })
-	if len(s.sched) != 2 || len(s.queue) != 1 {
-		t.Fatalf("lanes hold %d/%d entries, want 2 scheduled outside and 1 inside", len(s.sched), len(s.queue))
+	if pre := len(s.sched) - s.head; pre != 2 || len(s.queue) != 1 {
+		t.Fatalf("lanes hold %d/%d entries, want 2 scheduled outside and 1 inside", pre, len(s.queue))
 	}
 	s.RunAll()
 	if !slices.Equal(order, []string{"A", "B", "C"}) {

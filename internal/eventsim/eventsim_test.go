@@ -1,7 +1,11 @@
 package eventsim
 
 import (
+	"math"
+	"slices"
 	"testing"
+
+	"github.com/ipda-sim/ipda/internal/rng"
 )
 
 func TestOrderByTime(t *testing.T) {
@@ -309,23 +313,113 @@ func TestScheduleAllocFree(t *testing.T) {
 
 	// Interleaved two-lane run: events scheduled outside Run land in one
 	// lane, events their callbacks schedule in the other, with a tie across
-	// lanes at 1.5 and a cancelled entry in each lane.
+	// lanes at 1.5 and a cancelled entry in each lane. The last pre-planned
+	// event fires before the lane's tail, so every run re-sorts the lane.
 	react := func() {
 		h := s.After(0, nop)
 		s.After(0.5, nop)
 		h.Cancel()
 	}
-	s.After(1, react)
-	s.RunAll() // warm the callback lane
-	allocs = testing.AllocsPerRun(200, func() {
+	round := func() {
 		s.After(1, react)
 		s.After(1.5, nop)
 		h := s.After(2, nop)
 		h.Cancel()
+		s.After(0.25, nop)
+		if !s.unsorted {
+			t.Fatal("out-of-order At left the pre-planned lane marked sorted")
+		}
 		s.RunAll()
-	})
+	}
+	round() // warm the callback lane and the sort buffer
+	allocs = testing.AllocsPerRun(200, round)
 	if allocs != 0 {
 		t.Fatalf("two-lane schedule/cancel/run allocated %v per run, want 0", allocs)
+	}
+}
+
+func TestPreplannedNegativeZero(t *testing.T) {
+	// -0 compares equal to +0, so it fires before 0.5 and ties with +0 by
+	// scheduling order; its float bits alone would sort it after every
+	// positive time.
+	s := New()
+	var order []string
+	var clock []Time
+	s.At(0.5, func() { order = append(order, "0.5") })
+	s.At(Time(math.Copysign(0, -1)), func() { order, clock = append(order, "-0"), append(clock, s.Now()) })
+	s.At(0, func() { order = append(order, "+0") })
+	s.RunAll()
+	if !slices.Equal(order, []string{"-0", "+0", "0.5"}) {
+		t.Fatalf("order = %v, want [-0 +0 0.5]", order)
+	}
+	if math.Signbit(float64(clock[0])) {
+		t.Fatal("Now() read -0 inside the -0 event, want +0")
+	}
+}
+
+func TestPreplannedLaneTieOrder(t *testing.T) {
+	// Equal times fire in scheduling order after a radix sort whatever
+	// number of byte passes it runs: {2, 3} and {1, 1+2^-52} differ in
+	// one byte (one pass), the random pool in up to seven. A pass that
+	// reversed or reshuffled equal digits would break a tie here.
+	r := rng.New(5)
+	random := make([]Time, 16)
+	for i := range random {
+		random[i] = Time(r.Float64() * 1e3)
+	}
+	for _, tc := range []struct {
+		name string
+		pool []Time
+	}{
+		{"one byte, high", []Time{2, 3}},
+		{"one byte, low", []Time{1, Time(math.Nextafter(1, 2))}},
+		{"many bytes", random},
+		{"with -0 and +Inf", []Time{Time(math.Copysign(0, -1)), 0, 7, Time(math.Inf(1))}},
+	} {
+		s := New()
+		var times []Time
+		var got []int
+		for id := range 500 {
+			at := tc.pool[r.Intn(len(tc.pool))]
+			times = append(times, at)
+			s.At(at, func() { got = append(got, id) })
+		}
+		want := make([]int, len(times))
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int {
+			switch {
+			case times[a] < times[b]:
+				return -1
+			case times[a] > times[b]:
+				return 1
+			}
+			return 0
+		})
+		s.RunAll()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: fired %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
+func TestPreplannedLaneStaysBounded(t *testing.T) {
+	// A lane that never drains completely (one far event stays pending)
+	// must reuse its spent prefix instead of growing with every append;
+	// once it does drain, it truncates to empty.
+	s := New()
+	s.At(1e9, func() {})
+	for i := 0; i < 10000; i++ {
+		s.After(1, func() {})
+		s.Run(s.Now() + 1)
+	}
+	if c := cap(s.sched); c > 64 {
+		t.Fatalf("pre-planned lane grew to cap %d holding %d pending events", c, s.Pending())
+	}
+	s.RunAll()
+	if len(s.sched) != 0 || s.head != 0 {
+		t.Fatalf("drained lane holds %d entries with the cursor at %d, want it truncated", len(s.sched), s.head)
 	}
 }
 
@@ -359,4 +453,38 @@ func BenchmarkEventChurn(b *testing.B) {
 		}
 	}
 	s.RunAll()
+}
+
+// BenchmarkPreplannedLane drives the pre-planned lane the way a steady
+// N=400 iPDA round does (about 1,558 up-front events per round): per op,
+// 1,158 slice sends at uniform offsets in a 2 s slicing window and 400
+// aggregate sends in 0.25 s hop slots after it, all scheduled outside
+// Run in node order, each firing one reactive follow-up.
+func BenchmarkPreplannedLane(b *testing.B) {
+	const sliceSends, aggSends = 1158, 400
+	r := rng.New(1)
+	offsets := make([]Time, 0, sliceSends+aggSends)
+	for range sliceSends {
+		offsets = append(offsets, Time(r.Float64())*2)
+	}
+	for i := range aggSends {
+		hop := Time(i * 7 % 10)
+		offsets = append(offsets, 2.5+hop*0.25+Time(r.Float64())*0.125)
+	}
+	s := NewWithCap(2 * len(offsets))
+	nop := func() {}
+	follow := func() { s.After(0.001, nop) }
+	op := func() {
+		t0 := s.Now()
+		for _, o := range offsets {
+			s.At(t0+o, follow)
+		}
+		s.RunAll()
+	}
+	op() // warm the slab and the sort buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
 }

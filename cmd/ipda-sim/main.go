@@ -53,7 +53,6 @@ func main() {
 		churnRec    = flag.Float64("churn-recover", 0.25, "per-round probability that each dead node recovers")
 		kill        = flag.String("kill", "", "comma-separated node IDs crashed before round 0")
 		repair      = flag.Bool("repair", false, "re-attach orphaned aggregators around dead parents between rounds")
-		cipher      = flag.String("cipher", "aes", "link-encryption keystream suite: aes | sha256 (results are suite-independent)")
 		macScheme   = flag.String("mac", "csma", "channel-access scheme: csma | tdma")
 		coalesce    = flag.Bool("coalesce", false, "pack each node's same-round slices into one multi-slice frame (changes byte/frame counts)")
 		compare     = flag.Bool("compare", false, "also run the TAG baseline")
@@ -73,7 +72,6 @@ func main() {
 	cfg.Observe = *metricsFile != "" || *metricsAddr != ""
 	cfg.TraceQueries = *qtraceFile != "" || *spansFile != ""
 	cfg.Repair = *repair
-	cfg.Cipher = *cipher
 	cfg.MAC = *macScheme
 	cfg.Coalesce = *coalesce
 	if *churn > 0 || *kill != "" {

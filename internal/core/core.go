@@ -60,11 +60,6 @@ type Config struct {
 	// Keys is the link-key scheme; nil selects a pairwise scheme derived
 	// from the instance seed.
 	Keys linksec.Scheme
-	// Suite selects the keystream/tag primitive slices are sealed with.
-	// The zero value is the batched AES-CTR engine; linksec.SuiteSHA256
-	// selects the original SHA-256-PRF compat mode. Experiment tables are
-	// suite-independent (no result consumes ciphertext bytes).
-	Suite linksec.Suite
 	// SliceWindow is the Phase II reporting window; slices are sent at
 	// uniform random offsets within it.
 	SliceWindow eventsim.Time
@@ -548,9 +543,9 @@ func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, build
 		clear(in.polluters)
 	}
 	if in.ciphers == nil {
-		in.ciphers = linksec.NewCipherCache(keys, cfg.Suite)
+		in.ciphers = linksec.NewCipherCache(keys, linksec.SuiteAESCTR)
 	} else {
-		in.ciphers.Reset(keys, cfg.Suite)
+		in.ciphers.Reset(keys)
 	}
 	in.OnSlice = nil
 	in.OnLocalShare = nil
@@ -852,14 +847,14 @@ func (in *Instance) KeyEra() uint64 { return in.era }
 
 // advanceRound bumps the cumulative round counter and returns the wire
 // round. Crossing a 16-bit boundary rotates the key era: the cipher cache
-// is rebound to era-qualified keys (a pure key copy per link under the
-// AES suite), closing the nonce-wraparound keystream reuse a long-running
-// network would otherwise hit at round 65,536.
+// is rebound to era-qualified keys (a pure key copy per link), closing
+// the nonce-wraparound keystream reuse a long-running network would
+// otherwise hit at round 65,536.
 func (in *Instance) advanceRound() uint16 {
 	in.round++
 	if era := in.round >> 16; era != in.era {
 		in.era = era
-		in.ciphers.Reset(linksec.EraKeys(in.Keys, era), in.Cfg.Suite)
+		in.ciphers.Reset(linksec.EraKeys(in.Keys, era))
 	}
 	return uint16(in.round)
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/ipda-sim/ipda/internal/linksec"
 	"github.com/ipda-sim/ipda/internal/mac"
 )
 
@@ -88,27 +87,6 @@ func TestEveryExperimentDeterministicAcrossShards(t *testing.T) {
 			}
 			if got := renderTable(t, name, 2, 4, true); got != base {
 				t.Errorf("table differs between pooled Shards=1 and fresh Shards=4:\n--- pooled ---\n%s--- fresh ---\n%s", base, got)
-			}
-		})
-	}
-}
-
-// TestEveryExperimentSuiteIndependent pins the tentpole's compatibility
-// claim: the cipher suite only changes ciphertext and tag bytes, which no
-// experiment result consumes, so SHA-256 compat mode must produce tables
-// byte-identical to the AES-CTR default — which is in turn what keeps
-// every pre-AES golden valid without re-blessing.
-func TestEveryExperimentSuiteIndependent(t *testing.T) {
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			aes := renderTable(t, name, 2, 0, false)
-			o := smallOptions(name, 2, 0, false)
-			o.Suite = linksec.SuiteSHA256
-			sha := renderOpts(t, name, o)
-			if aes != sha {
-				t.Errorf("table differs between cipher suites:\n--- aes ---\n%s--- sha256 ---\n%s", aes, sha)
 			}
 		})
 	}

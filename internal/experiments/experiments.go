@@ -20,7 +20,6 @@ import (
 
 	"github.com/ipda-sim/ipda/internal/core"
 	"github.com/ipda-sim/ipda/internal/harness"
-	"github.com/ipda-sim/ipda/internal/linksec"
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/mtree"
 	"github.com/ipda-sim/ipda/internal/obs"
@@ -67,16 +66,10 @@ type Options struct {
 	// either way (the arenas' contract); this exists for A/B verification
 	// and leak hunting.
 	FreshWorlds bool
-	// Suite selects the linksec keystream suite for every protocol
-	// instance the experiments build: the zero value is the batched
-	// AES-CTR engine, linksec.SuiteSHA256 the original compat mode.
-	// Tables are suite-independent — no result consumes ciphertext bytes
-	// — so either setting yields byte-identical output.
-	Suite linksec.Suite
 	// MAC selects the channel-access scheme: the zero value is the
 	// paper's CSMA, mac.SchemeTDMA the contention-free slotted schedule.
-	// Unlike Suite this is a modelling change — TDMA alters timing, so
-	// tables legitimately differ from the CSMA goldens (while remaining
+	// This is a modelling change — TDMA alters timing, so tables
+	// legitimately differ from the CSMA goldens (while remaining
 	// deterministic across workers and shards).
 	MAC mac.Scheme
 	// Coalesce grows the overhead experiments (fig7) with extra columns
@@ -87,28 +80,25 @@ type Options struct {
 	Coalesce bool
 }
 
-// coreConfig is core.DefaultConfig with the options' suite and MAC scheme
-// applied; experiments build their per-trial configs from it.
+// coreConfig is core.DefaultConfig with the options' MAC scheme applied;
+// experiments build their per-trial configs from it.
 func (o Options) coreConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Suite = o.Suite
 	cfg.MAC.Scheme = o.MAC
 	return cfg
 }
 
-// tagConfig is tag.DefaultConfig with the options' MAC scheme applied
-// (the TAG baseline sends plaintext — no suite to select).
+// tagConfig is tag.DefaultConfig with the options' MAC scheme applied.
 func (o Options) tagConfig() tag.Config {
 	cfg := tag.DefaultConfig()
 	cfg.MAC.Scheme = o.MAC
 	return cfg
 }
 
-// mtreeConfig is mtree.DefaultConfig(m) with the options' suite and MAC
-// scheme applied.
+// mtreeConfig is mtree.DefaultConfig(m) with the options' MAC scheme
+// applied.
 func (o Options) mtreeConfig(m int) mtree.Config {
 	cfg := mtree.DefaultConfig(m)
-	cfg.Suite = o.Suite
 	cfg.MAC = mac.DefaultConfig()
 	cfg.MAC.Scheme = o.MAC
 	return cfg

@@ -61,9 +61,6 @@ type Config struct {
 	AggSlot       eventsim.Time
 	// ShareSpread bounds slice magnitudes (0 = full ring).
 	ShareSpread int64
-	// Suite selects the keystream/tag primitive slices are sealed with
-	// (zero value = batched AES-CTR; see linksec.Suite).
-	Suite linksec.Suite
 	// MAC configures the link layer; the zero value selects
 	// mac.DefaultConfig(), so existing callers are unchanged.
 	MAC mac.Config
@@ -159,7 +156,6 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 		Tree:        tree.Config{K: cfg.K, Adaptive: true, DecisionDelay: cfg.DecisionDelay, Deadline: cfg.Deadline},
 		MAC:         macCfg,
 		Keys:        linksec.NewPairwise(seed ^ 0x6d74726565),
-		Suite:       cfg.Suite,
 		SliceWindow: cfg.SliceWindow,
 		AggSlot:     cfg.AggSlot,
 		ShareSpread: cfg.ShareSpread,

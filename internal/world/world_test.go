@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/core"
-	"github.com/ipda-sim/ipda/internal/linksec"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 )
@@ -66,33 +65,29 @@ func TestArenaCoreReuseMatchesFreshAndReusesInstance(t *testing.T) {
 // the AES datapath change: a steady-state pooled trial — deployment,
 // instance reset (which retains the expanded AES key schedules through
 // the cipher cache's generation bump), and a COUNT round — must allocate
-// a small fraction of what the same trial costs built fresh. Both suites
-// are pinned so a regression in either rekey path shows up.
+// a small fraction of what the same trial costs built fresh.
 func TestArenaCoreReuseAllocation(t *testing.T) {
-	for _, suite := range []linksec.Suite{linksec.SuiteAESCTR, linksec.SuiteSHA256} {
-		suite := suite
-		t.Run(suite.String(), func(t *testing.T) {
-			cfg := core.DefaultConfig()
-			cfg.Suite = suite
-			a := New()
-			// Warm the arena past its growth phase: the pools size to the
-			// largest deployment they have seen.
-			for seed := uint64(1); seed <= 3; seed++ {
-				trialCycle(t, a, cfg, seed)
-			}
-			seed := uint64(0)
-			pooled := testing.AllocsPerRun(3, func() {
-				seed++
-				trialCycle(t, a, cfg, seed)
-			})
-			seed = 0
-			fresh := testing.AllocsPerRun(3, func() {
-				seed++
-				trialCycle(t, nil, cfg, seed)
-			})
-			if pooled > fresh/4 {
-				t.Fatalf("pooled trial allocates %.0f objects vs %.0f fresh — reuse is not retaining state", pooled, fresh)
-			}
+	// One subtest, named for the link cipher (AES-CTR).
+	t.Run("aes", func(t *testing.T) {
+		cfg := core.DefaultConfig()
+		a := New()
+		// Warm the arena past its growth phase: the pools size to the
+		// largest deployment they have seen.
+		for seed := uint64(1); seed <= 3; seed++ {
+			trialCycle(t, a, cfg, seed)
+		}
+		seed := uint64(0)
+		pooled := testing.AllocsPerRun(3, func() {
+			seed++
+			trialCycle(t, a, cfg, seed)
 		})
-	}
+		seed = 0
+		fresh := testing.AllocsPerRun(3, func() {
+			seed++
+			trialCycle(t, nil, cfg, seed)
+		})
+		if pooled > fresh/4 {
+			t.Fatalf("pooled trial allocates %.0f objects vs %.0f fresh — reuse is not retaining state", pooled, fresh)
+		}
+	})
 }

@@ -22,6 +22,7 @@
 package ipda
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -31,7 +32,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/core"
 	"github.com/ipda-sim/ipda/internal/energy"
 	"github.com/ipda-sim/ipda/internal/fault"
-	"github.com/ipda-sim/ipda/internal/linksec"
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/metrics"
 	"github.com/ipda-sim/ipda/internal/mtree"
@@ -80,16 +80,11 @@ type Config struct {
 	// nodes with no alternate parent sit the round out instead of feeding
 	// a dead subtree.
 	Repair bool
-	// Cipher selects the link-encryption keystream suite: "aes" (the
-	// batched AES-CTR engine, the default when empty) or "sha256" (the
-	// original hash-PRF compat mode). Query results are suite-independent;
-	// the suite only changes ciphertext and tag bytes on the air.
-	Cipher string
 	// MAC selects the channel-access scheme: "csma" (the paper's
 	// contention model, the default when empty) or "tdma" (contention-free
-	// slotted access from a deterministic two-hop coloring). Unlike
-	// Cipher, this is a modelling change — TDMA retimes every
-	// transmission, so results legitimately differ from CSMA runs.
+	// slotted access from a deterministic two-hop coloring). This is a
+	// modelling change — TDMA retimes every transmission, so results
+	// legitimately differ from CSMA runs.
 	MAC string
 	// Coalesce packs each node's same-round slices into one multi-slice
 	// frame with a single MAC exchange (anchored at the first target;
@@ -132,14 +127,6 @@ func DefaultConfig(nodes int) Config {
 	}
 }
 
-// suite parses Config.Cipher; empty selects the AES-CTR default.
-func (c Config) suite() (linksec.Suite, error) {
-	if c.Cipher == "" {
-		return linksec.SuiteAESCTR, nil
-	}
-	return linksec.ParseSuite(c.Cipher)
-}
-
 // macScheme parses Config.MAC; empty selects CSMA.
 func (c Config) macScheme() (mac.Scheme, error) {
 	if c.MAC == "" {
@@ -150,11 +137,6 @@ func (c Config) macScheme() (mac.Scheme, error) {
 
 func (c Config) coreConfig() (core.Config, error) {
 	cfg := core.DefaultConfig()
-	suite, err := c.suite()
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Suite = suite
 	scheme, err := c.macScheme()
 	if err != nil {
 		return cfg, err
@@ -784,19 +766,27 @@ type MultiTreeNetwork struct {
 }
 
 // DeployMultiTree deploys m disjoint trees over cfg's topology. The
-// denser the network, the larger the m it can support.
+// denser the network, the larger the m it can support. The m-tree
+// protocol has no tree repair, coalesced framing, fault schedule or extra
+// base stations, so a cfg that sets Repair, Coalesce, Faults or
+// ExtraBaseStations is rejected rather than silently run without them.
 func DeployMultiTree(cfg Config, m int) (*MultiTreeNetwork, error) {
+	switch {
+	case cfg.Repair:
+		return nil, errors.New("ipda: DeployMultiTree does not support Config.Repair")
+	case cfg.Coalesce:
+		return nil, errors.New("ipda: DeployMultiTree does not support Config.Coalesce")
+	case cfg.Faults != nil:
+		return nil, errors.New("ipda: DeployMultiTree does not support Config.Faults")
+	case len(cfg.ExtraBaseStations) > 0:
+		return nil, errors.New("ipda: DeployMultiTree does not support Config.ExtraBaseStations")
+	}
 	topoCfg := topology.Config{Nodes: cfg.Nodes, FieldSide: cfg.FieldSide, Range: cfg.Range}
 	topo, err := topology.Random(topoCfg, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)
 	}
 	mcfg := mtree.DefaultConfig(m)
-	suite, err := cfg.suite()
-	if err != nil {
-		return nil, fmt.Errorf("ipda: %w", err)
-	}
-	mcfg.Suite = suite
 	scheme, err := cfg.macScheme()
 	if err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)

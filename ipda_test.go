@@ -297,6 +297,20 @@ func TestMultiTreePublicAPI(t *testing.T) {
 	if _, err := DeployMultiTree(cfg, 1); err == nil {
 		t.Fatal("m=1 accepted")
 	}
+	// Options the m-tree protocol cannot honour are rejected by name, not
+	// silently dropped.
+	for field, set := range map[string]func(*Config){
+		"Repair":            func(c *Config) { c.Repair = true },
+		"Coalesce":          func(c *Config) { c.Coalesce = true },
+		"Faults":            func(c *Config) { c.Faults = &Faults{CrashRate: 0.05, Seed: 1} },
+		"ExtraBaseStations": func(c *Config) { c.ExtraBaseStations = []int{5} },
+	} {
+		bad := cfg
+		set(&bad)
+		if _, err := DeployMultiTree(bad, 3); err == nil || !strings.Contains(err.Error(), "Config."+field) {
+			t.Errorf("DeployMultiTree with %s: err = %v, want one naming Config.%s", field, err, field)
+		}
+	}
 }
 
 func TestExtraBaseStationsPublicAPI(t *testing.T) {

@@ -15,8 +15,6 @@ import (
 // minimum on every step. Events are named by script-assigned ids.
 type model interface {
 	at(t Time, id int)
-	cancel(id int) bool // Cancelled() of the id's handle after a Cancel
-	halt()
 	run(deadline Time) uint64
 	reset()
 	now() Time
@@ -25,12 +23,10 @@ type model interface {
 
 // refSim is the reference kernel.
 type refSim struct {
-	clock     Time
-	seq       uint64
-	pend      []refEntry
-	cancelled map[int]bool
-	halted    bool
-	fire      func(id int)
+	clock Time
+	seq   uint64
+	pend  []refEntry
+	fire  func(id int)
 }
 
 type refEntry struct {
@@ -50,18 +46,6 @@ func (r *refSim) at(t Time, id int) {
 	r.seq++
 }
 
-func (r *refSim) cancel(id int) bool {
-	for i, e := range r.pend {
-		if e.id == id {
-			r.pend = slices.Delete(r.pend, i, i+1)
-			r.cancelled[id] = true
-			break
-		}
-	}
-	return r.cancelled[id]
-}
-
-func (r *refSim) halt()        { r.halted = true }
 func (r *refSim) now() Time    { return r.clock }
 func (r *refSim) pending() int { return len(r.pend) }
 
@@ -76,14 +60,11 @@ func (r *refSim) min() int {
 	return m
 }
 
-// loop fires events until none is left, Halt is called, or stop accepts
-// the next event's time.
-func (r *refSim) loop(stop func(at Time) bool) uint64 {
+func (r *refSim) run(deadline Time) uint64 {
 	var n uint64
-	r.halted = false
-	for !r.halted {
+	for {
 		m := r.min()
-		if m < 0 || stop(r.pend[m].at) {
+		if m < 0 || r.pend[m].at > deadline {
 			break
 		}
 		e := r.pend[m]
@@ -92,11 +73,6 @@ func (r *refSim) loop(stop func(at Time) bool) uint64 {
 		n++
 		r.fire(e.id)
 	}
-	return n
-}
-
-func (r *refSim) run(deadline Time) uint64 {
-	n := r.loop(func(at Time) bool { return at > deadline })
 	if r.clock < deadline && len(r.pend) == 0 && !math.IsInf(float64(deadline), 1) {
 		r.clock = deadline
 	}
@@ -112,24 +88,29 @@ func (r *refSim) reset() {
 // situations the two-lane queue must get right, so the test can insist
 // the random schedules actually reached them.
 type simModel struct {
-	s       *Sim
-	handles map[int]*Handle
-	lane    map[int]bool // id -> scheduled from inside a callback
-	fire    func(id int)
+	s    *Sim
+	lane map[int]bool // id -> scheduled from inside a callback
+	fire func(id int)
 
-	crossTies   int // fired while the other lane's head shared its time
-	resetsBoth  int // Reset with both lanes holding live entries
-	cancelsLane [2]int
-	resorts     int // out-of-order pre-planned At with the cursor past 0
-	negZeros    int // pre-planned At(-0) behind a later tail
+	crossTies  int // fired while the other lane's head shared its time
+	resetsBoth int // Reset with both lanes holding entries
+	resorts    int // out-of-order pre-planned At with the cursor past 0
+	negZeros   int // pre-planned At(-0) behind a later tail
 }
 
-// otherHead returns the live head of the lane id was not scheduled in.
-func (m *simModel) otherHead(id int) (entry, bool) {
+// otherHead returns the time at the head of the lane id was not scheduled
+// in. It is read as id fires, right after the front read that sorted the
+// pre-planned lane.
+func (m *simModel) otherHead(id int) (Time, bool) {
+	s := m.s
 	if m.lane[id] {
-		return m.s.schedHead()
+		if s.head < len(s.sched) {
+			return s.sched[s.head].at, true
+		}
+	} else if len(s.queue) > 0 {
+		return s.queue[0].at, true
 	}
-	return m.s.queueHead()
+	return 0, false
 }
 
 func (m *simModel) at(t Time, id int) {
@@ -138,8 +119,8 @@ func (m *simModel) at(t Time, id int) {
 	if n := len(s.sched); pre && n > s.head && t < s.sched[n-1].at && t == 0 && math.Signbit(float64(t)) {
 		m.negZeros++
 	}
-	h := s.At(t, func() {
-		if o, ok := m.otherHead(id); ok && o.at == s.now {
+	s.At(t, func() {
+		if at, ok := m.otherHead(id); ok && at == s.now {
 			m.crossTies++
 		}
 		m.fire(id)
@@ -147,35 +128,15 @@ func (m *simModel) at(t Time, id int) {
 	if pre && !wasUnsorted && s.unsorted && s.head > 0 {
 		m.resorts++ // the next front read sorts sched[head:] with head > 0
 	}
-	m.handles[id] = &h
-	m.lane[id] = m.s.running
+	m.lane[id] = s.running
 }
 
-func (m *simModel) cancel(id int) bool {
-	h := m.handles[id]
-	if h == nil {
-		return false
-	}
-	if m.s.events[h.ei].gen == h.gen {
-		if m.lane[id] {
-			m.cancelsLane[1]++
-		} else {
-			m.cancelsLane[0]++
-		}
-	}
-	h.Cancel()
-	return h.Cancelled()
-}
-
-func (m *simModel) halt()                    { m.s.Halt() }
 func (m *simModel) run(deadline Time) uint64 { return m.s.Run(deadline) }
 func (m *simModel) now() Time                { return m.s.Now() }
 func (m *simModel) pending() int             { return m.s.Pending() }
 
 func (m *simModel) reset() {
-	_, sok := m.s.schedHead()
-	_, qok := m.s.queueHead()
-	if sok && qok {
+	if len(m.s.sched) > m.s.head && len(m.s.queue) > 0 {
 		m.resetsBoth++
 	}
 	m.s.Reset()
@@ -187,16 +148,15 @@ func (m *simModel) reset() {
 // schedule), a time whose float bits sort after every positive time.
 var deltas = []Time{0, Time(math.Copysign(0, -1)), 0.25, 0.5, 1, 2}
 
-// script is one random schedule. Each event's reaction (children
-// scheduled from inside its callback, a cancel, a halt) derives from
-// (seed, id) alone, so the schedule replays identically on any model
-// that fires events in the same order; the log records every observable
-// outcome for comparison.
+// script is one schedule. What each event schedules from inside its
+// callback derives from its id alone (children), so the schedule replays
+// identically on any model that fires events in the same order; the log
+// records every observable outcome for comparison.
 type script struct {
-	m    model
-	seed uint64
-	next int
-	log  []string
+	m        model
+	next     int
+	log      []string
+	children func(id int) []Time // deltas event id schedules when it fires
 }
 
 const maxScriptEvents = 1500
@@ -217,30 +177,32 @@ func (sc *script) record(format string, args ...any) {
 
 func (sc *script) fire(id int) {
 	sc.record("fire %d @%v", id, sc.m.now())
-	r := rng.New(sc.seed).Split(uint64(id) + 1)
 	if sc.next < maxScriptEvents {
-		for k := r.Intn(3); k > 0; k-- {
-			sc.schedule(deltas[r.Intn(len(deltas))])
+		for _, d := range sc.children(id) {
+			sc.schedule(d)
 		}
 	}
-	if r.Bool(0.25) {
-		// Any id scheduled so far: itself (running, so a no-op), one
-		// already fired or cancelled, or one still pending in either lane.
-		victim := r.Intn(sc.next)
-		sc.record("cancel %d in %d -> %v", victim, id, sc.m.cancel(victim))
-	}
-	if r.Bool(0.03) {
-		sc.m.halt()
-		sc.record("halt in %d", id)
+}
+
+// randomChildren schedules zero to two children per event, drawn from a
+// stream split off seed by the event's id.
+func randomChildren(seed uint64) func(id int) []Time {
+	return func(id int) []Time {
+		r := rng.New(seed).Split(uint64(id) + 1)
+		var ds []Time
+		for k := r.Intn(3); k > 0; k-- {
+			ds = append(ds, deltas[r.Intn(len(deltas))])
+		}
+		return ds
 	}
 }
 
 // drive runs the outer schedule: steps taken outside any callback that
-// schedule, cancel, reset, and run the kernel in each of its modes.
-func (sc *script) drive() {
-	r := rng.New(sc.seed).Split(0)
+// schedule, reset, and run the kernel in each of its modes.
+func (sc *script) drive(seed uint64) {
+	r := rng.New(seed).Split(0)
 	for step := 0; step < 80; step++ {
-		switch op := r.Intn(10); op {
+		switch op := r.Intn(8); op {
 		case 0, 1, 2:
 			for k := 1 + r.Intn(4); k > 0; k-- {
 				d := deltas[r.Intn(len(deltas))]
@@ -257,17 +219,12 @@ func (sc *script) drive() {
 			// A short bounded run; a zero delta drains just the instant.
 			d := sc.m.now() + deltas[r.Intn(len(deltas))]
 			sc.record("run(%v) = %d", d, sc.m.run(d))
-		case 6, 7:
-			if sc.next > 0 {
-				victim := r.Intn(sc.next)
-				sc.record("cancel %d outside -> %v", victim, sc.m.cancel(victim))
-			}
-		case 8:
+		case 6:
 			if r.Bool(0.3) {
 				sc.m.reset()
 				sc.record("reset")
 			}
-		case 9:
+		case 7:
 			sc.record("runAll = %d", sc.m.run(inf))
 		}
 		sc.record("now %v pending %d", sc.m.now(), sc.m.pending())
@@ -277,38 +234,120 @@ func (sc *script) drive() {
 
 var inf = Time(math.Inf(1))
 
+// replay runs one schedule on the reference and on a fresh Sim and
+// returns both logs and the Sim's model for its reached-case counts.
+func replay(children func(id int) []Time, drive func(*script)) (ref, got []string, sm *simModel) {
+	rs := &script{children: children}
+	rs.m = &refSim{fire: rs.fire}
+	drive(rs)
+
+	gs := &script{children: children}
+	sm = &simModel{s: New(), lane: map[int]bool{}, fire: gs.fire}
+	gs.m = sm
+	drive(gs)
+	return rs.log, gs.log, sm
+}
+
+// diverge formats the first difference between two logs, or returns "".
+func diverge(ref, got []string) string {
+	i := firstDiff(ref, got)
+	if i < 0 {
+		return ""
+	}
+	lo := max(0, i-5)
+	return fmt.Sprintf("logs diverge at entry %d\nreference: %q\nsim:       %q",
+		i, ref[lo:min(i+1, len(ref))], got[lo:min(i+1, len(got))])
+}
+
 func TestDifferentialAgainstReference(t *testing.T) {
 	var crossTies, resetsBoth, resorts, negZeros int
-	var cancels [2]int
 	for seed := uint64(1); seed <= 60; seed++ {
-		ref := &script{seed: seed}
-		rm := &refSim{cancelled: map[int]bool{}, fire: ref.fire}
-		ref.m = rm
-		ref.drive()
-
-		got := &script{seed: seed}
-		sm := &simModel{s: New(), handles: map[int]*Handle{}, lane: map[int]bool{}, fire: got.fire}
-		got.m = sm
-		got.drive()
-
-		if i := firstDiff(ref.log, got.log); i >= 0 {
-			lo := max(0, i-5)
-			t.Fatalf("seed %d: logs diverge at entry %d\nreference: %q\nsim:       %q",
-				seed, i, ref.log[lo:min(i+1, len(ref.log))], got.log[lo:min(i+1, len(got.log))])
+		ref, got, sm := replay(randomChildren(seed), func(sc *script) { sc.drive(seed) })
+		if d := diverge(ref, got); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
 		}
 		crossTies += sm.crossTies
 		resetsBoth += sm.resetsBoth
-		cancels[0] += sm.cancelsLane[0]
-		cancels[1] += sm.cancelsLane[1]
 		resorts += sm.resorts
 		negZeros += sm.negZeros
 	}
 	// The schedules must have exercised what the lanes could get wrong.
-	if crossTies == 0 || resetsBoth == 0 || cancels[0] == 0 || cancels[1] == 0 || resorts == 0 || negZeros == 0 {
-		t.Fatalf("coverage: %d cross-lane ties, %d resets with both lanes live, %v live cancels per lane, "+
+	if crossTies == 0 || resetsBoth == 0 || resorts == 0 || negZeros == 0 {
+		t.Fatalf("coverage: %d cross-lane ties, %d resets with both lanes live, "+
 			"%d re-sorts after a partial drain, %d pre-planned -0 times behind a later tail",
-			crossTies, resetsBoth, cancels, resorts, negZeros)
+			crossTies, resetsBoth, resorts, negZeros)
 	}
+}
+
+// fuzzDeltas extends deltas with +Inf: an event there fires only under
+// an unbounded run, which moves the clock to +Inf for good.
+var fuzzDeltas = append(slices.Clone(deltas), inf)
+
+// FuzzKernel decodes the input into a schedule — events scheduled outside
+// and inside callbacks at few exact times, so ties within and across
+// lanes are common, with -0 and +Inf among them — interleaved with
+// bounded runs, unbounded runs and Resets that may catch both lanes
+// live. The Sim must fire in the reference's order and agree with it on
+// Now and Pending after every step, and no slot outside the live part of
+// a lane or the sort buffer may hold a callback.
+func FuzzKernel(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 4, 0, 4, 0, 2, 5, 0}) // a tie at 1 sorted behind 0.25
+	f.Add([]byte{0, 9, 1, 14, 2, 1, 5, 0})
+	f.Add([]byte{0, 6, 0, 1, 1, 3, 3, 1, 4, 0, 0, 2, 5, 0})
+	f.Add([]byte{1, 255, 0, 128, 2, 3, 0, 7, 4, 0, 1, 12, 5, 0, 3, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		children := func(id int) []Time {
+			if len(data) == 0 {
+				return nil
+			}
+			b := data[(id*7+3)%len(data)] ^ byte(id)
+			ds := make([]Time, b%3)
+			for k := range ds {
+				ds[k] = fuzzDeltas[int(b>>(2+3*k))%len(fuzzDeltas)]
+			}
+			return ds
+		}
+		var stray []string
+		drive := func(sc *script) {
+			sm, _ := sc.m.(*simModel)
+			for i := 0; i+1 < len(data); i += 2 {
+				op, arg := data[i]%6, int(data[i+1])
+				switch op {
+				case 0:
+					sc.schedule(fuzzDeltas[arg%len(fuzzDeltas)])
+				case 1:
+					// An offset drops a -0 delta's sign; +Inf absorbs it.
+					sc.schedule(Time(arg%4) + fuzzDeltas[arg/4%len(fuzzDeltas)])
+				case 2:
+					d := sc.m.now() + fuzzDeltas[arg%len(fuzzDeltas)]
+					sc.record("run(%v) = %d", d, sc.m.run(d))
+				case 3:
+					d := sc.m.now() + Time(arg%4)
+					sc.record("run(%v) = %d", d, sc.m.run(d))
+				case 4:
+					sc.m.reset()
+					sc.record("reset")
+				case 5:
+					sc.record("runAll = %d", sc.m.run(inf))
+				}
+				sc.record("now %v pending %d", sc.m.now(), sc.m.pending())
+				if sm != nil && stray == nil {
+					stray = strayCallbacks(sm.s)
+				}
+			}
+			sc.record("final runAll = %d", sc.m.run(inf))
+		}
+		ref, got, _ := replay(children, drive)
+		if d := diverge(ref, got); d != "" {
+			t.Fatal(d)
+		}
+		if stray != nil {
+			t.Fatalf("callbacks left outside the live lanes: %v", stray)
+		}
+	})
 }
 
 func firstDiff(a, b []string) int {

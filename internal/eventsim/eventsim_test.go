@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -50,22 +51,6 @@ func TestAfterRelative(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	h := s.At(1, func() { fired = true })
-	h.Cancel()
-	if !h.Cancelled() {
-		t.Fatal("Cancelled() false after Cancel")
-	}
-	s.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Cancelling twice is a no-op.
-	h.Cancel()
-}
-
 func TestDeadline(t *testing.T) {
 	s := New()
 	var got []Time
@@ -96,22 +81,6 @@ func TestIdleClockAdvancesToDeadline(t *testing.T) {
 	s.Run(10)
 	if !fired || s.Now() != 10 {
 		t.Fatalf("post-idle event handling broken: fired=%v now=%v", fired, s.Now())
-	}
-}
-
-func TestHalt(t *testing.T) {
-	s := New()
-	count := 0
-	s.At(1, func() { count++; s.Halt() })
-	s.At(2, func() { count++ })
-	s.RunAll()
-	if count != 1 {
-		t.Fatalf("Halt did not stop run, count = %d", count)
-	}
-	// A subsequent Run resumes.
-	s.RunAll()
-	if count != 2 {
-		t.Fatalf("resume after Halt failed, count = %d", count)
 	}
 }
 
@@ -174,157 +143,34 @@ func TestManyEventsStress(t *testing.T) {
 	}
 }
 
-func TestCancelAfterFireReportsFalse(t *testing.T) {
-	// Regression: cancelling an event that already ran used to mark it
-	// dead and report Cancelled()==true even though it fired.
-	s := New()
-	fired := false
-	h := s.At(1, func() { fired = true })
-	s.RunAll()
-	h.Cancel()
-	if !fired {
-		t.Fatal("event did not fire")
-	}
-	if h.Cancelled() {
-		t.Fatal("Cancelled() true for an event that ran")
-	}
-}
-
-func TestCancelReapsEagerly(t *testing.T) {
-	s := New()
-	h := s.At(1, func() {})
-	s.At(2, func() {})
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-	h.Cancel()
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d after Cancel, want 1 (eager reap)", s.Pending())
-	}
-	if n := s.RunAll(); n != 1 {
-		t.Fatalf("fired %d events, want 1", n)
-	}
-}
-
-func TestDoubleCancelSafe(t *testing.T) {
-	s := New()
-	fired := 0
-	h := s.At(1, func() { fired++ })
-	h.Cancel()
-	h.Cancel() // second cancel must not touch the (recycled) event
-	// The recycled struct is reused by the next At; the stale handle must
-	// not be able to cancel the new occupant.
-	s.At(1, func() { fired++ })
-	h.Cancel()
-	if !h.Cancelled() {
-		t.Fatal("first Cancel not recorded")
-	}
-	s.RunAll()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (only the second event)", fired)
-	}
-}
-
-func TestStaleHandleAfterReuse(t *testing.T) {
-	s := New()
-	var order []int
-	h1 := s.At(1, func() { order = append(order, 1) })
-	s.RunAll()
-	// h1's event struct is back on the free list; the next At reuses it.
-	s.At(2, func() { order = append(order, 2) })
-	h1.Cancel() // stale: must not cancel the reused event
-	if h1.Cancelled() {
-		t.Fatal("stale handle reported Cancelled")
-	}
-	s.RunAll()
-	if len(order) != 2 {
-		t.Fatalf("order = %v, want both events to fire", order)
-	}
-}
-
-func TestSelfCancelInsideCallback(t *testing.T) {
-	s := New()
-	ran := false
-	var h Handle
-	h = s.At(1, func() {
-		h.Cancel() // cancelling the running event is a no-op
-		ran = true
-	})
-	s.At(2, func() {})
-	s.RunAll()
-	if !ran {
-		t.Fatal("callback did not run")
-	}
-	if h.Cancelled() {
-		t.Fatal("self-cancel of a running event reported Cancelled")
-	}
-	if s.Fired() != 2 {
-		t.Fatalf("Fired = %d, want 2", s.Fired())
-	}
-}
-
-func TestCancelDuringRunOfLaterEvent(t *testing.T) {
-	s := New()
-	fired := 0
-	var h Handle
-	s.At(1, func() { h.Cancel() })
-	h = s.At(2, func() { fired++ })
-	s.At(3, func() { fired++ })
-	s.RunAll()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (t=2 cancelled from t=1)", fired)
-	}
-	if !h.Cancelled() {
-		t.Fatal("cancel during run not recorded")
-	}
-}
-
-func TestNewWithCap(t *testing.T) {
-	s := NewWithCap(8)
-	count := 0
-	for i := 0; i < 32; i++ { // exceed the prealloc to exercise growth
-		s.At(Time(i), func() { count++ })
-	}
-	s.RunAll()
-	if count != 32 {
-		t.Fatalf("fired %d of 32", count)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-}
-
 func TestScheduleAllocFree(t *testing.T) {
-	// Steady-state schedule+run must not allocate: event structs recycle
-	// through the free list.
-	s := NewWithCap(4)
+	// Steady-state schedule+run must not allocate: both lanes keep their
+	// capacity across drains.
+	s := New()
 	nop := func() {}
 	s.After(1, nop)
-	s.RunAll() // warm the pool
+	s.RunAll() // warm the lane
 	allocs := testing.AllocsPerRun(200, func() {
-		h := s.After(0.5, nop)
+		s.After(0.5, nop)
 		s.After(1, nop)
-		h.Cancel()
 		s.RunAll()
 	})
 	if allocs != 0 {
-		t.Fatalf("schedule/cancel/run allocated %v per run, want 0", allocs)
+		t.Fatalf("schedule/run allocated %v per run, want 0", allocs)
 	}
 
 	// Interleaved two-lane run: events scheduled outside Run land in one
 	// lane, events their callbacks schedule in the other, with a tie across
-	// lanes at 1.5 and a cancelled entry in each lane. The last pre-planned
-	// event fires before the lane's tail, so every run re-sorts the lane.
+	// lanes at 1.5. The last pre-planned event fires before the lane's
+	// tail, so every run re-sorts the lane.
 	react := func() {
-		h := s.After(0, nop)
+		s.After(0, nop)
 		s.After(0.5, nop)
-		h.Cancel()
 	}
 	round := func() {
 		s.After(1, react)
 		s.After(1.5, nop)
-		h := s.After(2, nop)
-		h.Cancel()
+		s.After(2, nop)
 		s.After(0.25, nop)
 		if !s.unsorted {
 			t.Fatal("out-of-order At left the pre-planned lane marked sorted")
@@ -334,7 +180,7 @@ func TestScheduleAllocFree(t *testing.T) {
 	round() // warm the callback lane and the sort buffer
 	allocs = testing.AllocsPerRun(200, round)
 	if allocs != 0 {
-		t.Fatalf("two-lane schedule/cancel/run allocated %v per run, want 0", allocs)
+		t.Fatalf("two-lane schedule/run allocated %v per run, want 0", allocs)
 	}
 }
 
@@ -434,27 +280,6 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	s.RunAll()
 }
 
-// BenchmarkEventChurn measures the schedule/cancel/drain cycle the CSMA
-// layer produces: per op, two timers armed, one cancelled, with periodic
-// drains. Pre-PR baseline (heap-allocated events, lazy dead-entry reaping):
-// 809 ns/op, 96 B/op, 2 allocs/op.
-func BenchmarkEventChurn(b *testing.B) {
-	s := New()
-	nop := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h1 := s.After(0.001, nop)
-		h2 := s.After(0.002, nop)
-		h2.Cancel()
-		_ = h1
-		if i%1024 == 1023 {
-			s.RunAll()
-		}
-	}
-	s.RunAll()
-}
-
 // BenchmarkPreplannedLane drives the pre-planned lane the way a steady
 // N=400 iPDA round does (about 1,558 up-front events per round): per op,
 // 1,158 slice sends at uniform offsets in a 2 s slicing window and 400
@@ -471,7 +296,7 @@ func BenchmarkPreplannedLane(b *testing.B) {
 		hop := Time(i * 7 % 10)
 		offsets = append(offsets, 2.5+hop*0.25+Time(r.Float64())*0.125)
 	}
-	s := NewWithCap(2 * len(offsets))
+	s := New()
 	nop := func() {}
 	follow := func() { s.After(0.001, nop) }
 	op := func() {
@@ -481,10 +306,102 @@ func BenchmarkPreplannedLane(b *testing.B) {
 		}
 		s.RunAll()
 	}
-	op() // warm the slab and the sort buffer
+	op() // warm both lanes and the sort buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op()
 	}
+}
+
+// strayCallbacks lists the slots, up to capacity, of the pre-planned
+// lane, the sort buffer and the reactive lane that hold a callback
+// outside the lane's live part. A pooled kernel lives as long as its
+// worker, so such a slot would pin a spent closure and all it captures.
+func strayCallbacks(s *Sim) []string {
+	var stray []string
+	check := func(name string, lane []entry, lo, hi int) {
+		for i, e := range lane[:cap(lane)] {
+			if e.fn != nil && (i < lo || i >= hi) {
+				stray = append(stray, fmt.Sprintf("%s[%d]", name, i))
+			}
+		}
+	}
+	check("sched", s.sched, s.head, len(s.sched))
+	check("scratch", s.scratch, 0, 0)
+	check("queue", s.queue, 0, len(s.queue))
+	return stray
+}
+
+func TestSpentCallbacksReleased(t *testing.T) {
+	s := New()
+	nop := func() {}
+	follow := func() { s.After(0.5, nop) }
+	expect := func(step string) {
+		t.Helper()
+		if stray := strayCallbacks(s); stray != nil {
+			t.Fatalf("after %s: callbacks left in %v", step, stray)
+		}
+	}
+
+	// Out of order, so the first front read sorts; a partial drain pops
+	// from both lanes and leaves both live.
+	for i := range 40 {
+		s.At(Time((i*17)%40), follow)
+	}
+	s.Run(20.25)
+	if s.head == 0 || len(s.queue) == 0 {
+		t.Fatalf("partial drain left cursor %d and %d reactive entries", s.head, len(s.queue))
+	}
+	expect("a partial drain")
+
+	// Re-sorts behind the cursor. The unfired keys {3, 2} differ in one
+	// byte of their bits, so the sort runs one pass and the lane moves
+	// into the sort buffer; adding 2+ulp makes a second pass, which lands
+	// the result back in place.
+	for _, tc := range []struct {
+		late  []Time
+		moves bool
+	}{{[]Time{2}, true}, {[]Time{2, Time(math.Nextafter(2, 3))}, false}} {
+		r := New()
+		r.At(1, nop)
+		r.At(3, nop)
+		r.Run(1)
+		for _, at := range tc.late {
+			r.At(at, nop)
+		}
+		if !r.unsorted || r.head == 0 {
+			t.Fatal("late At did not leave a partly drained lane unsorted")
+		}
+		base := &r.sched[0]
+		r.Run(2)
+		if moved := &r.sched[0] != base; moved != tc.moves {
+			t.Fatalf("re-sort of %v: lane moved to the sort buffer = %v, want %v", tc.late, moved, tc.moves)
+		}
+		if stray := strayCallbacks(r); stray != nil {
+			t.Fatalf("after a re-sort of %v: callbacks left in %v", tc.late, stray)
+		}
+	}
+
+	// A slide: fill the lane to capacity while most of it has fired.
+	s.RunAll()
+	c := cap(s.sched)
+	for i := range c {
+		s.At(s.Now()+Time(i), nop)
+	}
+	s.Run(s.Now() + Time(c-c/4))
+	s.At(s.Now()+Time(c), nop)
+	if cap(s.sched) != c || s.head != 0 {
+		t.Fatalf("lane did not slide: cap %d -> %d, cursor %d", c, cap(s.sched), s.head)
+	}
+	expect("a slide")
+
+	// Reset with both lanes live.
+	s.At(s.Now()+1, follow)
+	s.Run(s.Now() + 1)
+	if s.Pending() == 0 || len(s.queue) == 0 {
+		t.Fatal("both lanes should hold entries before Reset")
+	}
+	s.Reset()
+	expect("Reset")
 }

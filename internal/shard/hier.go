@@ -18,6 +18,7 @@ package shard
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/ipda-sim/ipda/internal/core"
 	"github.com/ipda-sim/ipda/internal/qtrace"
@@ -122,11 +123,13 @@ func (o HierOutcome) Diff() int64 {
 // non-empty region runs an independent iPDA instance on the subnetwork
 // induced by its members (head as local base station), and the regional
 // totals are combined on the backbone. shards is the number of worker
-// goroutines (< 1 selects 1); regions are striped statically (worker w
-// takes regions w, w+shards, ...) and each worker runs on its own
-// sub-arena of arena, so sharding composes with world reuse without
-// cross-goroutine state. root supplies the per-region seeds, derived by
-// region index before any parallelism starts.
+// goroutines (< 1 selects 1); each worker claims the next unrun region,
+// in index order, from a shared atomic counter, and runs it on the
+// worker's own sub-arena of arena, so sharding composes with world reuse
+// without cross-goroutine state. Which worker runs a region varies from
+// run to run, but its outcome does not: outcomes are stored by region
+// index, and root supplies the per-region seeds, derived by region index
+// before any parallelism starts.
 //
 // traces, when non-nil, collects each region's query trace under the slot
 // "region/<r>". Slots are keyed by region index — never by worker — and
@@ -196,19 +199,23 @@ func RunHier(plan *Plan, cfg core.Config, root *rng.Stream, shards int, arena *w
 		o.frames = inst.Medium.Stats().FramesSent
 	}
 
-	if shards == 1 {
-		for r := 0; r < R; r++ {
-			runRegion(0, r)
+	// A worker that drew small regions moves on to the next unclaimed one
+	// instead of idling while another works through a fixed stripe.
+	var next atomic.Int64
+	work := func(w int) {
+		for r := int(next.Add(1) - 1); r < R; r = int(next.Add(1) - 1) {
+			runRegion(w, r)
 		}
+	}
+	if shards == 1 {
+		work(0)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < shards; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for r := w; r < R; r += shards {
-					runRegion(w, r)
-				}
+				work(w)
 			}(w)
 		}
 		wg.Wait()

@@ -33,7 +33,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/packet"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
-	"github.com/ipda-sim/ipda/internal/tree"
 )
 
 // link is a directed wireless link.
@@ -199,8 +198,7 @@ type Factory func(disabled []bool, seed uint64) (*core.Instance, error)
 // an aggregator role, which is the persistent-DoS behaviour of Section
 // III-D.
 func PolluterBehavior(in *core.Instance, attacker topology.NodeID, delta int64) {
-	role := in.Trees.Role[attacker]
-	if role == tree.RoleRed || role == tree.RoleBlue {
+	if in.Trees.Tree[attacker] >= 0 {
 		in.Pollute(attacker, delta)
 	}
 }

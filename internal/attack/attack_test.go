@@ -167,7 +167,7 @@ func TestPolluterBehaviorOnlyAggregators(t *testing.T) {
 	in := instance(t, 300, 13, core.DefaultConfig())
 	var leaf topology.NodeID = topology.None
 	for i := 1; i < in.Net.N(); i++ {
-		if in.Trees.Role[i] == tree.RoleLeaf {
+		if in.Trees.Tree[i] == tree.NoTree {
 			leaf = topology.NodeID(i)
 			break
 		}

@@ -14,10 +14,12 @@
 //     first, up each tree independently; the base station cross-checks the
 //     two totals and accepts the round only if |S_b − S_r| ≤ Th.
 //
-// Phases II and III form one round engine over any Forest of m disjoint
-// trees: Deploy takes the Phase I builder as an argument, RunRound runs a
-// round and hands back the per-tree totals, and the caller decides the
-// verdict. Package mtree runs its m-tree generalization on this engine.
+// Phases II and III form one round engine over any tree.Forest of m
+// disjoint trees: Deploy takes the tree count and the Phase I builder as
+// arguments, RunRound runs a round and hands back the per-tree totals, and
+// the caller decides the verdict. Repair, coalescing, faults and query
+// dissemination work for every m. Package mtree runs its m-tree
+// generalization on this engine.
 //
 // The engine also exposes the hooks the evaluation needs: pollution
 // attackers (Section II-C), node disablement for DoS-attacker localization
@@ -105,8 +107,8 @@ type Config struct {
 	// default table is untouched.
 	Coalesce bool
 	// Repair enables localized tree repair: each round, live aggregators
-	// whose parent is dead re-attach to an alternate live same-color
-	// neighbor (tree.Result.RepairDead), and slice senders avoid dead or
+	// whose parent is dead re-attach to an alternate live same-tree
+	// neighbor (tree.Forest.RepairDead), and slice senders avoid dead or
 	// skipping targets. Without it the trees are used as built and a dead
 	// aggregator silently severs its whole subtree.
 	Repair bool
@@ -173,7 +175,7 @@ type Instance struct {
 	Sim    *eventsim.Sim
 	Medium *radio.Medium
 	MAC    *mac.MAC
-	Trees  *tree.Result
+	Trees  *tree.Forest // the Phase I outcome the round engine runs on
 	Keys   linksec.Scheme
 
 	// OnSlice, when set, observes every slice put on the air (ground
@@ -185,13 +187,7 @@ type Instance struct {
 	// never touch the air).
 	OnLocalShare func(id topology.NodeID, color packet.Color, share int64)
 
-	// forest is the Phase I outcome the round engine runs on; m is its
-	// tree count. treeIdx and heardIdx back the Forest view of Trees that
-	// Reset's builder hands the engine.
-	forest   Forest
-	m        int
-	treeIdx  []int
-	heardIdx [][][]topology.NodeID
+	m int // the tree count of Trees
 
 	rand *rng.Stream
 	// round counts additive rounds over the deployment's whole lifetime
@@ -335,72 +331,11 @@ type bsAccum struct {
 	count uint32
 }
 
-// Tree-index markers of Forest.Tree.
-const (
-	// NoTree marks a node that aggregates on no tree: a leaf, or a node
-	// Phase I never reached.
-	NoTree = -1
-	// Root marks a base station, the root of every tree.
-	Root = -2
-)
-
-// Forest is a Phase I outcome in the round engine's terms: m node-disjoint
-// aggregation trees over the deployment. Tree t goes on the air as
-// packet.TreeColor(t), so trees 0 and 1 are the paper's red and blue.
-type Forest struct {
-	// Tree is, per node, the tree it aggregates on, NoTree, or Root.
-	Tree []int
-	// Parent is, per node, its tree parent: topology.None for base
-	// stations and non-aggregators.
-	Parent []topology.NodeID
-	// Hop is, per node, its depth on its tree (0 for non-aggregators).
-	Hop []uint16
-	// Heard[t][i] lists the tree-t aggregators node i heard during
-	// Phase I: its slice-target candidates on tree t.
-	Heard [][][]topology.NodeID
-}
-
 // aggSpanNames names each tree's Phase III aggregate spans without a
-// per-send string concatenation; its size caps the trees in a Forest.
-var aggSpanNames = [...]string{
+// per-send string concatenation.
+var aggSpanNames = [tree.MaxTrees]string{
 	"aggregate:red", "aggregate:blue", "aggregate:t2", "aggregate:t3",
 	"aggregate:t4", "aggregate:t5", "aggregate:t6", "aggregate:t7",
-}
-
-// check reports the first way f is malformed for an n-node deployment: a
-// tree count outside [2, 8], a per-node slice of the wrong length, or a
-// parent link that leaves its tree.
-func (f *Forest) check(n int) error {
-	m := len(f.Heard)
-	if m < 2 || m > len(aggSpanNames) {
-		return fmt.Errorf("%d trees, want 2 to %d", m, len(aggSpanNames))
-	}
-	if len(f.Tree) != n || len(f.Parent) != n || len(f.Hop) != n {
-		return fmt.Errorf("tree/parent/hop lengths %d/%d/%d for %d nodes", len(f.Tree), len(f.Parent), len(f.Hop), n)
-	}
-	for t, heard := range f.Heard {
-		if len(heard) != n {
-			return fmt.Errorf("tree %d heard lists for %d of %d nodes", t, len(heard), n)
-		}
-	}
-	for i, t := range f.Tree {
-		p := f.Parent[i]
-		switch {
-		case t == NoTree || t == Root:
-			if p != topology.None {
-				return fmt.Errorf("non-aggregator %d has parent %d", i, p)
-			}
-		case t < 0 || t >= m:
-			return fmt.Errorf("node %d on tree %d of %d", i, t, m)
-		case p == topology.None:
-			return fmt.Errorf("aggregator %d has no parent", i)
-		case p < 0 || int(p) >= n:
-			return fmt.Errorf("aggregator %d has parent %d outside the deployment", i, p)
-		case f.Tree[p] != t && f.Tree[p] != Root:
-			return fmt.Errorf("tree %d aggregator %d has parent %d on tree %d", t, i, p, f.Tree[p])
-		}
-	}
-	return nil
 }
 
 // New deploys an Instance: it builds the radio stack over net, runs
@@ -423,47 +358,27 @@ func New(net *topology.Network, cfg Config, seed uint64) (*Instance, error) {
 // almost entirely off the allocator. Callers must not use results (Trees,
 // Run outputs' aliased state) from before the Reset afterwards.
 func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error {
-	return in.Deploy(net, cfg, seed, in.buildTrees)
+	return in.Deploy(net, cfg, seed, 2, in.buildTrees)
 }
 
 // buildTrees is Reset's Phase I: the paper's red/blue construction
-// (package tree), viewed as a two-tree Forest. The Forest aliases
-// Trees.Parent, so per-round repair shows through to the engine.
-func (in *Instance) buildTrees(root *rng.Stream) (Forest, error) {
+// (package tree).
+func (in *Instance) buildTrees(root *rng.Stream) (*tree.Forest, error) {
 	treeCfg := in.Cfg.Tree
 	treeCfg.Disabled = in.Cfg.Disabled
 	treeCfg.ExtraRoots = in.Cfg.ExtraRoots
 	treeCfg.Obs = in.Cfg.Obs
-	trees, err := in.builder.Build(in.Sim, in.Medium, in.MAC, in.Net, treeCfg, root.Split(2))
-	if err != nil {
-		return Forest{}, err
-	}
-	in.Trees = trees
-	in.treeIdx = resizeCleared(in.treeIdx, len(trees.Role))
-	for i, role := range trees.Role {
-		switch role {
-		case tree.RoleRed:
-			in.treeIdx[i] = 0
-		case tree.RoleBlue:
-			in.treeIdx[i] = 1
-		case tree.RoleBase:
-			in.treeIdx[i] = Root
-		default:
-			in.treeIdx[i] = NoTree
-		}
-	}
-	in.heardIdx = append(in.heardIdx[:0], trees.RedNeighbors, trees.BlueNeighbors)
-	return Forest{Tree: in.treeIdx, Parent: trees.Parent, Hop: trees.Hop, Heard: in.heardIdx}, nil
+	return in.builder.Build(in.Sim, in.MAC, in.Net, treeCfg, root.Split(2))
 }
 
-// Deploy re-deploys the instance over net like Reset, with build as
-// Phase I: build runs on the freshly reset simulator, medium and MAC, may
-// draw from root (the engine owns root's labels 1, 3 and 4), and returns
-// the forest Phases II and III run on. A malformed forest is an error.
-// Trees is set only by Reset's own builder, and Config.Repair (which
-// repairs Trees) and Config.Coalesce (whose frame budget assumes two
-// trees) are errors with any other.
-func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, build func(root *rng.Stream) (Forest, error)) error {
+// Deploy re-deploys the instance over net like Reset, with build as a
+// Phase I that yields m trees: build runs on the freshly reset simulator,
+// medium and MAC, may draw from root (the engine owns root's labels 1, 3
+// and 4), and returns the forest Phases II and III run on, which becomes
+// Trees. A malformed forest, or one of other than m trees, is an error.
+// The MAC is reset before build runs, so m must be known up front: it
+// sizes the coalesced frame budget.
+func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, m int, build func(root *rng.Stream) (*tree.Forest, error)) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -482,10 +397,9 @@ func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, build
 	macCfg := cfg.MAC
 	if cfg.Coalesce && macCfg.MaxFrameSize == 0 {
 		// A coalesced frame can carry every remote share of one node in
-		// one round: up to Slices per tree, both trees (only Reset's
-		// two-tree forest coalesces). TDMA slots must budget for it (CSMA
-		// ignores the hint).
-		macCfg.MaxFrameSize = packet.SliceBatchSize(2 * cfg.Slices)
+		// one round: up to Slices per tree, m trees. TDMA slots must
+		// budget for it (CSMA ignores the hint).
+		macCfg.MaxFrameSize = packet.SliceBatchSize(m * cfg.Slices)
 	}
 	if in.MAC == nil {
 		in.MAC = mac.New(in.Sim, in.Medium, n, macCfg, root.Split(1))
@@ -513,7 +427,6 @@ func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, build
 	in.queryParent = qtrace.None
 	in.Net = net
 	in.Cfg = cfg
-	in.Trees = nil
 	// Every builder's Phase I shares one network-wide span (query 0).
 	phase1 := in.qt.Start(0, qtrace.None, -1, "phase1:tree-construction", float64(in.Sim.Now()))
 	forest, err := build(root)
@@ -521,14 +434,14 @@ func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, build
 		return err
 	}
 	in.qt.End(phase1, float64(in.Sim.Now()))
-	if err := forest.check(n); err != nil {
+	if err := forest.Check(n); err != nil {
 		return fmt.Errorf("core: phase I produced overlapping trees: %w", err)
 	}
-	if in.Trees == nil && (cfg.Repair || cfg.Coalesce) {
-		return fmt.Errorf("core: Repair and Coalesce need Reset's two-tree phase I")
+	if len(forest.Heard) != m {
+		return fmt.Errorf("core: phase I built %d trees, want %d", len(forest.Heard), m)
 	}
-	in.forest = forest
-	in.m = len(forest.Heard)
+	in.Trees = forest
+	in.m = m
 	keys := cfg.Keys
 	if keys == nil {
 		keys = linksec.NewPairwise(seed ^ 0x69706461) // "ipda"
@@ -636,7 +549,7 @@ func (in *Instance) Participants() []topology.NodeID {
 	var out []topology.NodeID
 	for i := 1; i < in.Net.N(); i++ {
 		id := topology.NodeID(i)
-		if in.disabled(id) || in.forest.Tree[id] == Root {
+		if in.disabled(id) || in.Trees.Tree[id] == tree.Root {
 			continue
 		}
 		if in.CanSlice(id) {
@@ -647,18 +560,9 @@ func (in *Instance) Participants() []topology.NodeID {
 }
 
 // CanSlice reports whether node id has l slice targets on every tree,
-// counting itself on its own tree.
+// counting itself on its own tree (see tree.Forest.CanSlice).
 func (in *Instance) CanSlice(id topology.NodeID) bool {
-	for t, heard := range in.forest.Heard {
-		count := len(heard[id])
-		if in.forest.Tree[id] == t {
-			count++
-		}
-		if count < in.Cfg.Slices {
-			return false
-		}
-	}
-	return true
+	return in.Trees.CanSlice(id, in.Cfg.Slices)
 }
 
 // RoundOutcome reports one additive aggregation round.
@@ -796,7 +700,7 @@ func (in *Instance) Verdict(accepted bool) {
 		}
 		v := in.qt.Instant(uint32(uint16(in.round)), in.roundSpan, 0, verdict, float64(in.Sim.Now()))
 		for i := 0; i < in.Net.N() && i < len(in.pendingAgg); i++ {
-			if in.forest.Tree[i] != Root {
+			if in.Trees.Tree[i] != tree.Root {
 				continue
 			}
 			for _, child := range in.pendingAgg[i] {
@@ -909,13 +813,13 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
 		id := topology.NodeID(i)
 		p := &in.plans[i]
 		p.active = false
-		if in.disabled(id) || in.skipping(id) || in.forest.Tree[id] == Root {
+		if in.disabled(id) || in.skipping(id) || in.Trees.Tree[id] == tree.Root {
 			continue
 		}
 		for t := range in.cands {
-			in.cands[t] = in.keyedTargets(in.cands[t][:0], id, in.forest.Heard[t][id])
+			in.cands[t] = in.keyedTargets(in.cands[t][:0], id, in.Trees.Heard[t][id])
 		}
-		if !p.targets.Choose(id, in.forest.Tree[id], in.cands, in.Cfg.Slices, in.rand) {
+		if !p.targets.Choose(id, in.Trees.Tree[id], in.cands, in.Cfg.Slices, in.rand) {
 			continue
 		}
 		p.shares = p.shares[:0]
@@ -971,16 +875,16 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
 	t1 := t0 + floodBudget + in.Cfg.SliceWindow + 0.5 // drain margin for queued slices
 	maxHop := uint16(0)
 	for i := 1; i < n; i++ {
-		if in.forest.Tree[i] >= 0 && in.forest.Hop[i] > maxHop {
-			maxHop = in.forest.Hop[i]
+		if in.Trees.Tree[i] >= 0 && in.Trees.Hop[i] > maxHop {
+			maxHop = in.Trees.Hop[i]
 		}
 	}
 	for i := 1; i < n; i++ {
 		id := topology.NodeID(i)
-		if in.forest.Tree[id] < 0 {
+		if in.Trees.Tree[id] < 0 {
 			continue
 		}
-		slot := eventsim.Time(maxHop-in.forest.Hop[id]) * in.Cfg.AggSlot
+		slot := eventsim.Time(maxHop-in.Trees.Hop[id]) * in.Cfg.AggSlot
 		jitter := eventsim.Time(in.rand.Float64()) * in.Cfg.AggSlot / 2
 		ev := in.getAggEvent()
 		ev.id, ev.round = id, round
@@ -1004,7 +908,7 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
 		in.totals[t] = in.bsChild[t].sum
 	}
 	for i := 0; i < n; i++ {
-		if in.forest.Tree[i] == Root {
+		if in.Trees.Tree[i] == tree.Root {
 			for t := range in.totals {
 				in.totals[t] += in.asm[i*m+t].Total()
 			}
@@ -1057,7 +961,7 @@ func (in *Instance) availTarget(c topology.NodeID) bool {
 // coming round. It returns the dead-node count and the repair tallies.
 func (in *Instance) prepareTrees() (dead, repaired, skipped int, err error) {
 	if in.treesDirty {
-		copy(in.forest.Parent, in.basisParent)
+		copy(in.Trees.Parent, in.basisParent)
 		in.treesDirty = false
 	}
 	if in.skip != nil {
@@ -1204,7 +1108,7 @@ func (in *Instance) floodQuery(round uint16, onStart func(id topology.NodeID, at
 		// this reception triggers: the rebroadcast and, via queryParent,
 		// the node's slicing span.
 		in.queryParent = qtrace.Ref(p.TraceSpan)
-		if in.forest.Tree[self] >= 0 {
+		if in.Trees.Tree[self] >= 0 {
 			fwd := in.qt.Start(q, in.queryParent, int32(self), "query:forward", float64(in.Sim.Now()))
 			in.MAC.Send(self, &packet.Packet{
 				Header: packet.Header{Kind: packet.KindQuery, Src: int32(self), Dst: packet.Broadcast, Round: round,
@@ -1497,7 +1401,7 @@ func (in *Instance) onAggregate(self topology.NodeID, p *packet.Packet) {
 	if t < 0 || t >= in.m {
 		return
 	}
-	if in.forest.Tree[self] == Root {
+	if in.Trees.Tree[self] == tree.Root {
 		acc := &in.bsChild[t]
 		acc.sum += p.Value
 		acc.count += p.Count
@@ -1505,7 +1409,7 @@ func (in *Instance) onAggregate(self topology.NodeID, p *packet.Packet) {
 		in.noteAggArrival(self, p)
 		return
 	}
-	if in.forest.Tree[self] != t {
+	if in.Trees.Tree[self] != t {
 		return // cross-tree frames are ignored, preserving disjointness
 	}
 	in.childSum[self] += p.Value
@@ -1532,7 +1436,7 @@ func (in *Instance) sendAggregate(round uint16, id topology.NodeID) {
 	if in.disabled(id) || in.skipping(id) {
 		return
 	}
-	t := in.forest.Tree[id]
+	t := in.Trees.Tree[id]
 	if t < 0 {
 		return
 	}
@@ -1540,7 +1444,7 @@ func (in *Instance) sendAggregate(round uint16, id topology.NodeID) {
 	if delta, polluted := in.polluters[id]; polluted {
 		value += delta
 	}
-	parent := in.forest.Parent[id]
+	parent := in.Trees.Parent[id]
 	if parent == topology.None {
 		return
 	}

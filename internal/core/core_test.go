@@ -140,13 +140,13 @@ func TestPollutionDetected(t *testing.T) {
 	// serious scenario) and shift the result by +1000.
 	var attacker topology.NodeID = topology.None
 	for i := 1; i < inst.Net.N(); i++ {
-		if inst.Trees.Role[i] == tree.RoleRed && inst.Trees.Parent[i] == 0 {
+		if inst.Trees.Tree[i] == 0 && inst.Trees.Parent[i] == 0 {
 			attacker = topology.NodeID(i)
 			break
 		}
 	}
 	if attacker == topology.None {
-		for _, a := range inst.Trees.Aggregators(tree.RoleRed) {
+		for _, a := range inst.Trees.Aggregators(0) {
 			attacker = a
 			break
 		}
@@ -163,8 +163,8 @@ func TestPollutionDetected(t *testing.T) {
 
 func TestPollutionOnBothTreesByIndividualAttackersDetected(t *testing.T) {
 	inst := deploy(t, 400, 5, DefaultConfig())
-	reds := inst.Trees.Aggregators(tree.RoleRed)
-	blues := inst.Trees.Aggregators(tree.RoleBlue)
+	reds := inst.Trees.Aggregators(0)
+	blues := inst.Trees.Aggregators(1)
 	if len(reds) == 0 || len(blues) == 0 {
 		t.Skip("degenerate trees")
 	}
@@ -185,8 +185,8 @@ func TestColludingAttackersEvadeDetection(t *testing.T) {
 	// Documented limitation (Section VI): attackers that coordinate the
 	// same delta on both trees defeat the redundancy check.
 	inst := deploy(t, 400, 6, DefaultConfig())
-	reds := inst.Trees.Aggregators(tree.RoleRed)
-	blues := inst.Trees.Aggregators(tree.RoleBlue)
+	reds := inst.Trees.Aggregators(0)
+	blues := inst.Trees.Aggregators(1)
 	if len(reds) == 0 || len(blues) == 0 {
 		t.Skip("degenerate trees")
 	}
@@ -206,7 +206,7 @@ func TestColludingAttackersEvadeDetection(t *testing.T) {
 func TestPolluteZeroRemoves(t *testing.T) {
 	inst := deploy(t, 300, 7, DefaultConfig())
 	var agg topology.NodeID = topology.None
-	for _, a := range inst.Trees.Aggregators(tree.RoleRed) {
+	for _, a := range inst.Trees.Aggregators(0) {
 		agg = a
 		break
 	}
@@ -331,8 +331,8 @@ func TestDisabledNodesExcluded(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 100; i++ {
-		if r := inst.Trees.Role[i]; r == tree.RoleRed || r == tree.RoleBlue {
-			t.Fatalf("disabled node %d became %v aggregator", i, r)
+		if tr := inst.Trees.Tree[i]; tr >= 0 {
+			t.Fatalf("disabled node %d became a tree-%d aggregator", i, tr)
 		}
 	}
 }
@@ -458,8 +458,8 @@ func TestMultipleBaseStations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if multi.Trees.Role[50] != tree.RoleBase || multi.Trees.Role[200] != tree.RoleBase {
-		t.Fatalf("extra roots not RoleBase: %v %v", multi.Trees.Role[50], multi.Trees.Role[200])
+	if multi.Trees.Tree[50] != tree.Root || multi.Trees.Tree[200] != tree.Root {
+		t.Fatalf("extra roots on trees %d %d, want Root", multi.Trees.Tree[50], multi.Trees.Tree[200])
 	}
 	res, err := multi.RunCount()
 	if err != nil {
@@ -492,7 +492,7 @@ func TestMultipleBaseStations(t *testing.T) {
 		t.Fatalf("multi-sink max hop %d above single-sink %d", maxHop(multi), maxHop(single))
 	}
 	// Pollution detection still works across fused totals.
-	aggs := multi.Trees.Aggregators(tree.RoleRed)
+	aggs := multi.Trees.Aggregators(0)
 	if len(aggs) > 0 {
 		multi.Pollute(aggs[0], 800)
 		res, err = multi.RunCount()
@@ -617,7 +617,7 @@ func TestKillAggregatorLosesSubtreeAndTriggersRejection(t *testing.T) {
 	// other aggregator's parent).
 	var victim topology.NodeID = topology.None
 	for i := 1; i < inst.Net.N(); i++ {
-		if inst.Trees.Role[i] != tree.RoleRed {
+		if inst.Trees.Tree[i] != 0 {
 			continue
 		}
 		for j := 1; j < inst.Net.N(); j++ {
@@ -664,7 +664,7 @@ func TestKillLeafOnlyLosesOneReading(t *testing.T) {
 	}
 	var leaf topology.NodeID = topology.None
 	for i := 1; i < inst.Net.N(); i++ {
-		if inst.Trees.Role[i] == tree.RoleLeaf && inst.Trees.CanSlice(topology.NodeID(i), 2) {
+		if inst.Trees.Tree[i] == tree.NoTree && inst.Trees.CanSlice(topology.NodeID(i), 2) {
 			leaf = topology.NodeID(i)
 			break
 		}
@@ -718,7 +718,7 @@ seeds:
 		}
 		var leaf topology.NodeID = topology.None
 		for i := 1; i < net.N(); i++ {
-			if inst.Trees.Role[i] == tree.RoleLeaf && inst.Trees.CanSlice(topology.NodeID(i), cfg.Slices) {
+			if inst.Trees.Tree[i] == tree.NoTree && inst.Trees.CanSlice(topology.NodeID(i), cfg.Slices) {
 				leaf = topology.NodeID(i)
 				break
 			}
@@ -772,7 +772,7 @@ func TestRepairReattachesAroundDeadAggregator(t *testing.T) {
 	// Same seed, same rng consumption: both instances hold identical trees.
 	var victim topology.NodeID = topology.None
 	for i := 1; i < plain.Net.N(); i++ {
-		if plain.Trees.Role[i] != tree.RoleRed {
+		if plain.Trees.Tree[i] != 0 {
 			continue
 		}
 		for j := 1; j < plain.Net.N(); j++ {
@@ -811,7 +811,7 @@ func TestRepairReattachesAroundDeadAggregator(t *testing.T) {
 	if out.Dead != 1 {
 		t.Fatalf("Dead = %d, want 1", out.Dead)
 	}
-	if err := repaired.Trees.Disjoint(); err != nil {
+	if err := repaired.Trees.Check(repaired.Net.N()); err != nil {
 		t.Fatalf("repair violated disjointness: %v", err)
 	}
 	// Graceful degradation accounting: with repair, nearly every planned
@@ -846,7 +846,7 @@ func TestChurnRepairPreservesDisjointness(t *testing.T) {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
 			totalRepairs += res.Outcomes[0].Repaired
-			if err := inst.Trees.Disjoint(); err != nil {
+			if err := inst.Trees.Check(net.N()); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
 		}

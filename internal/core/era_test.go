@@ -5,7 +5,6 @@ import (
 
 	"github.com/ipda-sim/ipda/internal/linksec"
 	"github.com/ipda-sim/ipda/internal/topology"
-	"github.com/ipda-sim/ipda/internal/tree"
 )
 
 // TestSliceNonceIdentityNeverRepeats is the by-construction half of the
@@ -55,10 +54,10 @@ func TestEraRekeyDistinctCiphertexts(t *testing.T) {
 		var src, dst topology.NodeID
 		for i := 1; i < in.Net.N() && dst == 0; i++ {
 			id := topology.NodeID(i)
-			if in.Trees.Role[id] != tree.RoleRed {
+			if in.Trees.Tree[id] != 0 {
 				continue
 			}
-			for _, nb := range in.Trees.RedNeighbors[id] {
+			for _, nb := range in.Trees.Heard[0][id] {
 				if nb != id && in.ciphers.HasKey(id, nb) {
 					src, dst = id, nb
 					break

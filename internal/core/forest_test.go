@@ -7,15 +7,16 @@ import (
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
+	"github.com/ipda-sim/ipda/internal/tree"
 )
 
 // handForest builds a three-tree forest over a 3×3 grid whose radius puts
 // every node in range of every other: nodes 1–2 aggregate on tree 0 (2
 // under 1), 3–4 on tree 1 (4 under 3), 5–6 on tree 2, and 7–9 are leaves.
-// Every node heard every aggregator but itself.
-func handForest(n int) Forest {
-	f := Forest{
-		Tree:   []int{Root, 0, 0, 1, 1, 2, 2, NoTree, NoTree, NoTree},
+// Every node heard the base station and every aggregator but itself.
+func handForest(n int) tree.Forest {
+	f := tree.Forest{
+		Tree:   []int{tree.Root, 0, 0, 1, 1, 2, 2, tree.NoTree, tree.NoTree, tree.NoTree},
 		Parent: []topology.NodeID{topology.None, 0, 1, 0, 3, 0, 0, topology.None, topology.None, topology.None},
 		Hop:    []uint16{0, 1, 2, 1, 2, 1, 1, 0, 0, 0},
 		Heard:  make([][][]topology.NodeID, 3),
@@ -24,7 +25,7 @@ func handForest(n int) Forest {
 		f.Heard[t] = make([][]topology.NodeID, n)
 		for i := 0; i < n; i++ {
 			for j, tj := range f.Tree {
-				if tj == t && j != i {
+				if (tj == t || tj == tree.Root) && j != i {
 					f.Heard[t][i] = append(f.Heard[t][i], topology.NodeID(j))
 				}
 			}
@@ -34,8 +35,8 @@ func handForest(n int) Forest {
 }
 
 // clone deep-copies the per-node slices a case mutates.
-func (f Forest) clone() Forest {
-	g := Forest{
+func clone(f tree.Forest) tree.Forest {
+	g := tree.Forest{
 		Tree:   append([]int(nil), f.Tree...),
 		Parent: append([]topology.NodeID(nil), f.Parent...),
 		Hop:    append([]uint16(nil), f.Hop...),
@@ -60,30 +61,30 @@ func TestDeployChecksForest(t *testing.T) {
 	valid := handForest(n)
 	cases := []struct {
 		name   string
-		mutate func(f *Forest)
+		mutate func(f *tree.Forest)
 	}{
-		{"one tree", func(f *Forest) { f.Heard = f.Heard[:1] }},
-		{"nine trees", func(f *Forest) {
+		{"one tree", func(f *tree.Forest) { f.Heard = f.Heard[:1] }},
+		{"nine trees", func(f *tree.Forest) {
 			for len(f.Heard) < 9 {
 				f.Heard = append(f.Heard, make([][]topology.NodeID, n))
 			}
 		}},
-		{"short tree slice", func(f *Forest) { f.Tree = f.Tree[:n-1] }},
-		{"short parent slice", func(f *Forest) { f.Parent = f.Parent[:n-1] }},
-		{"short hop slice", func(f *Forest) { f.Hop = f.Hop[:n-1] }},
-		{"short heard lists", func(f *Forest) { f.Heard[2] = f.Heard[2][:n-1] }},
-		{"tree index out of range", func(f *Forest) { f.Tree[2] = 3 }},
-		{"aggregator without parent", func(f *Forest) { f.Parent[2] = topology.None }},
-		{"parent outside deployment", func(f *Forest) { f.Parent[2] = topology.NodeID(n) }},
-		{"parent on another tree", func(f *Forest) { f.Parent[2] = 3 }},
-		{"leaf with parent", func(f *Forest) { f.Parent[7] = 1 }},
-		{"root with parent", func(f *Forest) { f.Parent[0] = 1 }},
+		{"short tree slice", func(f *tree.Forest) { f.Tree = f.Tree[:n-1] }},
+		{"short parent slice", func(f *tree.Forest) { f.Parent = f.Parent[:n-1] }},
+		{"short hop slice", func(f *tree.Forest) { f.Hop = f.Hop[:n-1] }},
+		{"short heard lists", func(f *tree.Forest) { f.Heard[2] = f.Heard[2][:n-1] }},
+		{"tree index out of range", func(f *tree.Forest) { f.Tree[2] = 3 }},
+		{"aggregator without parent", func(f *tree.Forest) { f.Parent[2] = topology.None }},
+		{"parent outside deployment", func(f *tree.Forest) { f.Parent[2] = topology.NodeID(n) }},
+		{"parent on another tree", func(f *tree.Forest) { f.Parent[2] = 3 }},
+		{"leaf with parent", func(f *tree.Forest) { f.Parent[7] = 1 }},
+		{"root with parent", func(f *tree.Forest) { f.Parent[0] = 1 }},
 	}
 	for _, c := range cases {
-		f := valid.clone()
+		f := clone(valid)
 		c.mutate(&f)
 		var in Instance
-		err := in.Deploy(net, cfg, 1, func(*rng.Stream) (Forest, error) { return f, nil })
+		err := in.Deploy(net, cfg, 1, 3, func(*rng.Stream) (*tree.Forest, error) { return &f, nil })
 		if err == nil {
 			t.Errorf("%s: malformed forest accepted", c.name)
 		} else if !strings.HasPrefix(err.Error(), "core: phase I produced overlapping trees") {
@@ -91,46 +92,66 @@ func TestDeployChecksForest(t *testing.T) {
 		}
 	}
 
-	// Repair and Coalesce assume Reset's two-tree phase I.
-	for _, opt := range []struct {
-		name string
-		set  func(c *Config)
-	}{
-		{"repair", func(c *Config) { c.Repair = true }},
-		{"coalesce", func(c *Config) { c.Coalesce = true }},
-	} {
-		c := cfg
-		opt.set(&c)
-		var in Instance
-		if err := in.Deploy(net, c, 1, func(*rng.Stream) (Forest, error) { return valid.clone(), nil }); err == nil {
-			t.Errorf("%s on a hand-built forest accepted", opt.name)
-		}
+	var in Instance
+	f := clone(valid)
+	if err := in.Deploy(net, cfg, 1, 2, func(*rng.Stream) (*tree.Forest, error) { return &f, nil }); err == nil {
+		t.Error("three-tree forest accepted for a two-tree deployment")
 	}
 
-	var in Instance
-	if err := in.Deploy(net, cfg, 1, func(*rng.Stream) (Forest, error) { return valid.clone(), nil }); err != nil {
-		t.Fatalf("valid forest rejected: %v", err)
-	}
-	contribs := make([]int64, n)
-	var want int64
-	for i := 1; i < n; i++ {
-		contribs[i] = int64(10 * i)
-		want += contribs[i]
-	}
-	out, totals, err := in.RunRound(contribs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Verdict(true)
-	if out.Participants != n-1 {
-		t.Fatalf("%d participants, want %d", out.Participants, n-1)
-	}
-	if len(totals) != 3 {
-		t.Fatalf("%d totals, want 3", len(totals))
-	}
-	for tr, got := range totals {
-		if got != want {
-			t.Errorf("tree %d total %d, want %d (totals %v)", tr, got, want, totals)
+	// The engine runs a well-formed forest under every option: plain,
+	// with a dead tree-0 aggregator repaired around, and coalesced. On the
+	// collision-free TDMA channel every tree total must equal the live
+	// sensors' contributions exactly.
+	for _, v := range []struct {
+		name   string
+		set    func(c *Config)
+		victim topology.NodeID
+	}{
+		{"plain", func(*Config) {}, topology.None},
+		{"repair", func(c *Config) { c.Repair = true }, 1},
+		{"coalesce", func(c *Config) { c.Coalesce = true }, topology.None},
+	} {
+		c := cfg
+		v.set(&c)
+		var in Instance
+		f := clone(valid)
+		if err := in.Deploy(net, c, 1, 3, func(*rng.Stream) (*tree.Forest, error) { return &f, nil }); err != nil {
+			t.Fatalf("%s: valid forest rejected: %v", v.name, err)
+		}
+		if v.victim != topology.None {
+			in.Kill(v.victim)
+		}
+		contribs := make([]int64, n)
+		var want int64
+		live := 0
+		for i := 1; i < n; i++ {
+			contribs[i] = int64(10 * i)
+			if topology.NodeID(i) != v.victim {
+				want += contribs[i]
+				live++
+			}
+		}
+		out, totals, err := in.RunRound(contribs)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		in.Verdict(true)
+		if out.Participants != live {
+			t.Fatalf("%s: %d participants, want %d", v.name, out.Participants, live)
+		}
+		if len(totals) != 3 {
+			t.Fatalf("%s: %d totals, want 3", v.name, len(totals))
+		}
+		for tr, got := range totals {
+			if got != want {
+				t.Errorf("%s: tree %d total %d, want %d (totals %v)", v.name, tr, got, want, totals)
+			}
+		}
+		if c.Repair && out.Repaired == 0 {
+			t.Errorf("%s: node 2 lost its parent but nothing was repaired", v.name)
+		}
+		if c.Coalesce && in.Medium.Stats().FramesCoalesced == 0 {
+			t.Errorf("%s: no coalesced frame went on the air", v.name)
 		}
 	}
 }
@@ -155,7 +176,7 @@ func TestSliceNoncesDistinctAcrossTrees(t *testing.T) {
 	cfg.Slices = 1
 	cfg.MAC.Scheme = mac.SchemeTDMA
 	var in Instance
-	if err := in.Deploy(net, cfg, 1, func(*rng.Stream) (Forest, error) { return f, nil }); err != nil {
+	if err := in.Deploy(net, cfg, 1, 3, func(*rng.Stream) (*tree.Forest, error) { return &f, nil }); err != nil {
 		t.Fatal(err)
 	}
 	contribs := make([]int64, n)
@@ -190,5 +211,33 @@ func TestSliceNoncesDistinctAcrossTrees(t *testing.T) {
 	}
 	if len(in.sealReqs) != len(f.Heard) {
 		t.Fatalf("%d slices to the base station, want one per tree (%d)", len(in.sealReqs), len(f.Heard))
+	}
+}
+
+// TestCoverageAndParticipationOnRealTrees checks the forest's Figure 8
+// fractions on a dense deployment, and participation against the engine's
+// own participant list.
+func TestCoverageAndParticipationOnRealTrees(t *testing.T) {
+	net, err := topology.Random(topology.PaperConfig(500), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := New(net, DefaultConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov := in.Trees.CoverageFraction()
+	part := in.Trees.ParticipationFraction(2)
+	if cov < 0.9 || cov > 1 {
+		t.Fatalf("coverage %v at N=500", cov)
+	}
+	if part > cov {
+		t.Fatalf("participation %v exceeds coverage %v", part, cov)
+	}
+	if part < 0.7 {
+		t.Fatalf("participation %v too low at N=500", part)
+	}
+	if want := float64(len(in.Participants())) / float64(net.N()-1); part != want {
+		t.Fatalf("ParticipationFraction %v != engine %v", part, want)
 	}
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"github.com/ipda-sim/ipda/internal/harness"
-	"github.com/ipda-sim/ipda/internal/metrics"
-	"github.com/ipda-sim/ipda/internal/tree"
 	"github.com/ipda-sim/ipda/internal/world"
 )
 
@@ -42,10 +40,10 @@ func KAblation(o Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		aggs := len(in.Trees.Aggregators(tree.RoleRed)) + len(in.Trees.Aggregators(tree.RoleBlue))
+		aggs := len(in.Trees.Aggregators(0)) + len(in.Trees.Aggregators(1))
 		aggFrac.Add(tr, float64(aggs)/float64(net.N()-1))
-		covered.Add(tr, metrics.CoverageFraction(in.Trees, net.N()))
-		part.Add(tr, metrics.ParticipationFraction(in.Trees, 2, net.N()))
+		covered.Add(tr, in.Trees.CoverageFraction())
+		part.Add(tr, in.Trees.ParticipationFraction(2))
 		bytes.Add(tr, float64(res.Outcomes[0].Bytes))
 		return nil
 	})
@@ -94,9 +92,9 @@ func AdaptiveAblation(o Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		aggs := len(in.Trees.Aggregators(tree.RoleRed)) + len(in.Trees.Aggregators(tree.RoleBlue))
+		aggs := len(in.Trees.Aggregators(0)) + len(in.Trees.Aggregators(1))
 		aggFrac.Add(tr, float64(aggs)/float64(net.N()-1))
-		covered.Add(tr, metrics.CoverageFraction(in.Trees, net.N()))
+		covered.Add(tr, in.Trees.CoverageFraction())
 		bytes.Add(tr, float64(res.Outcomes[0].Bytes))
 		return nil
 	})

@@ -21,7 +21,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/core"
 	"github.com/ipda-sim/ipda/internal/harness"
 	"github.com/ipda-sim/ipda/internal/mac"
-	"github.com/ipda-sim/ipda/internal/mtree"
 	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/qtrace"
 	"github.com/ipda-sim/ipda/internal/rng"
@@ -91,15 +90,6 @@ func (o Options) coreConfig() core.Config {
 // tagConfig is tag.DefaultConfig with the options' MAC scheme applied.
 func (o Options) tagConfig() tag.Config {
 	cfg := tag.DefaultConfig()
-	cfg.MAC.Scheme = o.MAC
-	return cfg
-}
-
-// mtreeConfig is mtree.DefaultConfig(m) with the options' MAC scheme
-// applied.
-func (o Options) mtreeConfig(m int) mtree.Config {
-	cfg := mtree.DefaultConfig(m)
-	cfg.MAC = mac.DefaultConfig()
 	cfg.MAC.Scheme = o.MAC
 	return cfg
 }

@@ -55,14 +55,14 @@ func Fig8(o Options) (*Table, error) {
 			}
 			acc := metrics.Accuracy(float64(q.Outcomes[0].Red), truth)
 			if l == 1 {
-				part1.Add(tr, metrics.ParticipationFraction(in.Trees, 1, net.N()))
+				part1.Add(tr, in.Trees.ParticipationFraction(1))
 				acc1.Add(tr, acc)
 			} else {
 				// Coverage and l=2 participation come from the same
 				// instance, so participation <= coverage holds exactly
 				// (CanSlice implies CoveredBoth).
-				covered.Add(tr, metrics.CoverageFraction(in.Trees, net.N()))
-				part2.Add(tr, metrics.ParticipationFraction(in.Trees, 2, net.N()))
+				covered.Add(tr, in.Trees.CoverageFraction())
+				part2.Add(tr, in.Trees.ParticipationFraction(2))
 				acc2.Add(tr, acc)
 			}
 		}

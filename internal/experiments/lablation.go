@@ -3,7 +3,6 @@ package experiments
 import (
 	"github.com/ipda-sim/ipda/internal/attack"
 	"github.com/ipda-sim/ipda/internal/harness"
-	"github.com/ipda-sim/ipda/internal/metrics"
 	"github.com/ipda-sim/ipda/internal/world"
 )
 
@@ -48,7 +47,7 @@ func LAblation(o Options) (*Table, error) {
 		}
 		disclosed.Add(tr, eav.DiscloseRate(in.Participants()))
 		bytes.Add(tr, float64(res.Outcomes[0].Bytes))
-		part.Add(tr, metrics.ParticipationFraction(in.Trees, l, net.N()))
+		part.Add(tr, in.Trees.ParticipationFraction(l))
 		return nil
 	})
 	if err != nil {

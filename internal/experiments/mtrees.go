@@ -40,21 +40,19 @@ func MTrees(o Options) (*Table, error) {
 		// The three m values run strictly one after another, so they can
 		// share a single arena slot.
 		for mi, m := range []int{2, 3, 4} {
-			cfg := o.mtreeConfig(m)
-			if m > cfg.K {
-				cfg.K = m
-			}
+			cfg := o.coreConfig()
+			cfg.Tree.K = max(cfg.Tree.K, m)
 			cfg.QTrace = tr.QTrace.Tracer([...]string{"m2", "m3", "m4"}[mi])
-			in, err := arena.MTree("mtrees", net, cfg, tr.Rng.Split(uint64(m)).Uint64())
+			in, err := arena.MTree("mtrees", net, cfg, m, tr.Rng.Split(uint64(m)).Uint64())
 			if err != nil {
 				return err
 			}
-			cov[mi].Add(tr, in.CoverageFraction())
+			cov[mi].Add(tr, in.Trees.CoverageFraction())
 			if m == 3 {
 				// Pollute one tree-0 aggregator and check the vote.
 				var attacker topology.NodeID = topology.None
 				for i := 1; i < net.N(); i++ {
-					if in.TreeOf[i] == 0 {
+					if in.Trees.Tree[i] == 0 {
 						attacker = topology.NodeID(i)
 						break
 					}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"github.com/ipda-sim/ipda/internal/harness"
-	"github.com/ipda-sim/ipda/internal/tree"
 	"github.com/ipda-sim/ipda/internal/world"
 )
 
@@ -35,7 +34,7 @@ func Pollution(o Options) (*Table, error) {
 			return err
 		}
 		if delta != 0 {
-			aggs := append(in.Trees.Aggregators(tree.RoleRed), in.Trees.Aggregators(tree.RoleBlue)...)
+			aggs := append(in.Trees.Aggregators(0), in.Trees.Aggregators(1)...)
 			if len(aggs) == 0 {
 				return nil // no aggregator to compromise: skip the trial
 			}
@@ -102,7 +101,7 @@ func ThSweep(o Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		aggs := append(in2.Trees.Aggregators(tree.RoleRed), in2.Trees.Aggregators(tree.RoleBlue)...)
+		aggs := append(in2.Trees.Aggregators(0), in2.Trees.Aggregators(1)...)
 		if len(aggs) == 0 {
 			return nil // no aggregator to compromise: skip the trial
 		}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/ipda-sim/ipda/internal/analysis"
 	"github.com/ipda-sim/ipda/internal/harness"
-	"github.com/ipda-sim/ipda/internal/metrics"
 	"github.com/ipda-sim/ipda/internal/topology"
 	"github.com/ipda-sim/ipda/internal/world"
 )
@@ -52,7 +51,7 @@ func CoverageBound(o Options) (*Table, error) {
 		degree.Add(tr, net.AvgDegree())
 		bound.Add(tr, analysis.CoverageLowerBound(degrees, 0.5, 0.5))
 		expected.Add(tr, analysis.ExpectedFullyCoveredFraction(degrees, 0.5, 0.5))
-		measured.Add(tr, metrics.CoverageFraction(in.Trees, net.N()))
+		measured.Add(tr, in.Trees.CoverageFraction())
 		return nil
 	})
 	if err != nil {

@@ -1,45 +1,10 @@
 // Package metrics computes the evaluation metrics of Section IV-B from
-// protocol state: tree coverage (Figure 8a), participation (Figure 8b),
-// aggregation accuracy (Figure 8c), and per-node traffic summaries
-// (Figure 7).
+// protocol outputs: aggregation accuracy (Figure 8c) and per-node traffic
+// summaries (Figure 7). Tree coverage and participation (Figures 8a and
+// 8b) are tree.Forest's CoverageFraction and ParticipationFraction.
 package metrics
 
-import (
-	"math"
-
-	"github.com/ipda-sim/ipda/internal/topology"
-	"github.com/ipda-sim/ipda/internal/tree"
-)
-
-// CoverageFraction returns the fraction of sensor nodes (excluding the
-// base station) reached by both aggregation trees — Figure 8(a).
-func CoverageFraction(trees *tree.Result, n int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	covered := 0
-	for i := 1; i < n; i++ {
-		if trees.CoveredBoth(topology.NodeID(i)) {
-			covered++
-		}
-	}
-	return float64(covered) / float64(n-1)
-}
-
-// ParticipationFraction returns the fraction of sensor nodes with enough
-// aggregator neighbors to send l slices per tree — Figure 8(b).
-func ParticipationFraction(trees *tree.Result, l, n int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	can := 0
-	for i := 1; i < n; i++ {
-		if trees.CanSlice(topology.NodeID(i), l) {
-			can++
-		}
-	}
-	return float64(can) / float64(n-1)
-}
+import "math"
 
 // Accuracy returns the paper's accuracy metric: the ratio of the collected
 // aggregate to the true aggregate over all sensors. 1.0 is lossless; the

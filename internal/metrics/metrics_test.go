@@ -3,11 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-
-	"github.com/ipda-sim/ipda/internal/core"
-	"github.com/ipda-sim/ipda/internal/rng"
-	"github.com/ipda-sim/ipda/internal/topology"
-	"github.com/ipda-sim/ipda/internal/tree"
 )
 
 func TestAccuracy(t *testing.T) {
@@ -51,60 +46,6 @@ func TestAccuracyNonFinite(t *testing.T) {
 	}
 }
 
-// baseOnly builds the degenerate tree state of a deployment with n nodes
-// where only the base station exists on either tree: every sensor is
-// Undecided with no audible aggregators.
-func baseOnly(n int) *tree.Result {
-	r := &tree.Result{
-		Role:          make([]tree.Role, n),
-		Parent:        make([]topology.NodeID, n),
-		Hop:           make([]uint16, n),
-		RedNeighbors:  make([][]topology.NodeID, n),
-		BlueNeighbors: make([][]topology.NodeID, n),
-	}
-	if n > 0 {
-		r.Role[0] = tree.RoleBase
-	}
-	return r
-}
-
-func TestCoverageParticipationDegenerate(t *testing.T) {
-	// n ≤ 1 must report full coverage/participation without touching the
-	// tree state at all — there are no sensors to miss.
-	for _, n := range []int{-1, 0, 1} {
-		if got := CoverageFraction(nil, n); got != 1 {
-			t.Fatalf("CoverageFraction(nil, %d) = %v, want 1", n, got)
-		}
-		if got := ParticipationFraction(nil, 2, n); got != 1 {
-			t.Fatalf("ParticipationFraction(nil, 2, %d) = %v, want 1", n, got)
-		}
-	}
-
-	// A base-station-only tree over real sensors covers nothing: every
-	// sensor is isolated from both trees.
-	r := baseOnly(5)
-	if got := CoverageFraction(r, 5); got != 0 {
-		t.Fatalf("base-only coverage = %v, want 0", got)
-	}
-	if got := ParticipationFraction(r, 2, 5); got != 0 {
-		t.Fatalf("base-only participation = %v, want 0", got)
-	}
-
-	// With the base station audible to one sensor on both colors, that
-	// sensor is covered, and participates exactly when l ≤ 1.
-	r.RedNeighbors[1] = []topology.NodeID{0}
-	r.BlueNeighbors[1] = []topology.NodeID{0}
-	if got := CoverageFraction(r, 5); got != 0.25 {
-		t.Fatalf("one-covered coverage = %v, want 0.25", got)
-	}
-	if got := ParticipationFraction(r, 1, 5); got != 0.25 {
-		t.Fatalf("participation l=1 = %v, want 0.25", got)
-	}
-	if got := ParticipationFraction(r, 2, 5); got != 0 {
-		t.Fatalf("participation l=2 = %v, want 0", got)
-	}
-}
-
 func TestTrueSumSkipsBaseStation(t *testing.T) {
 	if got := TrueSum([]int64{999, 1, 2, 3}); got != 6 {
 		t.Fatalf("TrueSum = %d", got)
@@ -120,36 +61,5 @@ func TestBytesPerNode(t *testing.T) {
 	}
 	if got := BytesPerNode(1000, 0); got != 0 {
 		t.Fatalf("BytesPerNode n=0 = %v", got)
-	}
-}
-
-func TestCoverageAndParticipationOnRealTrees(t *testing.T) {
-	net, err := topology.Random(topology.PaperConfig(500), rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := core.New(net, core.DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov := CoverageFraction(in.Trees, net.N())
-	part := ParticipationFraction(in.Trees, 2, net.N())
-	if cov < 0.9 || cov > 1 {
-		t.Fatalf("coverage %v at N=500", cov)
-	}
-	if part > cov {
-		t.Fatalf("participation %v exceeds coverage %v", part, cov)
-	}
-	if part < 0.7 {
-		t.Fatalf("participation %v too low at N=500", part)
-	}
-	// Participation must match the engine's own participant list.
-	want := float64(len(in.Participants())) / float64(net.N()-1)
-	if part != want {
-		t.Fatalf("ParticipationFraction %v != engine %v", part, want)
-	}
-	// Degenerate sizes.
-	if CoverageFraction(in.Trees, 1) != 1 || ParticipationFraction(in.Trees, 2, 1) != 1 {
-		t.Fatal("degenerate n not handled")
 	}
 }

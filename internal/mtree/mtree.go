@@ -22,183 +22,101 @@
 package mtree
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/ipda-sim/ipda/internal/core"
-	"github.com/ipda-sim/ipda/internal/eventsim"
 	"github.com/ipda-sim/ipda/internal/linksec"
-	"github.com/ipda-sim/ipda/internal/mac"
-	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/packet"
-	"github.com/ipda-sim/ipda/internal/qtrace"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 	"github.com/ipda-sim/ipda/internal/tree"
 )
 
-// NoTree marks leaves and undecided nodes, Root the base station.
-const (
-	NoTree = core.NoTree
-	Root   = core.Root
-)
-
-// Config parameterizes an m-tree instance.
-type Config struct {
-	// Trees is m, the number of node-disjoint aggregation trees (>= 2).
-	Trees int
-	// Slices is l, the slices sent to each tree.
-	Slices int
-	// Threshold is the per-pair agreement threshold for majority voting.
-	Threshold int64
-	// K is the aggregator budget of the generalized Equation (1).
-	K int
-	// DecisionDelay and Deadline bound Phase I; SliceWindow and AggSlot
-	// schedule Phases II and III as in the core protocol.
-	DecisionDelay eventsim.Time
-	Deadline      eventsim.Time
-	SliceWindow   eventsim.Time
-	AggSlot       eventsim.Time
-	// ShareSpread bounds slice magnitudes (0 = full ring).
-	ShareSpread int64
-	// MAC configures the link layer; the zero value selects
-	// mac.DefaultConfig(), so existing callers are unchanged.
-	MAC mac.Config
-	// Obs is the optional instrumentation sink (see core.Config.Obs).
-	Obs *obs.Sink
-	// QTrace is the optional causal per-query tracer (see
-	// core.Config.QTrace); nil disables tracing and never changes a run.
-	QTrace *qtrace.Tracer
-}
-
-// DefaultConfig returns m-tree defaults matching the core protocol's.
-func DefaultConfig(m int) Config {
-	return Config{
-		Trees:         m,
-		Slices:        2,
-		Threshold:     5,
-		K:             4,
-		DecisionDelay: 0.05,
-		Deadline:      10,
-		SliceWindow:   2.0,
-		AggSlot:       0.25,
-		ShareSpread:   4,
-	}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Trees < 2 || c.Trees > 8 {
-		return fmt.Errorf("mtree: Trees must be in [2, 8], got %d", c.Trees)
-	}
-	if c.Slices < 1 {
-		return fmt.Errorf("mtree: Slices must be >= 1, got %d", c.Slices)
-	}
-	if c.Threshold < 0 {
-		return fmt.Errorf("mtree: Threshold must be >= 0, got %d", c.Threshold)
-	}
-	if c.K < c.Trees {
-		return fmt.Errorf("mtree: K must be >= Trees, got %d < %d", c.K, c.Trees)
-	}
-	if c.DecisionDelay <= 0 || c.Deadline <= 0 || c.SliceWindow <= 0 || c.AggSlot <= 0 {
-		return fmt.Errorf("mtree: time parameters must be positive")
-	}
-	if c.ShareSpread < 0 {
-		return fmt.Errorf("mtree: ShareSpread must be >= 0")
-	}
-	return nil
-}
-
 // Instance is one deployed m-tree network: the generalized Phase I's
-// forest, run round by round by core's engine.
+// forest, run round by round by the embedded core engine. Everything but
+// the verdict is the engine's — Trees, Participants, Pollute, Kill,
+// Repair, Coalesce, Faults — and RunSum and RunCount replace its two-tree
+// check with majority voting.
 type Instance struct {
-	Net *topology.Network
-	Cfg Config
-
-	// TreeOf[i] is the tree node i aggregates on, NoTree, or Root for the
-	// base station.
-	TreeOf []int
-	// Parent and Hop describe each aggregator's position on its tree.
-	Parent []topology.NodeID
-	Hop    []uint16
-	// Heard[t][i] lists the tree-t aggregators node i heard during
-	// Phase I (slice-target candidates).
-	Heard [][][]topology.NodeID
-
-	eng core.Instance
+	core.Instance
 }
 
-// New deploys the instance and runs the generalized Phase I.
-func New(net *topology.Network, cfg Config, seed uint64) (*Instance, error) {
+// New deploys the instance with m trees and runs the generalized Phase I.
+func New(net *topology.Network, cfg core.Config, m int, seed uint64) (*Instance, error) {
 	in := &Instance{}
-	if err := in.Reset(net, cfg, seed); err != nil {
+	if err := in.Reset(net, cfg, m, seed); err != nil {
 		return nil, err
 	}
 	return in, nil
 }
 
-// Reset re-deploys the instance over net exactly as New(net, cfg, seed)
+// Reset re-deploys the instance over net exactly as New(net, cfg, m, seed)
 // would, reusing the engine's simulator, medium, MAC tables, cipher pool,
-// and round buffers. Prior results are invalidated.
-func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error {
-	if err := cfg.Validate(); err != nil {
-		return err
+// and round buffers. Prior results are invalidated. The generalized flood
+// implements only Equation (1), so cfg.Tree.Adaptive must be set, and
+// cfg.Tree.K must be at least m. A nil cfg.Keys selects a pairwise scheme
+// keyed apart from core's default.
+func (in *Instance) Reset(net *topology.Network, cfg core.Config, m int, seed uint64) error {
+	switch {
+	case m < 2 || m > tree.MaxTrees:
+		return fmt.Errorf("mtree: tree count must be in [2, %d], got %d", tree.MaxTrees, m)
+	case cfg.Tree.K < m:
+		return fmt.Errorf("mtree: K must be >= the tree count, got %d < %d", cfg.Tree.K, m)
+	case !cfg.Tree.Adaptive:
+		return errors.New("mtree: Tree.Adaptive=false is unsupported: the m-tree flood implements only Equation (1)")
 	}
-	macCfg := cfg.MAC
-	if macCfg == (mac.Config{}) {
-		macCfg = mac.DefaultConfig()
+	if cfg.Keys == nil {
+		cfg.Keys = linksec.NewPairwise(seed ^ 0x6d74726565)
 	}
-	in.Net = net
-	in.Cfg = cfg
-	return in.eng.Deploy(net, core.Config{
-		Slices:      cfg.Slices,
-		Threshold:   cfg.Threshold,
-		Tree:        tree.Config{K: cfg.K, Adaptive: true, DecisionDelay: cfg.DecisionDelay, Deadline: cfg.Deadline},
-		MAC:         macCfg,
-		Keys:        linksec.NewPairwise(seed ^ 0x6d74726565),
-		SliceWindow: cfg.SliceWindow,
-		AggSlot:     cfg.AggSlot,
-		ShareSpread: cfg.ShareSpread,
-		Obs:         cfg.Obs,
-		QTrace:      cfg.QTrace,
-	}, seed, in.buildTrees)
+	return in.Deploy(net, cfg, seed, m, func(root *rng.Stream) (*tree.Forest, error) {
+		return in.buildTrees(root, m)
+	})
 }
 
 // buildTrees runs the generalized Phase I flood on the engine's freshly
-// reset radio stack and returns its forest.
-func (in *Instance) buildTrees(root *rng.Stream) (core.Forest, error) {
-	sim, link := in.eng.Sim, in.eng.MAC
+// reset radio stack and returns its m-tree forest. Like package tree's
+// two-tree flood, every base station starts every tree at hop 0, and
+// disabled nodes stay silent and undecided.
+func (in *Instance) buildTrees(root *rng.Stream, m int) (*tree.Forest, error) {
+	sim, link, cfg := in.Sim, in.MAC, &in.Cfg
 	roleRand := root.Split(2)
 	n := in.Net.N()
-	m := in.Cfg.Trees
-	in.TreeOf = make([]int, n)
-	in.Parent = make([]topology.NodeID, n)
-	in.Hop = make([]uint16, n)
-	in.Heard = make([][][]topology.NodeID, m)
-	for t := range in.Heard {
-		in.Heard[t] = make([][]topology.NodeID, n)
+	f := &tree.Forest{
+		Tree:   make([]int, n),
+		Parent: make([]topology.NodeID, n),
+		Hop:    make([]uint16, n),
+		Heard:  make([][][]topology.NodeID, m),
 	}
-	type state struct {
-		minHop  []uint16
-		parent  []topology.NodeID
-		armed   bool
-		decided bool
+	for t := range f.Heard {
+		f.Heard[t] = make([][]topology.NodeID, n)
 	}
-	states := make([]*state, n)
-	for i := range states {
-		in.TreeOf[i] = NoTree
-		in.Parent[i] = topology.None
-		st := &state{
-			minHop: make([]uint16, m),
-			parent: make([]topology.NodeID, m),
+	// Per node and tree (index node·m + tree): the lowest-hop HELLO sender
+	// heard and its hop.
+	best := make([]topology.NodeID, n*m)
+	minHop := make([]uint16, n*m)
+	armed := make([]bool, n)
+	decided := make([]bool, n)
+	for i := range f.Tree {
+		f.Tree[i] = tree.NoTree
+		f.Parent[i] = topology.None
+	}
+	for i := range best {
+		best[i] = topology.None
+	}
+	roots := []topology.NodeID{0}
+	for _, r := range cfg.ExtraRoots {
+		if r <= 0 || int(r) >= n {
+			return nil, fmt.Errorf("mtree: extra root %d out of range", r)
 		}
-		for t := range st.parent {
-			st.parent[t] = topology.None
-		}
-		states[i] = st
+		roots = append(roots, r)
 	}
-	in.TreeOf[0] = Root
-	states[0].decided = true
+	for _, r := range roots {
+		f.Tree[r] = tree.Root
+		decided[r] = true
+	}
 
 	sendHello := func(src topology.NodeID, t int, hop uint16) {
 		link.Send(src, &packet.Packet{
@@ -209,138 +127,82 @@ func (in *Instance) buildTrees(root *rng.Stream) (core.Forest, error) {
 	}
 
 	decide := func(id topology.NodeID) {
-		st := states[id]
-		if st.decided {
+		if decided[id] {
 			return
 		}
-		st.decided = true
+		decided[id] = true
 		total := 0
-		for t := 0; t < m; t++ {
-			total += len(in.Heard[t][id])
+		for t := range f.Heard {
+			total += len(f.Heard[t][id])
 		}
 		p := 1.0
-		if total > in.Cfg.K {
-			p = float64(in.Cfg.K) / float64(total)
+		if total > cfg.Tree.K {
+			p = float64(cfg.Tree.K) / float64(total)
 		}
 		if !roleRand.Bool(p) {
 			return // leaf
 		}
-		// Join an under-represented tree: weight (total - N_t).
-		weights := make([]float64, m)
-		sum := 0.0
-		for t := 0; t < m; t++ {
-			w := float64(total - len(in.Heard[t][id]))
-			if m == 1 || w <= 0 {
-				w = 1
-			}
-			weights[t] = w
-			sum += w
-		}
-		u := roleRand.Float64() * sum
+		// Join an under-represented tree: tree t weighs total − N_t, and
+		// the weights sum to (m − 1)·total.
+		u := roleRand.Float64() * float64((m-1)*total)
 		choice := 0
-		for t := 0; t < m; t++ {
-			u -= weights[t]
+		for t := range f.Heard {
+			u -= float64(total - len(f.Heard[t][id]))
 			if u < 0 {
 				choice = t
 				break
 			}
 		}
-		in.TreeOf[id] = choice
-		in.Parent[id] = states[id].parent[choice]
-		in.Hop[id] = states[id].minHop[choice] + 1
-		sendHello(id, choice, in.Hop[id])
+		k := int(id)*m + choice
+		f.Tree[id], f.Parent[id], f.Hop[id] = choice, best[k], minHop[k]+1
+		sendHello(id, choice, f.Hop[id])
 	}
 
 	onHello := func(self topology.NodeID, p *packet.Packet) {
+		if len(cfg.Disabled) > int(self) && cfg.Disabled[self] {
+			return
+		}
 		t := p.Color.Tree()
 		if t < 0 || t >= m {
 			return
 		}
-		st := states[self]
 		src := topology.NodeID(p.Src)
-		already := false
-		for _, h := range in.Heard[t][self] {
-			if h == src {
-				already = true
-				break
+		if !slices.Contains(f.Heard[t][self], src) {
+			f.Heard[t][self] = append(f.Heard[t][self], src)
+			if k := int(self)*m + t; best[k] == topology.None || p.Hop < minHop[k] {
+				best[k], minHop[k] = src, p.Hop
 			}
 		}
-		if !already {
-			in.Heard[t][self] = append(in.Heard[t][self], src)
-			if st.parent[t] == topology.None || p.Hop < st.minHop[t] {
-				st.parent[t], st.minHop[t] = src, p.Hop
-			}
-		}
-		if self == 0 || st.decided || st.armed {
+		if decided[self] || armed[self] {
 			return
 		}
-		for tt := 0; tt < m; tt++ {
-			if len(in.Heard[tt][self]) == 0 {
+		for tt := range f.Heard {
+			if len(f.Heard[tt][self]) == 0 {
 				return
 			}
 		}
-		st.armed = true
-		sim.After(in.Cfg.DecisionDelay, func() { decide(self) })
+		armed[self] = true
+		sim.After(cfg.Tree.DecisionDelay, func() { decide(self) })
 	}
 
-	for i := 0; i < n; i++ {
-		link.SetHandler(topology.NodeID(i), func(self topology.NodeID, p *packet.Packet) {
-			if p.Kind == packet.KindHello {
-				onHello(self, p)
-			}
-		})
+	handler := func(self topology.NodeID, p *packet.Packet) {
+		if p.Kind == packet.KindHello {
+			onHello(self, p)
+		}
 	}
-	// The base station roots every tree.
+	for i := 0; i < n; i++ {
+		link.SetHandler(topology.NodeID(i), handler)
+	}
 	sim.After(0, func() {
-		for t := 0; t < m; t++ {
-			sendHello(0, t, 0)
+		for _, r := range roots {
+			for t := 0; t < m; t++ {
+				sendHello(r, t, 0)
+			}
 		}
 	})
-	sim.Run(sim.Now() + in.Cfg.Deadline)
-	return core.Forest{Tree: in.TreeOf, Parent: in.Parent, Hop: in.Hop, Heard: in.Heard}, nil
+	sim.Run(sim.Now() + cfg.Tree.Deadline)
+	return f, nil
 }
-
-// CoveredAll reports whether node id heard aggregators of every tree.
-func (in *Instance) CoveredAll(id topology.NodeID) bool {
-	for t := 0; t < in.Cfg.Trees; t++ {
-		count := len(in.Heard[t][id])
-		if in.TreeOf[id] == t {
-			count++
-		}
-		if count == 0 && id != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// CanSlice reports whether node id has l targets on every tree.
-func (in *Instance) CanSlice(id topology.NodeID) bool { return in.eng.CanSlice(id) }
-
-// CoverageFraction returns the fraction of sensors covered by all m trees.
-func (in *Instance) CoverageFraction() float64 {
-	n := in.Net.N()
-	if n <= 1 {
-		return 1
-	}
-	c := 0
-	for i := 1; i < n; i++ {
-		if in.CoveredAll(topology.NodeID(i)) {
-			c++
-		}
-	}
-	return float64(c) / float64(n-1)
-}
-
-// Participants returns the sensors able to slice to all trees.
-func (in *Instance) Participants() []topology.NodeID { return in.eng.Participants() }
-
-// Pollute turns node id into a pollution attacker adding delta when it
-// forwards a partial sum; 0 removes it.
-func (in *Instance) Pollute(id topology.NodeID, delta int64) { in.eng.Pollute(id, delta) }
-
-// Rounds returns the cumulative aggregation rounds run since Reset.
-func (in *Instance) Rounds() uint64 { return in.eng.Rounds() }
 
 // Verdict is the base station's majority decision over the m tree totals.
 type Verdict struct {
@@ -414,12 +276,12 @@ func (in *Instance) RunSum(readings []int64) (Verdict, error) {
 	if len(readings) != in.Net.N() {
 		return Verdict{}, fmt.Errorf("mtree: %d readings for %d nodes", len(readings), in.Net.N())
 	}
-	_, totals, err := in.eng.RunRound(readings)
+	_, totals, err := in.RunRound(readings)
 	if err != nil {
 		return Verdict{}, err
 	}
 	v := majorityVerdict(append([]int64(nil), totals...), in.Cfg.Threshold)
-	in.eng.Verdict(v.Accepted)
+	in.Verdict(v.Accepted)
 	if in.Cfg.Obs != nil && in.Cfg.Obs.Reg != nil {
 		in.Cfg.Obs.Reg.Counter("ipda_mtree_outlier_trees_total",
 			"trees voted outside the majority cluster").Add(float64(len(v.Outliers)))

@@ -4,10 +4,19 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/ipda-sim/ipda/internal/core"
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 )
+
+// config is core's default configuration with the aggregator budget K
+// raised to at least m.
+func config(m int) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Tree.K = max(cfg.Tree.K, m)
+	return cfg
+}
 
 // deploy builds an m-tree instance on a dense deployment (m > 2 needs
 // density, as the paper warns).
@@ -17,11 +26,7 @@ func deploy(t *testing.T, nodes, m int, seed uint64) *Instance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(m)
-	if m > cfg.K {
-		cfg.K = m
-	}
-	in, err := New(net, cfg, seed+77)
+	in, err := New(net, config(m), m, seed+77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +65,10 @@ func TestThreeTreesCleanRound(t *testing.T) {
 func TestTreesAreDisjoint(t *testing.T) {
 	for _, m := range []int{2, 3, 4} {
 		in := deploy(t, 600, m, uint64(m)*13)
-		// checkDisjoint ran inside New; re-verify the role structure: a
-		// node appears on at most one tree by construction of TreeOf.
+		// Deploy checked the forest; every tree must also be populated.
 		counts := make([]int, m)
 		for i := 1; i < in.Net.N(); i++ {
-			if tr := in.TreeOf[i]; tr != NoTree {
+			if tr := in.Trees.Tree[i]; tr >= 0 {
 				counts[tr]++
 			}
 		}
@@ -79,7 +83,7 @@ func TestTreesAreDisjoint(t *testing.T) {
 func TestCoverageDropsWithMoreTrees(t *testing.T) {
 	// The paper's density warning: at fixed density, covering all m trees
 	// gets harder as m grows.
-	cov := func(m int) float64 { return deploy(t, 400, m, 99).CoverageFraction() }
+	cov := func(m int) float64 { return deploy(t, 400, m, 99).Trees.CoverageFraction() }
 	c2, c4 := cov(2), cov(4)
 	if c4 > c2 {
 		t.Fatalf("coverage m=4 (%v) above m=2 (%v)", c4, c2)
@@ -94,7 +98,7 @@ func TestSinglePolluterOutvoted(t *testing.T) {
 	// Make one aggregator of tree 0 malicious.
 	var attacker topology.NodeID = topology.None
 	for i := 1; i < in.Net.N(); i++ {
-		if in.TreeOf[i] == 0 {
+		if in.Trees.Tree[i] == 0 {
 			attacker = topology.NodeID(i)
 			break
 		}
@@ -127,7 +131,7 @@ func TestCollusionDefeatsTwoTreesButNotThree(t *testing.T) {
 	in2 := deploy(t, 600, 2, 5)
 	var a0, a1 topology.NodeID = topology.None, topology.None
 	for i := 1; i < in2.Net.N(); i++ {
-		switch in2.TreeOf[i] {
+		switch in2.Trees.Tree[i] {
 		case 0:
 			if a0 == topology.None {
 				a0 = topology.NodeID(i)
@@ -158,7 +162,7 @@ func TestCollusionDefeatsTwoTreesButNotThree(t *testing.T) {
 	in3 := deploy(t, 600, 3, 6)
 	var b0, b1 topology.NodeID = topology.None, topology.None
 	for i := 1; i < in3.Net.N(); i++ {
-		switch in3.TreeOf[i] {
+		switch in3.Trees.Tree[i] {
 		case 0:
 			if b0 == topology.None {
 				b0 = topology.NodeID(i)
@@ -211,15 +215,15 @@ func TestFivePoint_TwoColludersOutvotedByThreeHonestTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(5)
-	cfg.K = 8
-	in, err := New(net, cfg, 9)
+	cfg := core.DefaultConfig()
+	cfg.Tree.K = 8
+	in, err := New(net, cfg, 5, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var c0, c1 topology.NodeID = topology.None, topology.None
 	for i := 1; i < in.Net.N(); i++ {
-		switch in.TreeOf[i] {
+		switch in.Trees.Tree[i] {
 		case 0:
 			if c0 == topology.None {
 				c0 = topology.NodeID(i)
@@ -353,15 +357,26 @@ func quickCheck(n int, prop func() bool) error {
 
 func TestConfigValidation(t *testing.T) {
 	net, _ := topology.Grid(3, 20, 50)
-	bad := []Config{
-		DefaultConfig(1),
-		DefaultConfig(9),
-		{Trees: 2, Slices: 0, Threshold: 5, K: 4, DecisionDelay: 1, Deadline: 1, SliceWindow: 1, AggSlot: 1},
-		{Trees: 4, Slices: 2, Threshold: 5, K: 3, DecisionDelay: 1, Deadline: 1, SliceWindow: 1, AggSlot: 1},
+	noSlices := config(2)
+	noSlices.Slices = 0
+	fixed := config(2)
+	fixed.Tree.Adaptive = false
+	smallK := config(4)
+	smallK.Tree.K = 3
+	bad := []struct {
+		name string
+		cfg  core.Config
+		m    int
+	}{
+		{"one tree", config(1), 1},
+		{"nine trees", config(9), 9},
+		{"no slices", noSlices, 2},
+		{"K below m", smallK, 4},
+		{"Equation (2)", fixed, 2},
 	}
-	for i, cfg := range bad {
-		if _, err := New(net, cfg, 1); err == nil {
-			t.Fatalf("config %d accepted", i)
+	for _, c := range bad {
+		if _, err := New(net, c.cfg, c.m, 1); err == nil {
+			t.Fatalf("%s: config accepted", c.name)
 		}
 	}
 }
@@ -369,7 +384,7 @@ func TestConfigValidation(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	run := func() []int64 {
 		net, _ := topology.Random(topology.PaperConfig(300), rng.New(42))
-		in, err := New(net, DefaultConfig(3), 43)
+		in, err := New(net, config(3), 3, 43)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,10 +413,9 @@ func TestExactTotalsUnderTDMA(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := DefaultConfig(m)
-			cfg.MAC = mac.DefaultConfig()
+			cfg := config(m)
 			cfg.MAC.Scheme = mac.SchemeTDMA
-			in, err := New(net, cfg, seed+77)
+			in, err := New(net, cfg, m, seed+77)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,8 +70,8 @@ func (w *nonceWatch) add(a, b topology.NodeID, nonce uint32, s wireSeal) {
 // TestSliceNoncesUniqueOnTheWire checks nonce uniqueness where it matters:
 // on the air, for every slice any node hears, across the protocol's
 // framings — per-slice CSMA frames on two trees, m = 3 trees, coalesced
-// multi-slice frames, and repaired trees under churn — over several
-// COUNT and SUM rounds each.
+// multi-slice frames, and repaired trees under churn, the last two at both
+// m = 2 and m = 3 — over several COUNT and SUM rounds each.
 func TestSliceNoncesUniqueOnTheWire(t *testing.T) {
 	network := func(nodes int, seed uint64) *topology.Network {
 		net, err := topology.Random(topology.PaperConfig(nodes), rng.New(seed))
@@ -110,6 +110,35 @@ func TestSliceNoncesUniqueOnTheWire(t *testing.T) {
 		return w
 	}
 
+	// mtreeRounds is coreRounds for an m = 3 deployment. Its COUNT rounds
+	// run on the engine directly, whose outcome carries the repair tally.
+	mtreeRounds := func(t *testing.T, cfg core.Config, nodes int, seed uint64, rounds int) *nonceWatch {
+		in, err := New(network(nodes, seed), cfg, 3, seed+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := watchNonces(t, in.Medium)
+		ones := make([]int64, in.Net.N())
+		for i := range ones {
+			ones[i] = 1
+		}
+		repaired := 0
+		for r := 0; r < rounds; r++ {
+			out, _, err := in.RunRound(ones)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repaired += out.Repaired
+			if _, err := in.RunSum(readings(in.Net.N())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cfg.Repair && repaired == 0 {
+			t.Fatal("churn schedule triggered no repairs")
+		}
+		return w
+	}
+
 	t.Run("csma", func(t *testing.T) {
 		w := coreRounds(t, core.DefaultConfig(), 400, 11, 2)
 		if len(w.seen) == 0 {
@@ -118,7 +147,7 @@ func TestSliceNoncesUniqueOnTheWire(t *testing.T) {
 	})
 	t.Run("mtree3", func(t *testing.T) {
 		in := deploy(t, 600, 3, 2)
-		w := watchNonces(t, in.eng.Medium)
+		w := watchNonces(t, in.Medium)
 		for r := 0; r < 2; r++ {
 			if _, err := in.RunCount(); err != nil {
 				t.Fatal(err)
@@ -144,6 +173,23 @@ func TestSliceNoncesUniqueOnTheWire(t *testing.T) {
 		cfg.Repair = true
 		cfg.Faults = &fault.Config{CrashRate: 0.05, RecoverRate: 0.25, Seed: 17}
 		w := coreRounds(t, cfg, 400, 13, 4)
+		if len(w.seen) == 0 {
+			t.Fatal("no slices heard")
+		}
+	})
+	t.Run("mtree3-coalesce", func(t *testing.T) {
+		cfg := config(3)
+		cfg.Coalesce = true
+		w := mtreeRounds(t, cfg, 600, 14, 2)
+		if w.entries == 0 {
+			t.Fatal("no coalesced slices heard")
+		}
+	})
+	t.Run("mtree3-churn-repair", func(t *testing.T) {
+		cfg := config(3)
+		cfg.Repair = true
+		cfg.Faults = &fault.Config{CrashRate: 0.05, RecoverRate: 0.25, Seed: 18}
+		w := mtreeRounds(t, cfg, 600, 15, 4)
 		if len(w.seen) == 0 {
 			t.Fatal("no slices heard")
 		}

@@ -222,7 +222,7 @@ func TestChurnSpansEpochBoundaries(t *testing.T) {
 	var agg, leaf topology.NodeID
 	for i := 1; i < probe.Net.N() && agg == 0; i++ {
 		id := topology.NodeID(i)
-		if probe.Trees.Role[id] != tree.RoleRed {
+		if probe.Trees.Tree[id] != 0 {
 			continue
 		}
 		for j := 1; j < probe.Net.N(); j++ {
@@ -236,7 +236,7 @@ func TestChurnSpansEpochBoundaries(t *testing.T) {
 		t.Skip("no red aggregator with children")
 	}
 	for i := 1; i < probe.Net.N(); i++ {
-		if id := topology.NodeID(i); id != agg && probe.Trees.Role[id] != tree.RoleBase {
+		if id := topology.NodeID(i); id != agg && probe.Trees.Tree[id] != tree.Root {
 			leaf = id
 			break
 		}
@@ -303,7 +303,7 @@ func TestChurnSpansEpochBoundaries(t *testing.T) {
 	if repairs == 0 {
 		t.Fatal("schedule killed an aggregator with children yet repair never engaged (no re-attachments, no skips)")
 	}
-	if err := in.Trees.Disjoint(); err != nil {
+	if err := in.Trees.Check(in.Net.N()); err != nil {
 		t.Fatalf("trees not disjoint after churn run: %v", err)
 	}
 	if res.Accepted < len(res.Queries)*2/3 {

@@ -1,0 +1,133 @@
+package tree
+
+import (
+	"testing"
+
+	"github.com/ipda-sim/ipda/internal/eventsim"
+	"github.com/ipda-sim/ipda/internal/mac"
+	"github.com/ipda-sim/ipda/internal/obs"
+	"github.com/ipda-sim/ipda/internal/radio"
+	"github.com/ipda-sim/ipda/internal/rng"
+	"github.com/ipda-sim/ipda/internal/topology"
+)
+
+// baseOnly builds the degenerate forest of an n-node deployment where
+// only the base station exists on either tree: every sensor is undecided
+// with no audible aggregators.
+func baseOnly(n int) *Forest {
+	f := &Forest{
+		Tree:   make([]int, n),
+		Parent: make([]topology.NodeID, n),
+		Hop:    make([]uint16, n),
+		Heard:  [][][]topology.NodeID{make([][]topology.NodeID, n), make([][]topology.NodeID, n)},
+	}
+	for i := range f.Tree {
+		f.Tree[i] = NoTree
+		f.Parent[i] = topology.None
+	}
+	if n > 0 {
+		f.Tree[0] = Root
+	}
+	return f
+}
+
+func TestCoverageParticipationDegenerate(t *testing.T) {
+	// With no sensors there is nothing to miss: full coverage and
+	// participation.
+	for _, n := range []int{0, 1} {
+		f := baseOnly(n)
+		if got := f.CoverageFraction(); got != 1 {
+			t.Fatalf("CoverageFraction over %d nodes = %v, want 1", n, got)
+		}
+		if got := f.ParticipationFraction(2); got != 1 {
+			t.Fatalf("ParticipationFraction(2) over %d nodes = %v, want 1", n, got)
+		}
+	}
+
+	// A base-station-only forest over real sensors covers nothing: every
+	// sensor is isolated from both trees.
+	f := baseOnly(5)
+	if got := f.CoverageFraction(); got != 0 {
+		t.Fatalf("base-only coverage = %v, want 0", got)
+	}
+	if got := f.ParticipationFraction(2); got != 0 {
+		t.Fatalf("base-only participation = %v, want 0", got)
+	}
+
+	// With the base station audible to one sensor on both trees, that
+	// sensor is covered, and participates exactly when l ≤ 1.
+	f.Heard[0][1] = []topology.NodeID{0}
+	f.Heard[1][1] = []topology.NodeID{0}
+	if got := f.CoverageFraction(); got != 0.25 {
+		t.Fatalf("one-covered coverage = %v, want 0.25", got)
+	}
+	if got := f.ParticipationFraction(1); got != 0.25 {
+		t.Fatalf("participation l=1 = %v, want 0.25", got)
+	}
+	if got := f.ParticipationFraction(2); got != 0 {
+		t.Fatalf("participation l=2 = %v, want 0", got)
+	}
+
+	// An extra base station counts as covered and able to slice, whatever
+	// it heard.
+	f.Tree[4] = Root
+	if !f.Covered(4) || !f.CanSlice(4, 5) {
+		t.Fatal("extra base station not covered")
+	}
+	if got := f.CoverageFraction(); got != 0.5 {
+		t.Fatalf("coverage with an extra root = %v, want 0.5", got)
+	}
+}
+
+// TestRoleCountsSumToSensors: ipda_tree_roles_total labels every sensor
+// exactly once. On a sparse deployment, where about half the sensors never
+// hear both colors, the undecided label must count them: red + blue +
+// leaf + undecided equals the node count less the base stations, and each
+// label matches the forest.
+func TestRoleCountsSumToSensors(t *testing.T) {
+	r := rng.New(43)
+	net, err := topology.Random(topology.PaperConfig(200), r.Split(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := eventsim.New()
+	medium := radio.New(sim, net, radio.PaperRate)
+	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
+	cfg := DefaultConfig()
+	cfg.ExtraRoots = []topology.NodeID{7}
+	cfg.Obs = obs.NewSink()
+	// Build twice on one Builder: counts accumulate across builds, and the
+	// second build must add exactly the same tallies as the first.
+	var b Builder
+	for pass := 1; pass <= 2; pass++ {
+		sim.Reset()
+		medium.Reset(net)
+		m.Reset(net.N(), mac.DefaultConfig(), r.Split(1))
+		f, err := b.Build(sim, m, net, cfg, r.Split(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := func(role string) int {
+			v := cfg.Obs.Reg.Counter("ipda_tree_roles_total", "", obs.Label{Name: "role", Value: role}).Value()
+			return int(v) / pass
+		}
+		red, blue, leaf, undecided := count("red"), count("blue"), count("leaf"), count("undecided")
+		roots := 1 + len(cfg.ExtraRoots)
+		if sum := red + blue + leaf + undecided; sum != net.N()-roots {
+			t.Fatalf("pass %d: red %d + blue %d + leaf %d + undecided %d = %d, want %d sensors",
+				pass, red, blue, leaf, undecided, sum, net.N()-roots)
+		}
+		if red != len(f.Aggregators(0)) || blue != len(f.Aggregators(1)) {
+			t.Fatalf("pass %d: counted %d red, %d blue; forest has %d, %d", pass, red, blue, len(f.Aggregators(0)), len(f.Aggregators(1)))
+		}
+		uncovered := 0
+		for i := range f.Tree {
+			if !f.Covered(topology.NodeID(i)) {
+				uncovered++
+			}
+		}
+		if undecided < uncovered || uncovered == 0 {
+			t.Fatalf("pass %d: %d undecided for %d uncovered sensors", pass, undecided, uncovered)
+		}
+	}
+}

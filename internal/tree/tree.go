@@ -19,6 +19,10 @@
 //	pb = p · Nred/(Nred+Nblue)
 //
 // or the simplified fixed rule pr = pb = 0.5 (Equation 2).
+//
+// Phase I's outcome is a Forest, the one tree representation of the
+// simulator: package mtree's m-tree flood builds the same type, and the
+// forest answers coverage, participation and repair for any tree count.
 package tree
 
 import (
@@ -32,52 +36,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 )
-
-// Role is a node's Phase I outcome.
-type Role uint8
-
-const (
-	// RoleUndecided marks nodes that never heard both tree colors; they do
-	// not participate in aggregation.
-	RoleUndecided Role = iota
-	// RoleLeaf nodes report data but never aggregate or forward.
-	RoleLeaf
-	// RoleRed nodes aggregate on the red tree.
-	RoleRed
-	// RoleBlue nodes aggregate on the blue tree.
-	RoleBlue
-	// RoleBase is the base station, root of both trees.
-	RoleBase
-)
-
-func (r Role) String() string {
-	switch r {
-	case RoleUndecided:
-		return "undecided"
-	case RoleLeaf:
-		return "leaf"
-	case RoleRed:
-		return "red"
-	case RoleBlue:
-		return "blue"
-	case RoleBase:
-		return "base"
-	default:
-		return fmt.Sprintf("Role(%d)", uint8(r))
-	}
-}
-
-// Color returns the tree color of an aggregator role, or packet.NoColor.
-func (r Role) Color() packet.Color {
-	switch r {
-	case RoleRed:
-		return packet.Red
-	case RoleBlue:
-		return packet.Blue
-	default:
-		return packet.NoColor
-	}
-}
 
 // Config are Phase I parameters.
 type Config struct {
@@ -101,10 +59,9 @@ type Config struct {
 	// Every root floods both colors at hop 0 and collects aggregation
 	// results; nodes attach to whichever root's flood reaches them first.
 	ExtraRoots []topology.NodeID
-	// Obs is the optional instrumentation sink: role counters, a
-	// tree-construction span with nested red/blue flood spans, and
-	// per-node role-decision instants. Nil disables instrumentation;
-	// observing never alters the constructed trees.
+	// Obs is the optional instrumentation sink: it counts role decisions
+	// in ipda_tree_roles_total. Nil disables instrumentation; observing
+	// never alters the constructed trees.
 	Obs *obs.Sink
 }
 
@@ -124,95 +81,127 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result is the outcome of Phase I.
-type Result struct {
-	// Role per node; node 0 is RoleBase.
-	Role []Role
-	// Parent per node: the aggregation-tree parent of each aggregator,
-	// topology.None for the base station, leaves and undecided nodes.
+// Tree-index markers of Forest.Tree.
+const (
+	// NoTree marks a node that aggregates on no tree: a leaf, or a node
+	// Phase I never reached.
+	NoTree = -1
+	// Root marks a base station, the root of every tree.
+	Root = -2
+)
+
+// MaxTrees is the most trees a Forest may hold.
+const MaxTrees = 8
+
+// Forest is the outcome of Phase I: m node-disjoint aggregation trees over
+// the deployment. Tree t goes on the air as packet.TreeColor(t), so trees
+// 0 and 1 are the paper's red and blue. Disjointness is structural: each
+// node carries one tree index.
+type Forest struct {
+	// Tree is, per node, the tree it aggregates on, NoTree, or Root.
+	Tree []int
+	// Parent is, per node, its tree parent: topology.None for base
+	// stations and non-aggregators.
 	Parent []topology.NodeID
-	// Hop per node: tree depth of each aggregator (0 for the base
-	// station); 0 for non-aggregators.
+	// Hop is, per node, its depth on its tree (0 for base stations and
+	// non-aggregators).
 	Hop []uint16
-	// RedNeighbors and BlueNeighbors are, per node, the aggregators of
-	// each color it actually heard a HELLO from — the candidate slice
-	// targets of Phase II. The base station appears in both lists of its
-	// neighbors.
-	RedNeighbors  [][]topology.NodeID
-	BlueNeighbors [][]topology.NodeID
-	// HelloBytes is the total radio traffic of the phase.
-	HelloBytes uint64
-	// HelloFrames is the number of HELLO frames transmitted.
-	HelloFrames uint64
+	// Heard[t][i] lists the tree-t aggregators node i heard during
+	// Phase I: its slice-target candidates on tree t. A base station
+	// appears on every tree of its neighbors.
+	Heard [][][]topology.NodeID
 }
 
-// Aggregators returns the IDs of the aggregators with the given role.
-func (r *Result) Aggregators(role Role) []topology.NodeID {
+// Check reports the first way f is malformed for an n-node deployment: a
+// tree count outside [2, MaxTrees], a per-node slice of the wrong length,
+// or a parent link that leaves its tree.
+func (f *Forest) Check(n int) error {
+	m := len(f.Heard)
+	if m < 2 || m > MaxTrees {
+		return fmt.Errorf("%d trees, want 2 to %d", m, MaxTrees)
+	}
+	if len(f.Tree) != n || len(f.Parent) != n || len(f.Hop) != n {
+		return fmt.Errorf("tree/parent/hop lengths %d/%d/%d for %d nodes", len(f.Tree), len(f.Parent), len(f.Hop), n)
+	}
+	for t, heard := range f.Heard {
+		if len(heard) != n {
+			return fmt.Errorf("tree %d heard lists for %d of %d nodes", t, len(heard), n)
+		}
+	}
+	for i, t := range f.Tree {
+		p := f.Parent[i]
+		switch {
+		case t == NoTree || t == Root:
+			if p != topology.None {
+				return fmt.Errorf("non-aggregator %d has parent %d", i, p)
+			}
+		case t < 0 || t >= m:
+			return fmt.Errorf("node %d on tree %d of %d", i, t, m)
+		case p == topology.None:
+			return fmt.Errorf("aggregator %d has no parent", i)
+		case p < 0 || int(p) >= n:
+			return fmt.Errorf("aggregator %d has parent %d outside the deployment", i, p)
+		case f.Tree[p] != t && f.Tree[p] != Root:
+			return fmt.Errorf("tree %d aggregator %d has parent %d on tree %d", t, i, p, f.Tree[p])
+		}
+	}
+	return nil
+}
+
+// Aggregators returns the IDs of tree t's aggregators in ID order.
+func (f *Forest) Aggregators(t int) []topology.NodeID {
 	var out []topology.NodeID
-	for i, ro := range r.Role {
-		if ro == role {
+	for i, ti := range f.Tree {
+		if ti == t {
 			out = append(out, topology.NodeID(i))
 		}
 	}
 	return out
 }
 
-// CoveredBoth reports whether node id heard HELLOs from both trees — the
-// participation precondition of the protocol (factor (a) of Sec. IV-B.3).
-// An aggregator counts itself for its own color.
-func (r *Result) CoveredBoth(id topology.NodeID) bool {
-	red := len(r.RedNeighbors[id])
-	blue := len(r.BlueNeighbors[id])
-	switch r.Role[id] {
-	case RoleRed:
-		red++
-	case RoleBlue:
-		blue++
-	case RoleBase:
-		return true
-	}
-	return red > 0 && blue > 0
-}
-
 // CanSlice reports whether node id has enough aggregator neighbors to send
-// l slices per tree (factor (b) of Sec. IV-B.3): l red and l blue targets,
-// counting itself for its own color.
-func (r *Result) CanSlice(id topology.NodeID, l int) bool {
-	red := len(r.RedNeighbors[id])
-	blue := len(r.BlueNeighbors[id])
-	switch r.Role[id] {
-	case RoleRed:
-		red++
-	case RoleBlue:
-		blue++
-	case RoleBase:
+// l slices to every tree (factor (b) of Sec. IV-B.3), counting itself on
+// its own tree. A base station always can.
+func (f *Forest) CanSlice(id topology.NodeID, l int) bool {
+	if f.Tree[id] == Root {
 		return true
 	}
-	return red >= l && blue >= l
-}
-
-// Disjoint verifies the node-disjointness invariant: no node is an
-// aggregator on both trees. With a single Role per node the invariant holds
-// by construction; Disjoint re-checks the parent structure: every red
-// aggregator's parent is red (or the base station), and likewise for blue.
-func (r *Result) Disjoint() error {
-	for i, role := range r.Role {
-		p := r.Parent[i]
-		if role != RoleRed && role != RoleBlue {
-			if p != topology.None {
-				return fmt.Errorf("tree: non-aggregator %d has parent %d", i, p)
-			}
-			continue
+	for t, heard := range f.Heard {
+		count := len(heard[id])
+		if f.Tree[id] == t {
+			count++
 		}
-		if p == topology.None {
-			return fmt.Errorf("tree: aggregator %d has no parent", i)
-		}
-		pr := r.Role[p]
-		if pr != role && pr != RoleBase {
-			return fmt.Errorf("tree: %v aggregator %d has %v parent %d", role, i, pr, p)
+		if count < l {
+			return false
 		}
 	}
-	return nil
+	return true
+}
+
+// Covered reports whether node id heard HELLOs from every tree — the
+// participation precondition of the protocol (factor (a) of Sec. IV-B.3).
+// An aggregator counts itself on its own tree; a base station is covered.
+func (f *Forest) Covered(id topology.NodeID) bool { return f.CanSlice(id, 1) }
+
+// CoverageFraction returns the fraction of sensors (every node but node 0)
+// covered by every tree — Figure 8(a).
+func (f *Forest) CoverageFraction() float64 { return f.ParticipationFraction(1) }
+
+// ParticipationFraction returns the fraction of sensors (every node but
+// node 0) with enough aggregator neighbors to send l slices to every tree
+// — Figure 8(b).
+func (f *Forest) ParticipationFraction(l int) float64 {
+	n := len(f.Tree)
+	if n <= 1 {
+		return 1
+	}
+	can := 0
+	for i := 1; i < n; i++ {
+		if f.CanSlice(topology.NodeID(i), l) {
+			can++
+		}
+	}
+	return float64(can) / float64(n-1)
 }
 
 // RepairOutcome summarizes one RepairDead pass.
@@ -226,20 +215,21 @@ type RepairOutcome struct {
 
 // RepairDead performs localized tree repair: every live aggregator whose
 // parent is down is re-attached to an alternate live aggregator of its own
-// color (or a base station) that it heard a HELLO from during Phase I and
-// that sits strictly closer to the base. Choosing only strictly-shallower
-// parents keeps the parent chains acyclic and preserves the Phase III
-// deepest-first transmission order without recomputing hops; choosing only
-// same-color parents preserves node-disjointness, which is re-verified
-// before returning. Aggregators with no such candidate are reported in
-// Skipped and treated as unavailable themselves, so their children repair
-// around them too (the pass iterates to a fixpoint).
+// tree (or a base station) that it heard a HELLO from during Phase I and
+// that sits strictly closer to the base, the shallowest such candidate,
+// lowest ID on ties. Choosing only strictly-shallower parents keeps the
+// parent chains acyclic and preserves the Phase III deepest-first
+// transmission order without recomputing hops; choosing only same-tree
+// parents preserves node-disjointness, which Check re-verifies before
+// returning. Aggregators with no such candidate are reported in Skipped
+// and treated as unavailable themselves, so their children repair around
+// them too (the pass iterates to a fixpoint).
 //
 // Parents are modified in place; callers that repair per round should
 // restore the pristine Phase I parents before the next pass.
-func (r *Result) RepairDead(down func(topology.NodeID) bool) (RepairOutcome, error) {
+func (f *Forest) RepairDead(down func(topology.NodeID) bool) (RepairOutcome, error) {
 	var out RepairOutcome
-	n := len(r.Role)
+	n := len(f.Tree)
 	avail := make([]bool, n)
 	for i := range avail {
 		avail[i] = !down(topology.NodeID(i))
@@ -247,40 +237,35 @@ func (r *Result) RepairDead(down func(topology.NodeID) bool) (RepairOutcome, err
 	for {
 		changed := false
 		for i := 0; i < n; i++ {
-			id := topology.NodeID(i)
-			role := r.Role[i]
-			if (role != RoleRed && role != RoleBlue) || !avail[i] {
+			t := f.Tree[i]
+			if t < 0 || !avail[i] {
 				continue
 			}
-			p := r.Parent[i]
+			p := f.Parent[i]
 			if p != topology.None && avail[p] {
 				continue
 			}
-			cands := r.RedNeighbors[i]
-			if role == RoleBlue {
-				cands = r.BlueNeighbors[i]
-			}
 			best := topology.None
-			for _, c := range cands {
+			for _, c := range f.Heard[t][i] {
 				if !avail[c] {
 					continue
 				}
-				if cr := r.Role[c]; cr != role && cr != RoleBase {
+				if ct := f.Tree[c]; ct != t && ct != Root {
 					continue
 				}
-				if r.Hop[c] >= r.Hop[i] {
+				if f.Hop[c] >= f.Hop[i] {
 					continue
 				}
-				if best == topology.None || r.Hop[c] < r.Hop[best] ||
-					(r.Hop[c] == r.Hop[best] && c < best) {
+				if best == topology.None || f.Hop[c] < f.Hop[best] ||
+					(f.Hop[c] == f.Hop[best] && c < best) {
 					best = c
 				}
 			}
 			if best == topology.None {
 				avail[i] = false
-				out.Skipped = append(out.Skipped, id)
+				out.Skipped = append(out.Skipped, topology.NodeID(i))
 			} else {
-				r.Parent[i] = best
+				f.Parent[i] = best
 				out.Reattached++
 			}
 			changed = true
@@ -289,56 +274,61 @@ func (r *Result) RepairDead(down func(topology.NodeID) bool) (RepairOutcome, err
 			break
 		}
 	}
-	if err := r.Disjoint(); err != nil {
-		return out, fmt.Errorf("tree: repair violated disjointness: %w", err)
+	if err := f.Check(n); err != nil {
+		return out, fmt.Errorf("tree: repair broke the forest: %w", err)
 	}
 	return out, nil
 }
 
-// nodeState is the per-node Phase I state machine.
+// nodeState is the per-node Phase I state machine. Its per-color arrays
+// are indexed by tree: 0 is red, 1 is blue.
 type nodeState struct {
-	role                  Role
-	parent                topology.NodeID
-	hop                   uint16
-	redFrom               []topology.NodeID // senders of red HELLOs heard
-	blueFrom              []topology.NodeID
-	redMinHop, blueMinHop uint16
-	redParent, blueParent topology.NodeID
-	decisionArmed         bool
-	decided               bool
+	tree          int // NoTree until decided, then NoTree (leaf), 0 or 1; Root for base stations
+	parent        topology.NodeID
+	hop           uint16
+	heard         [2][]topology.NodeID // senders of each color's HELLOs heard
+	minHop        [2]uint16
+	best          [2]topology.NodeID // lowest-hop sender of each color
+	decisionArmed bool
+	decided       bool
 }
 
 // Builder runs Phase I repeatedly, reusing the per-node state machines,
-// the neighbor-list backing arrays, the Result, and the per-node decision
+// the neighbor-list backing arrays, the Forest, and the per-node decision
 // closures across builds. A Build on a used Builder is byte-identical to
 // one on a fresh Builder — state is fully reinitialized, only capacity
-// survives — but it invalidates the Result of the previous Build (the
+// survives — but it invalidates the Forest of the previous Build (the
 // neighbor lists share backing storage). One Builder serves one protocol
 // instance; it is not safe for concurrent use.
 type Builder struct {
 	states    []nodeState
-	res       Result
+	forest    Forest
+	heard     [2][][]topology.NodeID
 	decideFns []func()
 	handlerFn mac.Handler
 	kickoffFn func()
 
 	// Per-build context, set by Build and read by the event callbacks.
-	sim       *eventsim.Sim
-	m         *mac.MAC
-	cfg       Config
-	roleRand  *rng.Stream
-	roleCount [RoleBase + 1]obs.Counter
+	sim      *eventsim.Sim
+	m        *mac.MAC
+	cfg      Config
+	roleRand *rng.Stream
+	// ipda_tree_roles_total handles: red and blue by tree index.
+	undecided, leaf obs.Counter
+	aggs            [2]obs.Counter
 }
 
 // BuildDisjoint runs Phase I over the given network and returns the
-// constructed trees. It drives sim until cfg.Deadline; the medium's
-// receivers are owned by this function for the duration of the call.
-func BuildDisjoint(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net *topology.Network, cfg Config, rand *rng.Stream) (*Result, error) {
-	return new(Builder).Build(sim, medium, m, net, cfg, rand)
+// constructed red/blue forest. It drives sim until cfg.Deadline; the
+// MAC's receive handlers are owned by this function for the duration of
+// the call.
+func BuildDisjoint(sim *eventsim.Sim, m *mac.MAC, net *topology.Network, cfg Config, rand *rng.Stream) (*Forest, error) {
+	return new(Builder).Build(sim, m, net, cfg, rand)
 }
 
-// Build is BuildDisjoint over the Builder's reusable storage.
-func (b *Builder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net *topology.Network, cfg Config, rand *rng.Stream) (*Result, error) {
+// Build is BuildDisjoint over the Builder's reusable storage. The forest
+// holds two trees, Heard = [red, blue].
+func (b *Builder) Build(sim *eventsim.Sim, m *mac.MAC, net *topology.Network, cfg Config, rand *rng.Stream) (*Forest, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -349,39 +339,39 @@ func (b *Builder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net
 	b.states = b.states[:n]
 	for i := range b.states {
 		st := &b.states[i]
-		st.role = RoleUndecided
+		st.tree = NoTree
 		st.parent = topology.None
 		st.hop = 0
-		st.redFrom = st.redFrom[:0]
-		st.blueFrom = st.blueFrom[:0]
-		st.redMinHop, st.blueMinHop = 0, 0
-		st.redParent, st.blueParent = topology.None, topology.None
+		for t := range st.heard {
+			st.heard[t] = st.heard[t][:0]
+			st.minHop[t] = 0
+			st.best[t] = topology.None
+		}
 		st.decisionArmed = false
 		st.decided = false
 	}
-	b.states[0].role = RoleBase
+	b.states[0].tree = Root
 	b.states[0].decided = true
 	for _, r := range cfg.ExtraRoots {
 		if r <= 0 || int(r) >= n {
 			return nil, fmt.Errorf("tree: extra root %d out of range", r)
 		}
-		b.states[r].role = RoleBase
+		b.states[r].tree = Root
 		b.states[r].decided = true
 	}
 
-	startBytes := medium.TotalBytes()
-	startFrames := medium.Stats().FramesSent
 	b.sim = sim
 	b.m = m
 	b.cfg = cfg
 	b.roleRand = rand.Split(1)
 
-	b.roleCount = [RoleBase + 1]obs.Counter{}
+	b.undecided, b.leaf, b.aggs = obs.Counter{}, obs.Counter{}, [2]obs.Counter{}
 	if cfg.Obs != nil && cfg.Obs.Reg != nil {
-		for _, role := range []Role{RoleUndecided, RoleLeaf, RoleRed, RoleBlue} {
-			b.roleCount[role] = cfg.Obs.Reg.Counter("ipda_tree_roles_total",
-				"Phase I role decisions", obs.Label{Name: "role", Value: role.String()})
+		role := func(name string) obs.Counter {
+			return cfg.Obs.Reg.Counter("ipda_tree_roles_total", "Phase I role decisions", obs.Label{Name: "role", Value: name})
 		}
+		b.undecided, b.leaf = role("undecided"), role("leaf")
+		b.aggs = [2]obs.Counter{role("red"), role("blue")}
 	}
 
 	if cap(b.decideFns) < n {
@@ -409,30 +399,31 @@ func (b *Builder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net
 	sim.After(0, b.kickoffFn)
 	sim.Run(sim.Now() + cfg.Deadline)
 
-	res := &b.res
-	res.Role = resizeRoles(res.Role, n)
-	res.Parent = resizeIDs(res.Parent, n)
-	res.Hop = resizeHops(res.Hop, n)
-	res.RedNeighbors = resizeNbrs(res.RedNeighbors, n)
-	res.BlueNeighbors = resizeNbrs(res.BlueNeighbors, n)
-	res.HelloBytes = medium.TotalBytes() - startBytes
-	res.HelloFrames = medium.Stats().FramesSent - startFrames
+	f := &b.forest
+	f.Tree = resize(f.Tree, n)
+	f.Parent = resize(f.Parent, n)
+	f.Hop = resize(f.Hop, n)
+	for t := range b.heard {
+		b.heard[t] = resize(b.heard[t], n)
+	}
+	f.Heard = append(f.Heard[:0], b.heard[0], b.heard[1])
+	undecided := 0
 	for i := range b.states {
 		st := &b.states[i]
-		res.Role[i] = st.role
-		res.Parent[i] = st.parent
-		res.Hop[i] = st.hop
-		res.RedNeighbors[i] = st.redFrom
-		res.BlueNeighbors[i] = st.blueFrom
-	}
-	// Drop non-aggregator parents (leaves decided no parent already).
-	for i := range res.Parent {
-		if res.Role[i] != RoleRed && res.Role[i] != RoleBlue {
-			res.Parent[i] = topology.None
-			res.Hop[i] = 0
+		f.Tree[i] = st.tree
+		f.Parent[i], f.Hop[i] = topology.None, 0
+		if st.tree >= 0 {
+			f.Parent[i], f.Hop[i] = st.parent, st.hop
+		}
+		for t := range b.heard {
+			b.heard[t][i] = st.heard[t]
+		}
+		if !st.decided {
+			undecided++
 		}
 	}
-	return res, nil
+	b.undecided.Add(float64(undecided))
+	return f, nil
 }
 
 // kickoff starts the flood: every base station initiates as both a red and
@@ -460,7 +451,7 @@ func (b *Builder) decide(id topology.NodeID) {
 		return
 	}
 	st.decided = true
-	nRed, nBlue := len(st.redFrom), len(st.blueFrom)
+	nRed, nBlue := len(st.heard[0]), len(st.heard[1])
 	if nRed == 0 || nBlue == 0 {
 		// Should not happen (decision is armed only after both colors)
 		// but lost frames cannot rescind; stay undecided.
@@ -481,21 +472,19 @@ func (b *Builder) decide(id topology.NodeID) {
 		pr = 0.5
 	}
 	u := b.roleRand.Float64()
+	t := 1
 	switch {
 	case u < pr:
-		st.role = RoleRed
-		st.parent = st.redParent
-		st.hop = st.redMinHop + 1
-		b.sendHello(id, packet.Red, st.hop)
-	case u < p:
-		st.role = RoleBlue
-		st.parent = st.blueParent
-		st.hop = st.blueMinHop + 1
-		b.sendHello(id, packet.Blue, st.hop)
-	default:
-		st.role = RoleLeaf
+		t = 0
+	case u >= p:
+		b.leaf.Inc()
+		return
 	}
-	b.roleCount[st.role].Inc()
+	st.tree = t
+	st.parent = st.best[t]
+	st.hop = st.minHop[t] + 1
+	b.sendHello(id, packet.TreeColor(t), st.hop)
+	b.aggs[t].Inc()
 }
 
 func (b *Builder) onHello(self topology.NodeID, p *packet.Packet) {
@@ -503,58 +492,31 @@ func (b *Builder) onHello(self topology.NodeID, p *packet.Packet) {
 		return
 	}
 	st := &b.states[self]
+	t := p.Color.Tree()
+	if t < 0 || t >= len(st.heard) {
+		return
+	}
 	src := topology.NodeID(p.Src)
-	switch p.Color {
-	case packet.Red:
-		if !contains(st.redFrom, src) {
-			st.redFrom = append(st.redFrom, src)
-			if st.redParent == topology.None || p.Hop < st.redMinHop {
-				st.redParent, st.redMinHop = src, p.Hop
-			}
+	if !contains(st.heard[t], src) {
+		st.heard[t] = append(st.heard[t], src)
+		if st.best[t] == topology.None || p.Hop < st.minHop[t] {
+			st.best[t], st.minHop[t] = src, p.Hop
 		}
-	case packet.Blue:
-		if !contains(st.blueFrom, src) {
-			st.blueFrom = append(st.blueFrom, src)
-			if st.blueParent == topology.None || p.Hop < st.blueMinHop {
-				st.blueParent, st.blueMinHop = src, p.Hop
-			}
-		}
-	default:
+	}
+	if st.decided {
 		return
 	}
-	if st.role == RoleBase || st.decided {
-		return
-	}
-	if !st.decisionArmed && len(st.redFrom) > 0 && len(st.blueFrom) > 0 {
+	if !st.decisionArmed && len(st.heard[0]) > 0 && len(st.heard[1]) > 0 {
 		st.decisionArmed = true
 		b.sim.After(b.cfg.DecisionDelay, b.decideFns[self])
 	}
 }
 
-func resizeRoles(s []Role, n int) []Role {
+// resize returns s with length n, reusing its backing array when it
+// suffices; the contents are the caller's to overwrite.
+func resize[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]Role, n)
-	}
-	return s[:n]
-}
-
-func resizeIDs(s []topology.NodeID, n int) []topology.NodeID {
-	if cap(s) < n {
-		return make([]topology.NodeID, n)
-	}
-	return s[:n]
-}
-
-func resizeHops(s []uint16, n int) []uint16 {
-	if cap(s) < n {
-		return make([]uint16, n)
-	}
-	return s[:n]
-}
-
-func resizeNbrs(s [][]topology.NodeID, n int) [][]topology.NodeID {
-	if cap(s) < n {
-		return make([][]topology.NodeID, n)
+		return make([]E, n)
 	}
 	return s[:n]
 }
@@ -600,8 +562,8 @@ func BuildTAG(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net *topology
 func (tb *TAGBuilder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net *topology.Network, deadline eventsim.Time) *TAGResult {
 	n := net.N()
 	res := &tb.res
-	res.Parent = resizeIDs(res.Parent, n)
-	res.Hop = resizeHops(res.Hop, n)
+	res.Parent = resize(res.Parent, n)
+	res.Hop = resize(res.Hop, n)
 	if cap(res.Reached) < n {
 		res.Reached = make([]bool, n)
 	}

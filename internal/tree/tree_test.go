@@ -5,14 +5,13 @@ import (
 
 	"github.com/ipda-sim/ipda/internal/eventsim"
 	"github.com/ipda-sim/ipda/internal/mac"
-	"github.com/ipda-sim/ipda/internal/packet"
 	"github.com/ipda-sim/ipda/internal/radio"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 )
 
 // build runs Phase I over a fresh random deployment.
-func build(t *testing.T, nodes int, seed uint64, cfg Config) (*Result, *topology.Network) {
+func build(t *testing.T, nodes int, seed uint64, cfg Config) (*Forest, *topology.Network) {
 	t.Helper()
 	r := rng.New(seed)
 	net, err := topology.Random(topology.PaperConfig(nodes), r.Split(0))
@@ -22,7 +21,7 @@ func build(t *testing.T, nodes int, seed uint64, cfg Config) (*Result, *topology
 	sim := eventsim.New()
 	medium := radio.New(sim, net, radio.PaperRate)
 	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
-	res, err := BuildDisjoint(sim, medium, m, net, cfg, r.Split(2))
+	res, err := BuildDisjoint(sim, m, net, cfg, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +30,8 @@ func build(t *testing.T, nodes int, seed uint64, cfg Config) (*Result, *topology
 
 func TestDisjointInvariant(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		res, _ := build(t, 400, seed, DefaultConfig())
-		if err := res.Disjoint(); err != nil {
+		res, net := build(t, 400, seed, DefaultConfig())
+		if err := res.Check(net.N()); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -40,8 +39,8 @@ func TestDisjointInvariant(t *testing.T) {
 
 func TestBaseStationRole(t *testing.T) {
 	res, _ := build(t, 300, 1, DefaultConfig())
-	if res.Role[0] != RoleBase {
-		t.Fatalf("base station role = %v", res.Role[0])
+	if res.Tree[0] != Root {
+		t.Fatalf("base station tree = %d", res.Tree[0])
 	}
 	if res.Parent[0] != topology.None {
 		t.Fatal("base station has a parent")
@@ -50,8 +49,8 @@ func TestBaseStationRole(t *testing.T) {
 
 func TestParentsAreHeardAggregators(t *testing.T) {
 	res, net := build(t, 400, 5, DefaultConfig())
-	for i, role := range res.Role {
-		if role != RoleRed && role != RoleBlue {
+	for i, tr := range res.Tree {
+		if tr < 0 {
 			continue
 		}
 		p := res.Parent[i]
@@ -60,29 +59,23 @@ func TestParentsAreHeardAggregators(t *testing.T) {
 		}
 		// Parent must be among the heard aggregators of the same color (or
 		// the base station heard on that color).
-		var heard []topology.NodeID
-		if role == RoleRed {
-			heard = res.RedNeighbors[i]
-		} else {
-			heard = res.BlueNeighbors[i]
-		}
 		found := false
-		for _, h := range heard {
+		for _, h := range res.Heard[tr][i] {
 			if h == p {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Fatalf("aggregator %d parent %d not among heard %v aggregators", i, p, role)
+			t.Fatalf("aggregator %d parent %d not among heard tree-%d aggregators", i, p, tr)
 		}
 	}
 }
 
 func TestParentChainsReachBaseStation(t *testing.T) {
 	res, _ := build(t, 400, 7, DefaultConfig())
-	for i, role := range res.Role {
-		if role != RoleRed && role != RoleBlue {
+	for i, tr := range res.Tree {
+		if tr < 0 {
 			continue
 		}
 		// Walk up; must terminate at node 0 without cycles.
@@ -103,8 +96,8 @@ func TestParentChainsReachBaseStation(t *testing.T) {
 
 func TestHopsIncreaseAlongTree(t *testing.T) {
 	res, _ := build(t, 400, 9, DefaultConfig())
-	for i, role := range res.Role {
-		if role != RoleRed && role != RoleBlue {
+	for i, tr := range res.Tree {
+		if tr < 0 {
 			continue
 		}
 		p := res.Parent[i]
@@ -120,31 +113,16 @@ func TestHopsIncreaseAlongTree(t *testing.T) {
 func TestDenseNetworkCoverage(t *testing.T) {
 	// At N=500 (avg degree ~22) the paper expects nearly-full coverage; we
 	// require 90%+ of nodes covered by both trees.
-	res, net := build(t, 500, 11, DefaultConfig())
-	covered := 0
-	for i := 1; i < net.N(); i++ {
-		if res.CoveredBoth(topology.NodeID(i)) {
-			covered++
-		}
-	}
-	if frac := float64(covered) / float64(net.N()-1); frac < 0.9 {
+	res, _ := build(t, 500, 11, DefaultConfig())
+	if frac := res.CoverageFraction(); frac < 0.9 {
 		t.Fatalf("coverage %.2f at N=500", frac)
 	}
 }
 
 func TestSparseNetworkLowerCoverage(t *testing.T) {
-	resSparse, netS := build(t, 150, 13, DefaultConfig())
-	resDense, netD := build(t, 600, 13, DefaultConfig())
-	frac := func(r *Result, n *topology.Network) float64 {
-		c := 0
-		for i := 1; i < n.N(); i++ {
-			if r.CoveredBoth(topology.NodeID(i)) {
-				c++
-			}
-		}
-		return float64(c) / float64(n.N()-1)
-	}
-	fs, fd := frac(resSparse, netS), frac(resDense, netD)
+	resSparse, _ := build(t, 150, 13, DefaultConfig())
+	resDense, _ := build(t, 600, 13, DefaultConfig())
+	fs, fd := resSparse.CoverageFraction(), resDense.CoverageFraction()
 	if fs >= fd {
 		t.Fatalf("sparse coverage %.2f not below dense %.2f", fs, fd)
 	}
@@ -156,8 +134,8 @@ func TestAdaptiveLimitsAggregatorFraction(t *testing.T) {
 	// makes essentially all covered nodes aggregators.
 	adaptive, netA := build(t, 500, 17, DefaultConfig())
 	fixed, _ := build(t, 500, 17, Config{Adaptive: false, DecisionDelay: 0.05, Deadline: 10})
-	countAgg := func(r *Result) int {
-		return len(r.Aggregators(RoleRed)) + len(r.Aggregators(RoleBlue))
+	countAgg := func(r *Forest) int {
+		return len(r.Aggregators(0)) + len(r.Aggregators(1))
 	}
 	na, nf := countAgg(adaptive), countAgg(fixed)
 	if na >= nf {
@@ -170,7 +148,7 @@ func TestAdaptiveLimitsAggregatorFraction(t *testing.T) {
 
 func TestRedBlueBalanced(t *testing.T) {
 	res, _ := build(t, 500, 19, DefaultConfig())
-	nr, nb := len(res.Aggregators(RoleRed)), len(res.Aggregators(RoleBlue))
+	nr, nb := len(res.Aggregators(0)), len(res.Aggregators(1))
 	if nr == 0 || nb == 0 {
 		t.Fatalf("degenerate trees: %d red, %d blue", nr, nb)
 	}
@@ -184,10 +162,10 @@ func TestCanSliceImpliesCovered(t *testing.T) {
 	res, net := build(t, 400, 23, DefaultConfig())
 	for i := 0; i < net.N(); i++ {
 		id := topology.NodeID(i)
-		if res.CanSlice(id, 2) && !res.CoveredBoth(id) {
+		if res.CanSlice(id, 2) && !res.Covered(id) {
 			t.Fatalf("node %d can slice but is not covered", i)
 		}
-		if res.CoveredBoth(id) && !res.CanSlice(id, 1) {
+		if res.Covered(id) && !res.CanSlice(id, 1) {
 			t.Fatalf("node %d covered but cannot slice l=1", i)
 		}
 	}
@@ -196,8 +174,8 @@ func TestCanSliceImpliesCovered(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	a, _ := build(t, 300, 29, DefaultConfig())
 	b, _ := build(t, 300, 29, DefaultConfig())
-	for i := range a.Role {
-		if a.Role[i] != b.Role[i] || a.Parent[i] != b.Parent[i] {
+	for i := range a.Tree {
+		if a.Tree[i] != b.Tree[i] || a.Parent[i] != b.Parent[i] {
 			t.Fatalf("run diverged at node %d", i)
 		}
 	}
@@ -216,17 +194,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRoleStringsAndColors(t *testing.T) {
-	if RoleRed.Color() != packet.Red || RoleBlue.Color() != packet.Blue || RoleLeaf.Color() != packet.NoColor {
-		t.Fatal("Role.Color wrong")
-	}
-	for r, want := range map[Role]string{RoleUndecided: "undecided", RoleLeaf: "leaf", RoleRed: "red", RoleBlue: "blue", RoleBase: "base"} {
-		if r.String() != want {
-			t.Fatalf("%d.String() = %q", r, r.String())
-		}
 	}
 }
 
@@ -281,25 +248,25 @@ func TestDisabledNodesStaySilent(t *testing.T) {
 	sim := eventsim.New()
 	medium := radio.New(sim, net, radio.PaperRate)
 	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
-	res, err := BuildDisjoint(sim, medium, m, net, cfg, r.Split(2))
+	res, err := BuildDisjoint(sim, m, net, cfg, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 120; i++ {
-		if res.Role[i] != RoleUndecided {
-			t.Fatalf("disabled node %d took role %v", i, res.Role[i])
+		if res.Tree[i] != NoTree || res.Covered(topology.NodeID(i)) {
+			t.Fatalf("disabled node %d joined tree %d or heard a HELLO", i, res.Tree[i])
 		}
 		if medium.NodeFramesSent(topology.NodeID(i)) != 0 {
 			t.Fatalf("disabled node %d transmitted", i)
 		}
 	}
 	// The rest of the network still forms disjoint trees.
-	if err := res.Disjoint(); err != nil {
+	if err := res.Check(net.N()); err != nil {
 		t.Fatal(err)
 	}
 	live := 0
 	for i := 121; i < net.N(); i++ {
-		if res.CoveredBoth(topology.NodeID(i)) {
+		if res.Covered(topology.NodeID(i)) {
 			live++
 		}
 	}
@@ -308,12 +275,27 @@ func TestDisabledNodesStaySilent(t *testing.T) {
 	}
 }
 
+// TestPhaseAccountsTraffic: every HELLO Phase I sends goes on the air —
+// one from the base station per color, one per aggregator, none from
+// leaves or undecided nodes.
 func TestPhaseAccountsTraffic(t *testing.T) {
-	res, _ := build(t, 300, 37, DefaultConfig())
-	if res.HelloBytes == 0 || res.HelloFrames == 0 {
-		t.Fatal("no HELLO traffic recorded")
+	r := rng.New(37)
+	net, err := topology.Random(topology.PaperConfig(300), r.Split(0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.HelloBytes < res.HelloFrames {
+	sim := eventsim.New()
+	medium := radio.New(sim, net, radio.PaperRate)
+	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
+	res, err := BuildDisjoint(sim, m, net, DefaultConfig(), r.Split(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(2 + len(res.Aggregators(0)) + len(res.Aggregators(1)))
+	if got := medium.Stats().FramesSent; got != want {
+		t.Fatalf("%d HELLO frames on the air, want %d (2 from the base station + one per aggregator)", got, want)
+	}
+	if medium.TotalBytes() < want {
 		t.Fatal("bytes < frames")
 	}
 }

@@ -130,10 +130,10 @@ func (a *Arena) Tag(slot string, net *topology.Network, cfg tag.Config, seed uin
 	return in, nil
 }
 
-// MTree returns slot's m-tree instance re-deployed over (net, cfg, seed).
-func (a *Arena) MTree(slot string, net *topology.Network, cfg mtree.Config, seed uint64) (*mtree.Instance, error) {
+// MTree returns slot's m-tree instance re-deployed over (net, cfg, m, seed).
+func (a *Arena) MTree(slot string, net *topology.Network, cfg core.Config, m int, seed uint64) (*mtree.Instance, error) {
 	if a == nil {
-		return mtree.New(net, cfg, seed)
+		return mtree.New(net, cfg, m, seed)
 	}
 	in := a.mtrees[slot]
 	if in == nil {
@@ -143,7 +143,7 @@ func (a *Arena) MTree(slot string, net *topology.Network, cfg mtree.Config, seed
 		}
 		a.mtrees[slot] = in
 	}
-	if err := in.Reset(net, cfg, seed); err != nil {
+	if err := in.Reset(net, cfg, m, seed); err != nil {
 		return nil, err
 	}
 	return in, nil

@@ -33,7 +33,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/energy"
 	"github.com/ipda-sim/ipda/internal/fault"
 	"github.com/ipda-sim/ipda/internal/mac"
-	"github.com/ipda-sim/ipda/internal/metrics"
 	"github.com/ipda-sim/ipda/internal/mtree"
 	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/privacy"
@@ -42,7 +41,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/stream"
 	"github.com/ipda-sim/ipda/internal/tag"
 	"github.com/ipda-sim/ipda/internal/topology"
-	"github.com/ipda-sim/ipda/internal/tree"
 )
 
 // Config describes a deployment and its protocol parameters.
@@ -262,12 +260,12 @@ func (n *Network) Participants() int { return len(n.inst.Participants()) }
 // Coverage returns the fraction of sensors reached by both trees
 // (Figure 8a).
 func (n *Network) Coverage() float64 {
-	return metrics.CoverageFraction(n.inst.Trees, n.topo.N())
+	return n.inst.Trees.CoverageFraction()
 }
 
 // Participation returns the fraction of sensors able to slice (Figure 8b).
 func (n *Network) Participation() float64 {
-	return metrics.ParticipationFraction(n.inst.Trees, n.cfg.Slices, n.topo.N())
+	return n.inst.Trees.ParticipationFraction(n.cfg.Slices)
 }
 
 // QueryResult is one answered query.
@@ -364,7 +362,7 @@ func (n *Network) Aggregators() []int {
 // RedAggregators returns the nodes aggregating on the red tree.
 func (n *Network) RedAggregators() []int {
 	var out []int
-	for _, id := range n.inst.Trees.Aggregators(tree.RoleRed) {
+	for _, id := range n.inst.Trees.Aggregators(0) {
 		out = append(out, int(id))
 	}
 	return out
@@ -373,7 +371,7 @@ func (n *Network) RedAggregators() []int {
 // BlueAggregators returns the nodes aggregating on the blue tree.
 func (n *Network) BlueAggregators() []int {
 	var out []int
-	for _, id := range n.inst.Trees.Aggregators(tree.RoleBlue) {
+	for _, id := range n.inst.Trees.Aggregators(1) {
 		out = append(out, int(id))
 	}
 	return out
@@ -766,43 +764,33 @@ type MultiTreeNetwork struct {
 }
 
 // DeployMultiTree deploys m disjoint trees over cfg's topology. The
-// denser the network, the larger the m it can support. The m-tree
-// protocol has no tree repair, coalesced framing, fault schedule or extra
-// base stations, so a cfg that sets Repair, Coalesce, Faults or
-// ExtraBaseStations is rejected rather than silently run without them.
+// denser the network, the larger the m it can support. Repair, Coalesce,
+// Faults, ExtraBaseStations and MAC work as they do for Deploy. Three
+// options do not exist here, and a cfg that sets one is rejected rather
+// than silently run without it: AdaptiveRoles=false (the m-tree Phase I
+// implements only Equation (1)), and Observe and TraceQueries
+// (MultiTreeNetwork has no Obs or QueryTrace). The aggregator budget K is
+// raised to at least max(4, m).
 func DeployMultiTree(cfg Config, m int) (*MultiTreeNetwork, error) {
 	switch {
-	case cfg.Repair:
-		return nil, errors.New("ipda: DeployMultiTree does not support Config.Repair")
-	case cfg.Coalesce:
-		return nil, errors.New("ipda: DeployMultiTree does not support Config.Coalesce")
-	case cfg.Faults != nil:
-		return nil, errors.New("ipda: DeployMultiTree does not support Config.Faults")
-	case len(cfg.ExtraBaseStations) > 0:
-		return nil, errors.New("ipda: DeployMultiTree does not support Config.ExtraBaseStations")
+	case !cfg.AdaptiveRoles:
+		return nil, errors.New("ipda: DeployMultiTree does not support Config.AdaptiveRoles=false")
+	case cfg.Observe:
+		return nil, errors.New("ipda: DeployMultiTree does not support Config.Observe")
+	case cfg.TraceQueries:
+		return nil, errors.New("ipda: DeployMultiTree does not support Config.TraceQueries")
 	}
 	topoCfg := topology.Config{Nodes: cfg.Nodes, FieldSide: cfg.FieldSide, Range: cfg.Range}
 	topo, err := topology.Random(topoCfg, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)
 	}
-	mcfg := mtree.DefaultConfig(m)
-	scheme, err := cfg.macScheme()
+	ccfg, err := cfg.coreConfig()
 	if err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)
 	}
-	mcfg.MAC = mac.DefaultConfig()
-	mcfg.MAC.Scheme = scheme
-	mcfg.Slices = cfg.Slices
-	mcfg.Threshold = cfg.Threshold
-	mcfg.ShareSpread = cfg.ShareSpread
-	if cfg.K > mcfg.K {
-		mcfg.K = cfg.K
-	}
-	if m > mcfg.K {
-		mcfg.K = m
-	}
-	inst, err := mtree.New(topo, mcfg, cfg.Seed^0x3b9)
+	ccfg.Tree.K = max(4, cfg.K, m)
+	inst, err := mtree.New(topo, ccfg, m, cfg.Seed^0x3b9)
 	if err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)
 	}
@@ -813,12 +801,12 @@ func DeployMultiTree(cfg Config, m int) (*MultiTreeNetwork, error) {
 func (n *MultiTreeNetwork) Size() int { return n.topo.N() }
 
 // Coverage returns the fraction of sensors reached by all m trees.
-func (n *MultiTreeNetwork) Coverage() float64 { return n.inst.CoverageFraction() }
+func (n *MultiTreeNetwork) Coverage() float64 { return n.inst.Trees.CoverageFraction() }
 
 // TreeOf returns the tree index node id aggregates on: -1 for leaves and
-// nodes Phase I never reached, -2 for the base station (the root of every
+// nodes Phase I never reached, -2 for base stations (the roots of every
 // tree).
-func (n *MultiTreeNetwork) TreeOf(id int) int { return n.inst.TreeOf[id] }
+func (n *MultiTreeNetwork) TreeOf(id int) int { return n.inst.Trees.Tree[id] }
 
 // InjectPollution makes node id a pollution attacker; delta 0 removes it.
 func (n *MultiTreeNetwork) InjectPollution(id int, delta int64) {

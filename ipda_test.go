@@ -300,16 +300,97 @@ func TestMultiTreePublicAPI(t *testing.T) {
 	// Options the m-tree protocol cannot honour are rejected by name, not
 	// silently dropped.
 	for field, set := range map[string]func(*Config){
-		"Repair":            func(c *Config) { c.Repair = true },
-		"Coalesce":          func(c *Config) { c.Coalesce = true },
-		"Faults":            func(c *Config) { c.Faults = &Faults{CrashRate: 0.05, Seed: 1} },
-		"ExtraBaseStations": func(c *Config) { c.ExtraBaseStations = []int{5} },
+		"AdaptiveRoles": func(c *Config) { c.AdaptiveRoles = false },
+		"Observe":       func(c *Config) { c.Observe = true },
+		"TraceQueries":  func(c *Config) { c.TraceQueries = true },
 	} {
 		bad := cfg
 		set(&bad)
 		if _, err := DeployMultiTree(bad, 3); err == nil || !strings.Contains(err.Error(), "Config."+field) {
 			t.Errorf("DeployMultiTree with %s: err = %v, want one naming Config.%s", field, err, field)
 		}
+	}
+}
+
+// TestMultiTreeEngineOptions runs the options the m-tree deployment shares
+// with Deploy at m = 3 on the TDMA channel: repair under churn keeps every
+// COUNT accepted with no dissenting tree, coalescing sends fewer frames per
+// round than per-slice framing, and extra base stations cover at least as
+// many sensors as node 0 alone.
+func TestMultiTreeEngineOptions(t *testing.T) {
+	base := DefaultConfig(600)
+	base.MAC = "tdma"
+	deploy := func(set func(c *Config)) *MultiTreeNetwork {
+		t.Helper()
+		cfg := base
+		set(&cfg)
+		net, err := DeployMultiTree(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	// count runs one COUNT, which must be accepted, and returns its result
+	// and the frames it put on the air.
+	count := func(name string, net *MultiTreeNetwork) (*MultiTreeResult, uint64) {
+		t.Helper()
+		before := net.inst.Medium.Stats().FramesSent
+		res, err := net.Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Accepted {
+			t.Fatalf("%s: COUNT rejected: %+v", name, res)
+		}
+		return res, net.inst.Medium.Stats().FramesSent - before
+	}
+	unanimous := func(name string, net *MultiTreeNetwork) uint64 {
+		t.Helper()
+		res, frames := count(name, net)
+		if len(res.Outliers) != 0 {
+			t.Fatalf("%s: trees disagree: %+v", name, res)
+		}
+		return frames
+	}
+
+	plain := deploy(func(*Config) {})
+	plainFrames := unanimous("plain", plain)
+
+	churn := deploy(func(c *Config) {
+		c.Repair = true
+		c.Faults = &Faults{CrashRate: 0.05, RecoverRate: 0.25, Seed: 3}
+	})
+	for r := 0; r < 3; r++ {
+		unanimous("repair under churn", churn)
+	}
+
+	// Coalesced slices reach their non-anchor targets without ARQ, so the
+	// trees may disagree slightly; the majority still carries.
+	coalesced := deploy(func(c *Config) { c.Coalesce = true })
+	if _, got := count("coalesce", coalesced); got >= plainFrames {
+		t.Errorf("coalesced round sent %d frames, per-slice framing %d", got, plainFrames)
+	}
+
+	// Extra base stations root every tree. One deployment's coverage is
+	// not monotone in its roots (each changes the flood's timing and role
+	// draws: seed 1 covers 0.768 from node 0 alone, 0.730 with three extra
+	// roots), so the comparison is over the mean of four deployments.
+	roots := []int{150, 300, 450}
+	var single, extra float64
+	for seed := uint64(1); seed <= 4; seed++ {
+		one := deploy(func(c *Config) { c.Seed = seed })
+		multi := deploy(func(c *Config) { c.Seed, c.ExtraBaseStations = seed, roots })
+		for _, r := range roots {
+			if multi.TreeOf(r) != -2 {
+				t.Fatalf("seed %d: extra base station %d on tree %d", seed, r, multi.TreeOf(r))
+			}
+		}
+		unanimous("extra base stations", multi)
+		single += one.Coverage() / 4
+		extra += multi.Coverage() / 4
+	}
+	if extra < single {
+		t.Errorf("mean coverage with extra base stations %v, below node 0 alone %v", extra, single)
 	}
 }
 

@@ -99,10 +99,11 @@ type Config struct {
 	// trees) into one multi-slice frame (packet.KindSliceBatch) with one
 	// MAC exchange: the frame is addressed to — and ACKed by — the first
 	// slice target, and the other targets decode it promiscuously (the
-	// radio is a broadcast medium either way). Under TDMA the channel is
-	// collision-free, so non-anchor pickups are as reliable as the anchor;
-	// under CSMA they forgo individual ARQ — a deliberate modeled tradeoff
-	// between frame economy and per-slice reliability. Coalescing changes
+	// radio is a broadcast medium either way). Non-anchor pickups forgo
+	// individual ARQ — a deliberate modeled tradeoff between frame
+	// economy and per-slice reliability — under TDMA too: its slots keep
+	// data frames apart, but an ACK in the same slot three hops away can
+	// still corrupt a non-anchor copy (see package mac). Coalescing changes
 	// the modeled byte/frame counts, so it is off by default and every
 	// default table is untouched.
 	Coalesce bool
@@ -163,7 +164,9 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	return c.Tree.Validate()
+	tc := c.Tree
+	tc.ExtraRoots = c.ExtraRoots // the roots Phase I runs with
+	return tc.Validate()
 }
 
 // Instance is one deployed iPDA network with constructed trees, ready to

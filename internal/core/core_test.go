@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/aggregate"
@@ -515,6 +516,10 @@ func TestExtraRootValidation(t *testing.T) {
 	cfg.ExtraRoots = []topology.NodeID{0}
 	if _, err := New(net, cfg, 1); err == nil {
 		t.Fatal("node 0 as extra root accepted")
+	}
+	cfg.ExtraRoots = []topology.NodeID{3, 3}
+	if _, err := New(net, cfg, 1); err == nil || !strings.Contains(err.Error(), "extra root 3 listed twice") {
+		t.Fatalf("duplicate extra root: err = %v", err)
 	}
 }
 

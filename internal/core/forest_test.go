@@ -99,9 +99,10 @@ func TestDeployChecksForest(t *testing.T) {
 	}
 
 	// The engine runs a well-formed forest under every option: plain,
-	// with a dead tree-0 aggregator repaired around, and coalesced. On the
-	// collision-free TDMA channel every tree total must equal the live
-	// sensors' contributions exactly.
+	// with a dead tree-0 aggregator repaired around, and coalesced. The
+	// grid is one hop across, so every node owns a TDMA slot of its own
+	// and no frame, ACKs included, can collide: every tree total must
+	// equal the live sensors' contributions exactly.
 	for _, v := range []struct {
 		name   string
 		set    func(c *Config)

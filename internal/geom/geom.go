@@ -1,11 +1,13 @@
 // Package geom provides the 2D geometry primitives the deployment and
 // radio-range models are built on: points, rectangles, and a uniform-grid
-// spatial index for fast fixed-radius neighbor queries.
+// spatial index that builds every point's fixed-radius neighbour row.
 package geom
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 )
 
 // Point is a location in the deployment plane, in meters.
@@ -58,26 +60,28 @@ func (r Rect) Center() Point {
 }
 
 // GridIndex is a uniform-grid spatial index over a fixed set of points,
-// specialized for fixed-radius neighbor queries: cells are sized to the
-// query radius so a query inspects at most 9 cells.
+// specialized for building every point's fixed-radius neighbour row at
+// once: cells are sized to the radius, so a point's neighbours lie in the
+// 3×3 block of cells around its own.
 //
-// Cell contents are stored CSR-style: one flat array of point indices
-// grouped by cell, with an offsets table, rather than one slice per cell.
-// That makes backing-storage growth explicit — Rebuild touches exactly
-// three arrays, each grown geometrically and only when the deployment
-// outgrows them — so rebuilding at wildly different sizes (a 100k-node
-// field after a 400-node one, or repartitioning shard regions per trial)
-// reaches a zero-allocation steady state instead of re-growing thousands
-// of per-cell buckets.
+// Points are bucketed into cell order (row-major cells, point-index order
+// within a cell) with their coordinates copied alongside, so the three
+// cells x−1..x+1 of one grid row form a single contiguous span of
+// positions and a row scan reads coordinates sequentially instead of
+// gathering them by point index. Storage is CSR-style — one offsets table
+// and flat arrays — grown geometrically and only when a deployment
+// outgrows it, so rebuilding at wildly different sizes (a 100k-node field
+// after a 400-node one, or repartitioning shard regions per trial)
+// reaches a zero-allocation steady state.
 type GridIndex struct {
 	bounds    Rect
 	cellSize  float64
 	cols      int
 	rows      int
-	cellStart []int32 // CSR offsets into cellPts; len cols*rows+1
-	cellPts   []int32 // point indices grouped by cell, point-index order within each
-	cursor    []int32 // per-cell insertion cursors, Rebuild scratch
-	points    []Point
+	cellStart []int32 // CSR offsets into order/xy; len cols*rows+1
+	order     []int32 // point indices in cell order
+	xy        []Point // xy[k] = points[order[k]]
+	cellOf    []int32 // per-point cell, Rebuild scratch
 }
 
 // growI32 returns s resized to n, reallocating only when capacity is
@@ -94,20 +98,19 @@ func growI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// NewGridIndex builds an index over points with cells sized for queries of
-// the given radius. The radius must be positive.
+// NewGridIndex builds an index over points with cells sized for the given
+// radius. The radius must be positive.
 func NewGridIndex(bounds Rect, points []Point, radius float64) *GridIndex {
 	g := &GridIndex{}
 	g.Rebuild(bounds, points, radius)
 	return g
 }
 
-// Rebuild reinitializes g over a new point set, reusing the per-cell
-// backing arrays from previous builds: an index that is rebuilt repeatedly
-// over similarly sized deployments stops allocating once the cell grid has
-// grown to its steady-state shape. Cell contents are identical to a fresh
-// NewGridIndex over the same inputs (insertion in point-index order), so
-// query results do not depend on the index's history. The radius must be
+// Rebuild reinitializes g over a new point set, reusing the backing arrays
+// from previous builds: an index that is rebuilt repeatedly over similarly
+// sized deployments stops allocating once it has grown to its steady-state
+// shape. Contents are identical to a fresh NewGridIndex over the same
+// inputs, so rows do not depend on the index's history. The radius must be
 // positive.
 func (g *GridIndex) Rebuild(bounds Rect, points []Point, radius float64) {
 	if radius <= 0 {
@@ -115,39 +118,44 @@ func (g *GridIndex) Rebuild(bounds Rect, points []Point, radius float64) {
 	}
 	g.bounds = bounds
 	g.cellSize = radius
-	g.points = points
-	g.cols = int(math.Ceil(bounds.Width()/radius)) + 1
-	g.rows = int(math.Ceil(bounds.Height()/radius)) + 1
-	if g.cols < 1 {
-		g.cols = 1
-	}
-	if g.rows < 1 {
-		g.rows = 1
-	}
-	// Counting sort into the flat CSR arrays: count per cell, prefix-sum
-	// into offsets, then place indices at per-cell cursors. Placement scans
-	// points in index order, so each cell's contents are in point-index
-	// order — the same order per-cell append insertion produced.
+	g.cols = max(int(math.Ceil(bounds.Width()/radius))+1, 1)
+	g.rows = max(int(math.Ceil(bounds.Height()/radius))+1, 1)
+	// Counting sort: count per cell, prefix-sum into offsets, then place
+	// each point at its cell's cursor. Placement scans points in index
+	// order, so each cell's contents are in point-index order.
 	ncells := g.cols * g.rows
 	g.cellStart = growI32(g.cellStart, ncells+1)
 	clear(g.cellStart)
-	for _, p := range points {
-		g.cellStart[g.cellOf(p)+1]++
+	g.cellOf = growI32(g.cellOf, len(points))
+	for i, p := range points {
+		c := g.cell(p)
+		g.cellOf[i] = int32(c)
+		g.cellStart[c+1]++
 	}
 	for c := 1; c <= ncells; c++ {
 		g.cellStart[c] += g.cellStart[c-1]
 	}
-	g.cellPts = growI32(g.cellPts, len(points))
-	g.cursor = growI32(g.cursor, ncells)
-	copy(g.cursor, g.cellStart[:ncells])
-	for i, p := range points {
-		c := g.cellOf(p)
-		g.cellPts[g.cursor[c]] = int32(i)
-		g.cursor[c]++
+	// The cursors run in cellStart itself: placement advances cellStart[c]
+	// from the start of cell c to its end, the start of cell c+1, so
+	// shifting the table one slot right restores the offsets.
+	g.order = growI32(g.order, len(points))
+	if cap(g.xy) < len(points) {
+		g.xy = make([]Point, len(points), max(2*cap(g.xy), len(points)))
 	}
+	g.xy = g.xy[:len(points)]
+	cursor := g.cellStart[:ncells]
+	for i, p := range points {
+		c := g.cellOf[i]
+		k := cursor[c]
+		g.order[k] = int32(i)
+		g.xy[k] = p
+		cursor[c]++
+	}
+	copy(g.cellStart[1:], g.cellStart[:ncells])
+	g.cellStart[0] = 0
 }
 
-func (g *GridIndex) cellOf(p Point) int {
+func (g *GridIndex) cell(p Point) int {
 	cx := int((p.X - g.bounds.MinX) / g.cellSize)
 	cy := int((p.Y - g.bounds.MinY) / g.cellSize)
 	cx = clamp(cx, 0, g.cols-1)
@@ -165,53 +173,66 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// Neighbors appends to dst the indices of all points within radius of the
-// point with index i (excluding i itself) and returns the extended slice.
-// The radius must be at most the radius the index was built with.
-func (g *GridIndex) Neighbors(i int, radius float64, dst []int) []int {
-	p := g.points[i]
-	r2 := radius * radius
-	cx := clamp(int((p.X-g.bounds.MinX)/g.cellSize), 0, g.cols-1)
-	cy := clamp(int((p.Y-g.bounds.MinY)/g.cellSize), 0, g.rows-1)
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			x, y := cx+dx, cy+dy
-			if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
-				continue
-			}
-			c := y*g.cols + x
-			for _, j := range g.cellPts[g.cellStart[c]:g.cellStart[c+1]] {
-				if int(j) == i {
+// Order returns the point indices in cell order: position k of every row
+// span and of AppendRows belongs to point Order()[k]. The slice is shared;
+// callers must not modify it.
+func (g *GridIndex) Order() []int32 { return g.order }
+
+// AppendRows appends to dst the neighbour rows of the points at cell-order
+// positions k0..k1-1 of g — for each, the indices of all other points
+// within the index's radius, as ID — writes row k's length to deg[k-k0],
+// and returns the extended slice. A row lists its neighbours by cell row
+// offset (−1, 0, +1), then cell column offset, then point index. Disjoint
+// position ranges touch disjoint state, so callers may fill them
+// concurrently.
+func AppendRows[ID ~int32](g *GridIndex, dst []ID, deg []int32, k0, k1 int) []ID {
+	if k0 >= k1 {
+		return dst
+	}
+	r2 := g.cellSize * g.cellSize
+	// The first cell whose span ends past k0.
+	c := sort.Search(g.cols*g.rows, func(c int) bool { return int(g.cellStart[c+1]) > k0 })
+	for k := k0; k < k1; c++ {
+		end := int(g.cellStart[c+1])
+		if end <= k {
+			continue // empty cell
+		}
+		cx, cy := c%g.cols, c/g.cols
+		x0, x1 := max(cx-1, 0), min(cx+1, g.cols-1)
+		y0, y1 := max(cy-1, 0), min(cy+1, g.rows-1)
+		for ; k < end && k < k1; k++ {
+			p := g.xy[k]
+			n0 := len(dst)
+			for y := y0; y <= y1; y++ {
+				lo, hi := int(g.cellStart[y*g.cols+x0]), int(g.cellStart[y*g.cols+x1+1])
+				if y != cy {
+					dst = appendNear(dst, p, r2, g.xy[lo:hi], g.order[lo:hi])
 					continue
 				}
-				if p.Dist2(g.points[j]) <= r2 {
-					dst = append(dst, int(j))
-				}
+				// The node's own grid row: the span around itself.
+				dst = appendNear(dst, p, r2, g.xy[lo:k], g.order[lo:k])
+				dst = appendNear(dst, p, r2, g.xy[k+1:hi], g.order[k+1:hi])
 			}
+			deg[k-k0] = int32(len(dst) - n0)
 		}
 	}
 	return dst
 }
 
-// NeighborsOf appends indices of all points within radius of an arbitrary
-// query point q and returns the extended slice.
-func (g *GridIndex) NeighborsOf(q Point, radius float64, dst []int) []int {
-	r2 := radius * radius
-	cx := clamp(int((q.X-g.bounds.MinX)/g.cellSize), 0, g.cols-1)
-	cy := clamp(int((q.Y-g.bounds.MinY)/g.cellSize), 0, g.rows-1)
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			x, y := cx+dx, cy+dy
-			if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
-				continue
-			}
-			c := y*g.cols + x
-			for _, j := range g.cellPts[g.cellStart[c]:g.cellStart[c+1]] {
-				if q.Dist2(g.points[j]) <= r2 {
-					dst = append(dst, int(j))
-				}
-			}
+// appendNear appends to dst the ids of the span points within squared
+// distance r2 of p, in span order. Every candidate is written and the length
+// advances only on a hit, so the loop carries no branch on the distance
+// test: about a third of a span's candidates hit, at random.
+func appendNear[ID ~int32](dst []ID, p Point, r2 float64, xy []Point, ids []int32) []ID {
+	n := len(dst)
+	dst = slices.Grow(dst, len(xy))
+	buf := dst[:n+len(xy)]
+	ids = ids[:len(xy)]
+	for q, pt := range xy {
+		buf[n] = ID(ids[q])
+		if p.Dist2(pt) <= r2 {
+			n++
 		}
 	}
-	return dst
+	return dst[:n]
 }

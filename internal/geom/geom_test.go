@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -60,6 +61,26 @@ func bruteNeighbors(points []Point, i int, radius float64) []int {
 	return out
 }
 
+// rowsByPoint computes every row with AppendRows, in parts of the given
+// size, and returns them indexed by point.
+func rowsByPoint(g *GridIndex, part int) [][]int {
+	n := len(g.Order())
+	deg := make([]int32, n)
+	var flat []int32
+	for k0 := 0; k0 < n; k0 += part {
+		flat = AppendRows(g, flat, deg[k0:], k0, min(k0+part, n))
+	}
+	rows := make([][]int, n)
+	pos := 0
+	for k, i := range g.Order() {
+		for _, j := range flat[pos : pos+int(deg[k])] {
+			rows[i] = append(rows[i], int(j))
+		}
+		pos += int(deg[k])
+	}
+	return rows
+}
+
 func TestGridIndexMatchesBruteForce(t *testing.T) {
 	r := rng.New(99)
 	bounds := Square(400)
@@ -70,46 +91,20 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 	}
 	const radius = 50
 	g := NewGridIndex(bounds, points, radius)
+	// Parts that split cells mid-span must give the same rows as one pass.
+	whole := rowsByPoint(g, n)
+	for _, part := range []int{1, 7, 64} {
+		if got := rowsByPoint(g, part); !reflect.DeepEqual(got, whole) {
+			t.Fatalf("rows in parts of %d differ from one pass", part)
+		}
+	}
 	for i := 0; i < n; i++ {
-		got := g.Neighbors(i, radius, nil)
+		got := append([]int(nil), whole[i]...)
 		want := bruteNeighbors(points, i, radius)
 		sort.Ints(got)
-		sort.Ints(want)
-		if len(got) != len(want) {
-			t.Fatalf("node %d: got %d neighbors, want %d", i, len(got), len(want))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d: neighbors %v, want %v", i, got, want)
 		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("node %d: neighbor mismatch %v vs %v", i, got, want)
-			}
-		}
-	}
-}
-
-func TestGridIndexSmallerRadiusQuery(t *testing.T) {
-	r := rng.New(7)
-	bounds := Square(100)
-	points := make([]Point, 200)
-	for i := range points {
-		points[i] = Point{r.Float64() * 100, r.Float64() * 100}
-	}
-	g := NewGridIndex(bounds, points, 30)
-	for i := 0; i < len(points); i += 17 {
-		got := g.Neighbors(i, 12, nil)
-		want := bruteNeighbors(points, i, 12)
-		if len(got) != len(want) {
-			t.Fatalf("radius-12 query mismatch at %d: %d vs %d", i, len(got), len(want))
-		}
-	}
-}
-
-func TestGridIndexNeighborsOf(t *testing.T) {
-	points := []Point{{10, 10}, {20, 10}, {300, 300}}
-	g := NewGridIndex(Square(400), points, 50)
-	got := g.NeighborsOf(Point{12, 10}, 50, nil)
-	sort.Ints(got)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("NeighborsOf = %v, want [0 1]", got)
 	}
 }
 
@@ -117,19 +112,18 @@ func TestGridIndexPointOnBoundary(t *testing.T) {
 	// Points exactly on the max boundary must be indexed, not lost.
 	points := []Point{{400, 400}, {399, 399}}
 	g := NewGridIndex(Square(400), points, 50)
-	got := g.Neighbors(0, 50, nil)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("boundary point neighbors = %v", got)
+	if got := rowsByPoint(g, 2); !reflect.DeepEqual(got, [][]int{{1}, {0}}) {
+		t.Fatalf("boundary point rows = %v", got)
 	}
 }
 
 func TestGridIndexEmptyAndSingleton(t *testing.T) {
 	g := NewGridIndex(Square(10), nil, 5)
-	if got := g.NeighborsOf(Point{1, 1}, 5, nil); len(got) != 0 {
+	if got := AppendRows[int32](g, nil, nil, 0, 0); len(got) != 0 {
 		t.Fatalf("empty index returned %v", got)
 	}
 	g = NewGridIndex(Square(10), []Point{{5, 5}}, 5)
-	if got := g.Neighbors(0, 5, nil); len(got) != 0 {
+	if got := rowsByPoint(g, 1); len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("singleton index returned %v", got)
 	}
 }
@@ -143,17 +137,18 @@ func TestNewGridIndexPanicsOnBadRadius(t *testing.T) {
 	NewGridIndex(Square(10), nil, 0)
 }
 
-func BenchmarkGridNeighbors(b *testing.B) {
-	r := rng.New(1)
-	points := make([]Point, 600)
-	for i := range points {
-		points[i] = Point{r.Float64() * 400, r.Float64() * 400}
-	}
-	g := NewGridIndex(Square(400), points, 50)
-	buf := make([]int, 0, 64)
+// BenchmarkGridRows builds every row of a paper-density 10,000-node field.
+func BenchmarkGridRows(b *testing.B) {
+	const n = 10000
+	side := 400 * math.Sqrt(n/400.0)
+	points := syntheticField(nil, n, side)
+	g := NewGridIndex(Square(side), points, 50)
+	deg := make([]int32, n)
+	var flat []int32
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = g.Neighbors(i%600, 50, buf[:0])
+		flat = AppendRows(g, flat[:0], deg, 0, n)
 	}
 }
 
@@ -201,7 +196,7 @@ func TestRebuildAllocFreeAcrossSizes(t *testing.T) {
 }
 
 func TestRebuildMatchesFreshAfterResize(t *testing.T) {
-	// A reused index rebuilt small→large→small must answer queries exactly
+	// A reused index rebuilt small→large→small must build rows exactly
 	// like a fresh one (contents and order), proving leftover storage from
 	// other shapes never leaks into results.
 	var pts []Point
@@ -211,17 +206,8 @@ func TestRebuildMatchesFreshAfterResize(t *testing.T) {
 		pts = syntheticField(pts, n, side)
 		reused.Rebuild(Square(side), pts, 50)
 		fresh := NewGridIndex(Square(side), pts, 50)
-		for _, probe := range []int{0, n / 3, n - 1} {
-			a := reused.Neighbors(probe, 50, nil)
-			b := fresh.Neighbors(probe, 50, nil)
-			if len(a) != len(b) {
-				t.Fatalf("n=%d probe=%d: reused %d neighbors, fresh %d", n, probe, len(a), len(b))
-			}
-			for k := range a {
-				if a[k] != b[k] {
-					t.Fatalf("n=%d probe=%d: neighbor[%d] = %d vs fresh %d", n, probe, k, a[k], b[k])
-				}
-			}
+		if !reflect.DeepEqual(rowsByPoint(reused, n), rowsByPoint(fresh, n)) {
+			t.Fatalf("n=%d: reused index rows differ from a fresh index", n)
 		}
 	}
 }

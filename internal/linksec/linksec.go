@@ -585,17 +585,14 @@ func (c *Cipher) DecryptTo(src []byte) (int64, error) {
 	return c.Open(s)
 }
 
-// linkEntry is one CipherCache slot, carrying two generation stamps
-// because the cache answers two questions of different cost. okGen
-// validates the existence answer ok (HasKey's question, answerable
-// without key material); keyGen validates that the cipher c is bound to
-// the link's current key (Link's question, requiring derivation).
-// keyGen implies okGen: binding a cipher validates both.
-type linkEntry struct {
-	c      *Cipher
-	ok     bool
-	okGen  uint64
-	keyGen uint64
+// slot is one CipherCache table entry: the link of one normalised node
+// pair, claimed in generation gen. A slot stamped with any other
+// generation is empty, which is what makes Reset O(1).
+type slot struct {
+	id  uint64  // linkID of the pair
+	c   *Cipher // bound cipher; nil for a keyless pair or one HasKey probed
+	gen uint32  // generation that claimed the slot
+	ok  bool    // the scheme gives the pair a key
 }
 
 // CipherCache memoizes one reusable Cipher per link over a key-management
@@ -603,68 +600,60 @@ type linkEntry struct {
 // keystream blocks, scratch buffers) instead of re-deriving keys and
 // rebuilding primitives per share. Negative lookups (pairs the scheme
 // gives no key) are memoized too, and HasKey memoizes the existence answer
-// alone — cipher construction and key derivation happen only on links that
-// actually seal. Entries are generation-stamped: Reset bumps the
-// generation instead of clearing the map, and a stale hit re-validates in
-// place via Cipher.rekey — when the new scheme derives the same key for
-// the link, the cached keystream blocks survive untouched, and even a
-// fresh key costs only a copy (the round-key schedule is process-wide).
-// Entries untouched for a full generation — links of a previous
-// deployment's topology, in an arena cache — retire their ciphers to a
-// free pool the next deployment draws from, so a long-lived cache's
-// footprint tracks one deployment's working set, not the union of all of
-// them. Not safe for concurrent use.
+// alone — key derivation happens only on links that actually seal.
+//
+// Links live in one open-addressing table keyed by the normalised node
+// pair, each slot stamped with the generation that claimed it; Reset bumps
+// the generation, emptying every slot at once. Ciphers are carved from
+// slabs that outlive generations and are bound in binding order from a
+// cursor Reset rewinds, so a fresh deployment rebinds warm slab memory
+// instead of allocating, and a long-lived cache's footprint tracks the
+// largest deployment it has served. Rebinding is Cipher.rekey: when the
+// cipher at the cursor already holds the link's key — the same deployment
+// re-run in the same order — its cached keystream blocks survive, and
+// otherwise it costs a key copy. Not safe for concurrent use.
 type CipherCache struct {
 	scheme  Scheme
 	checker KeyChecker // scheme's KeyChecker refinement, or nil
-	gen     uint64
-	links   map[uint64]linkEntry
-	free    []*Cipher // ciphers retired from swept or negative entries
-	// New ciphers are carved from slabs rather than allocated one by one:
-	// a deployment binds thousands of links at once, and slab allocation
-	// turns those into a handful of heap objects the collector can sweep
-	// cheaply. Ciphers never die individually — they retire to free and
-	// come back — so slab storage is never stranded.
-	slab     []Cipher
-	slabUsed int
+	gen     uint32
+	slots   []slot // linear probing; len a power of two, at most half full
+	shift   uint   // 64 − log2(len(slots)), for Fibonacci hashing
+	live    int    // slots claimed in this generation
+	slabs   [][]Cipher
+	bound   int // ciphers bound this generation: the slab cursor
 }
 
-// cipherSlabSize is the number of Cipher structs carved per slab — about
-// the link count of a mid-sized deployment's node neighborhood working
-// set, small enough that a tiny cache wastes little.
+// cipherSlabSize is the number of Cipher structs per slab — about the link
+// count of a mid-sized deployment's sealing working set, small enough that
+// a tiny cache wastes little.
 const cipherSlabSize = 256
+
+// minSlotsLog2 sizes a new cache's table: 64 slots.
+const minSlotsLog2 = 6
 
 // NewCipherCache creates an empty cache over scheme. The Suite argument is
 // ignored (see Suite).
 func NewCipherCache(scheme Scheme, _ Suite) *CipherCache {
-	cc := &CipherCache{gen: 1, links: make(map[uint64]linkEntry)}
+	cc := &CipherCache{gen: 1, slots: make([]slot, 1<<minSlotsLog2), shift: 64 - minSlotsLog2}
 	cc.bind(scheme)
 	return cc
 }
 
-// Reset rebinds the cache to a new scheme and invalidates every
-// entry by bumping the generation — entries the previous deployment used
-// stay in the map, and the next Link hit on such a stale entry re-derives
-// the link key and rekeys the resident cipher in place (retaining every
-// cached keystream block when the key is unchanged). Entries NOT
-// touched since the previous Reset belong to a topology two deployments
-// gone — random deployments barely overlap in link sets — so their
-// ciphers retire to the free pool and their map slots are deleted: the
-// next deployment repopulates from recycled instances instead of
-// allocating. A Cipher's observable behavior is a pure function of its
-// current key — cached keystream blocks are invalidated on any change —
-// so which pooled cipher serves which link never shows in the output.
+// Reset rebinds the cache to a new scheme and empties it in O(1): the
+// generation bump retires every slot, and rewinding the slab cursor hands
+// the next deployment's links the previous deployment's ciphers in binding
+// order. A Cipher's observable behavior is a pure function of its current
+// key — cached keystream blocks are invalidated on any change — so which
+// slab cipher serves which link never shows in the output.
 func (cc *CipherCache) Reset(scheme Scheme) {
 	cc.bind(scheme)
-	for id, e := range cc.links {
-		if e.okGen < cc.gen && e.keyGen < cc.gen {
-			if e.c != nil {
-				cc.free = append(cc.free, e.c)
-			}
-			delete(cc.links, id)
-		}
-	}
 	cc.gen++
+	if cc.gen == 0 { // wrapped: stale stamps could read as current
+		clear(cc.slots)
+		cc.gen = 1
+	}
+	cc.live = 0
+	cc.bound = 0
 }
 
 // bind points the cache at scheme.
@@ -673,7 +662,7 @@ func (cc *CipherCache) bind(scheme Scheme) {
 	cc.checker, _ = scheme.(KeyChecker)
 }
 
-// linkID normalizes an unordered node pair to a map key.
+// linkID normalizes an unordered node pair to a table key.
 func linkID(a, b topology.NodeID) uint64 {
 	lo, hi := a, b
 	if lo > hi {
@@ -682,32 +671,75 @@ func linkID(a, b topology.NodeID) uint64 {
 	return uint64(uint32(lo))<<32 | uint64(uint32(hi))
 }
 
+// find returns link id's slot in the current generation, or the empty slot
+// where it would be claimed.
+func (cc *CipherCache) find(id uint64) (*slot, bool) {
+	mask := len(cc.slots) - 1
+	for i := int(id * 0x9E3779B97F4A7C15 >> cc.shift); ; i = (i + 1) & mask {
+		s := &cc.slots[i]
+		if s.gen != cc.gen {
+			return s, false
+		}
+		if s.id == id {
+			return s, true
+		}
+	}
+}
+
+// lookup returns link id's slot, claiming an empty one when the current
+// generation has none; fresh reports a claim. A claim that would fill the
+// table past half first doubles it, carrying over the live slots only.
+func (cc *CipherCache) lookup(id uint64) (s *slot, fresh bool) {
+	s, found := cc.find(id)
+	if found {
+		return s, false
+	}
+	if 2*(cc.live+1) > len(cc.slots) {
+		old := cc.slots
+		cc.slots = make([]slot, 2*len(old))
+		cc.shift--
+		for i := range old {
+			if old[i].gen == cc.gen {
+				e, _ := cc.find(old[i].id)
+				*e = old[i]
+			}
+		}
+		s, _ = cc.find(id)
+	}
+	cc.live++
+	*s = slot{id: id, gen: cc.gen}
+	return s, true
+}
+
+// nextCipher returns the cipher at the slab cursor and advances it.
+func (cc *CipherCache) nextCipher() *Cipher {
+	i, j := cc.bound/cipherSlabSize, cc.bound%cipherSlabSize
+	if i == len(cc.slabs) {
+		cc.slabs = append(cc.slabs, make([]Cipher, cipherSlabSize))
+	}
+	cc.bound++
+	return &cc.slabs[i][j]
+}
+
 // HasKey reports whether the scheme gives the a–b pair a key, deriving
 // no key material when the scheme is a KeyChecker. This is the query
 // target selection wants: it probes every neighbor pair but commits to
 // few, so existence must not cost a cipher binding. A KeyChecker scheme
-// is asked first, before the link map is read: its contract makes its
-// answer equal to any memoized one, and a combinatorial existence check
-// is cheaper than a map lookup. Its answers are deliberately NOT
-// memoized either — each pair is probed about once per deployment, and
-// memoizing would grow the map by every probed pair, so the map stays
-// sized by links that actually seal. Only a scheme without the
-// refinement reads the memo, and only its expensive SharedKey fallback
-// earns a map entry.
+// is asked directly, without touching the table: its contract makes its
+// answer equal to any memoized one, a combinatorial existence check is
+// cheaper than a probe, and memoizing would grow the table by every probed
+// pair, where it should stay sized by links that actually seal. Only a
+// scheme without the refinement reads the memo, and only its expensive
+// SharedKey fallback earns a slot.
 func (cc *CipherCache) HasKey(a, b topology.NodeID) bool {
 	if cc.checker != nil {
 		return cc.checker.HasKey(a, b)
 	}
-	id := linkID(a, b)
-	e, seen := cc.links[id]
-	if seen && (e.okGen == cc.gen || e.keyGen == cc.gen) {
-		return e.ok
+	s, fresh := cc.lookup(linkID(a, b))
+	if fresh {
+		_, s.ok = cc.scheme.SharedKey(a, b)
 	}
-	_, ok := cc.scheme.SharedKey(a, b)
-	e.ok = ok
-	e.okGen = cc.gen
-	cc.links[id] = e
-	return ok
+	return s.ok
 }
 
 // Link returns the cipher for the a–b link, or ok=false when the scheme
@@ -715,45 +747,18 @@ func (cc *CipherCache) HasKey(a, b topology.NodeID) bool {
 // what lets a receiver's Open reuse the keystream block cached by the
 // sender's Seal.
 func (cc *CipherCache) Link(a, b topology.NodeID) (*Cipher, bool) {
-	id := linkID(a, b)
-	e, seen := cc.links[id]
-	if seen {
-		if e.keyGen == cc.gen {
-			return e.c, e.c != nil
-		}
-		if e.okGen == cc.gen && !e.ok {
-			return nil, false
-		}
+	s, fresh := cc.lookup(linkID(a, b))
+	if !fresh && (s.c != nil || !s.ok) {
+		return s.c, s.ok
 	}
 	key, ok := cc.scheme.SharedKey(a, b)
+	s.ok = ok
 	if !ok {
-		if e.c != nil {
-			cc.free = append(cc.free, e.c)
-		}
-		cc.links[id] = linkEntry{okGen: cc.gen, keyGen: cc.gen}
 		return nil, false
 	}
-	c := e.c
-	switch {
-	case c != nil:
-		c.rekey(key)
-	case len(cc.free) > 0:
-		n := len(cc.free)
-		c = cc.free[n-1]
-		cc.free[n-1] = nil
-		cc.free = cc.free[:n-1]
-		c.rekey(key)
-	default:
-		if cc.slabUsed == len(cc.slab) {
-			cc.slab = make([]Cipher, cipherSlabSize)
-			cc.slabUsed = 0
-		}
-		c = &cc.slab[cc.slabUsed]
-		cc.slabUsed++
-		c.setKey(key)
-	}
-	cc.links[id] = linkEntry{c: c, ok: true, okGen: cc.gen, keyGen: cc.gen}
-	return c, true
+	s.c = cc.nextCipher()
+	s.c.rekey(key)
+	return s.c, true
 }
 
 // SealReq is one entry of a SealBatch call: inputs Src/Dst/Nonce/Value,

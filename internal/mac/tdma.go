@@ -2,13 +2,21 @@
 // regime where exponential backoff dominates round latency.
 //
 // Slots are assigned by greedy two-hop graph coloring: no node shares a
-// slot with any node at radio distance one OR two. Two nodes in the same
-// slot are therefore more than two hops apart, so no receiver is in range
-// of both — every transmission that starts at its owner's slot boundary
-// and fits within the slot is collision-free, broadcast storms included.
-// The ACK a unicast receiver returns one SIFS after the data frame falls
-// inside the sender's slot, which is sized to cover a maximum data frame,
-// the SIFS, the ACK, and the sender's ARQ timeout guard.
+// slot with any node at radio distance one OR two. Two slot owners are
+// therefore more than two hops apart, so no receiver is in range of both:
+// data frames that start at their owner's slot boundary and fit within the
+// slot never collide with each other, broadcast storms included. The ACK a
+// unicast receiver returns one SIFS after the data frame falls inside the
+// sender's slot, which is sized to cover a maximum data frame, the SIFS,
+// the ACK, and the sender's ARQ timeout guard.
+//
+// The channel is not collision-free, though: an ACK comes from one hop
+// beyond its slot's owner, so it can reach a node that is also receiving
+// from a same-slot owner three hops from the ACK's addressee. The
+// addressee's ARQ recovers what such an ACK corrupts, but the non-anchor
+// targets of a coalesced batch get no retransmission and lose their
+// slices (TestTDMAAckCollidesWithCoalescedBatch pins a field where this
+// happens).
 //
 // The assignment is a pure function of the network topology — no rng, no
 // tree state — so it is byte-identical across trial workers and shard

@@ -24,7 +24,6 @@ package mtree
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"github.com/ipda-sim/ipda/internal/core"
@@ -166,12 +165,13 @@ func (in *Instance) buildTrees(root *rng.Stream, m int) (*tree.Forest, error) {
 		if t < 0 || t >= m {
 			return
 		}
+		// As in package tree, no sender is heard twice: broadcasts are
+		// never retransmitted and every node sends each tree's HELLO at
+		// most once (core.Config.Validate rejects a root listed twice).
 		src := topology.NodeID(p.Src)
-		if !slices.Contains(f.Heard[t][self], src) {
-			f.Heard[t][self] = append(f.Heard[t][self], src)
-			if k := int(self)*m + t; best[k] == topology.None || p.Hop < minHop[k] {
-				best[k], minHop[k] = src, p.Hop
-			}
+		f.Heard[t][self] = append(f.Heard[t][self], src)
+		if k := int(self)*m + t; best[k] == topology.None || p.Hop < minHop[k] {
+			best[k], minHop[k] = src, p.Hop
 		}
 		if decided[self] || armed[self] {
 			return

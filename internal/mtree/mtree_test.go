@@ -2,6 +2,7 @@ package mtree
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/core"
@@ -403,8 +404,9 @@ func TestDeterministic(t *testing.T) {
 }
 
 // TestExactTotalsUnderTDMA checks every tree total against the truth. On
-// the collision-free TDMA channel no slice or aggregate is lost, so each
-// of the m totals must equal the participants' reading sum exactly, and
+// the TDMA channel data frames never collide and ARQ recovers every
+// unicast an ACK corrupts, so no slice or aggregate is lost: each of the m
+// totals must equal the participants' reading sum exactly, and
 // the non-participants' large readings must not leak into any tree.
 func TestExactTotalsUnderTDMA(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -438,6 +440,33 @@ func TestExactTotalsUnderTDMA(t *testing.T) {
 				if got != want {
 					t.Errorf("seed %d m=%d: tree %d total %d, want %d over %d participants (totals %v)",
 						seed, m, tr, got, want, len(participants), v.Totals)
+				}
+			}
+		}
+	}
+}
+
+// TestHeardListsHaveNoDuplicates is tree's pin for the m-tree flood, which
+// also appends heard senders without a membership scan: on m = 3 forests
+// with extra roots, no node hears one sender twice on one tree.
+func TestHeardListsHaveNoDuplicates(t *testing.T) {
+	for n := 200; n <= 600; n += 100 {
+		net, err := topology.Random(topology.PaperConfig(n), rng.New(uint64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := config(3)
+		cfg.ExtraRoots = []topology.NodeID{7, topology.NodeID(n / 2)}
+		in, err := New(net, cfg, 3, uint64(n)+77)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tr, heard := range in.Trees.Heard {
+			for i, h := range heard {
+				for k, src := range h {
+					if slices.Contains(h[:k], src) {
+						t.Fatalf("N=%d: node %d heard %d twice on tree %d: %v", n, i, src, tr, h)
+					}
 				}
 			}
 		}

@@ -51,8 +51,9 @@ func repairedParticipants(t *testing.T, f *tree.Forest, dead map[topology.NodeID
 }
 
 // TestExactTotalsUnderKillsAndRepair kills an aggregator with children on
-// each of trees 0 and 1 of an m = 3 deployment on the collision-free TDMA
-// channel. With repair, the orphans re-attach and senders avoid the dead,
+// each of trees 0 and 1 of an m = 3 deployment on the TDMA channel, whose
+// slots keep data frames apart and whose ARQ recovers every unicast an ACK
+// corrupts. With repair, the orphans re-attach and senders avoid the dead,
 // so every tree total is exact: a COUNT equals the round's participants on
 // all three trees, a SUM equals the participants' true sum, and the
 // majority accepts. Without repair (the control) the two dead subtrees

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"math"
+	"strconv"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/rng"
@@ -182,5 +184,24 @@ func TestInducedAllocFreeSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Induced allocated %v per run after warmup, want 0", allocs)
+	}
+}
+
+// BenchmarkPoolRandom deploys paper-density fields into a warm pool: the
+// fresh-deployment cost every trial of a sweep pays before Phase I.
+func BenchmarkPoolRandom(b *testing.B) {
+	for _, n := range []int{600, 2000, 10000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			side := 400 * math.Sqrt(float64(n+1)/401)
+			c := Config{Nodes: n, FieldSide: side, Range: 50}
+			var pool Pool
+			r := rng.New(5)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pool.Random(c, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

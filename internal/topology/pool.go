@@ -8,12 +8,10 @@ import (
 // Pool generates random deployments into reused backing storage — the
 // into-buffer counterpart of Random for trial campaigns that deploy
 // thousands of networks of similar size. Positions are written into one
-// persistent slice and the adjacency is laid out CSR-style: all neighbor
-// lists live back to back in a single flat array, with per-node rows sliced
-// out of it once the flat array has reached its final length (rows are
-// never taken while the array can still grow, so no row is left pointing at
-// an abandoned backing array). After the first few deployments at a given
-// size the pool allocates nothing.
+// persistent slice and the adjacency into the pool's CSR builder, which
+// slices node rows out of its row arrays only once they have stopped
+// growing. After the first few deployments at a given size the pool
+// allocates nothing.
 //
 // A Pool is not safe for concurrent use, and each Random call invalidates
 // the Network returned by the previous one (the same backing storage is
@@ -25,11 +23,8 @@ import (
 // neighbor sets, and neighbor order — so a trial cannot tell which
 // constructor built its network.
 type Pool struct {
-	net  Network
-	flat []NodeID // CSR adjacency backing: all rows, back to back
-	offs []int32  // row offsets into flat; len n+1
-	buf  []int    // grid-query scratch
-	grid geom.GridIndex
+	net Network
+	adj adjacency // the CSR neighbour lists net.adj slices
 
 	// Induced-subnet storage, separate from Random's so one pool can hold
 	// a live global deployment while slicing region subnets out of it.
@@ -53,45 +48,11 @@ func (p *Pool) Random(c Config, r *rng.Stream) (*Network, error) {
 		p.net.Positions = make([]geom.Point, n)
 	}
 	p.net.Positions = p.net.Positions[:n]
-	p.net.Positions[0] = bounds.Center()
-	for i := 1; i < n; i++ {
-		p.net.Positions[i] = geom.Point{
-			X: r.Float64() * c.FieldSide,
-			Y: r.Float64() * c.FieldSide,
-		}
-	}
+	place(p.net.Positions, bounds, r)
 	p.net.Range = c.Range
 	p.net.Bounds = bounds
 
-	// Pass 1: append every neighbor list to the flat backing, recording row
-	// offsets. The flat slice may be reallocated by growth during this pass,
-	// which is why no *Network-visible row is sliced from it yet.
-	p.grid.Rebuild(bounds, p.net.Positions, c.Range)
-	if cap(p.offs) < n+1 {
-		p.offs = make([]int32, n+1)
-	}
-	p.offs = p.offs[:n+1]
-	p.flat = p.flat[:0]
-	for i := 0; i < n; i++ {
-		p.offs[i] = int32(len(p.flat))
-		p.buf = p.grid.Neighbors(i, c.Range, p.buf[:0])
-		for _, j := range p.buf {
-			p.flat = append(p.flat, NodeID(j))
-		}
-	}
-	p.offs[n] = int32(len(p.flat))
-
-	// Pass 2: the flat array is final; slice the rows out of it. Full slice
-	// expressions pin each row's capacity so an append on a row (callers
-	// must not, but defensively) cannot bleed into its neighbor.
-	if cap(p.net.adj) < n {
-		p.net.adj = make([][]NodeID, n)
-	}
-	p.net.adj = p.net.adj[:n]
-	for i := 0; i < n; i++ {
-		lo, hi := p.offs[i], p.offs[i+1]
-		p.net.adj[i] = p.flat[lo:hi:hi]
-	}
+	p.net.adj = p.adj.build(p.net.Positions, bounds, c.Range)
 	return &p.net, nil
 }
 

@@ -129,20 +129,11 @@ func (n *Network) HopDistancesInto(start NodeID, dist []int, queue []NodeID) ([]
 	return dist, queue
 }
 
-// buildAdjacency fills adj from positions using a spatial grid index.
+// buildAdjacency returns the neighbour lists of positions in storage of
+// their own.
 func buildAdjacency(positions []geom.Point, bounds geom.Rect, radius float64) [][]NodeID {
-	idx := geom.NewGridIndex(bounds, positions, radius)
-	adj := make([][]NodeID, len(positions))
-	buf := make([]int, 0, 64)
-	for i := range positions {
-		buf = idx.Neighbors(i, radius, buf[:0])
-		row := make([]NodeID, len(buf))
-		for k, j := range buf {
-			row[k] = NodeID(j)
-		}
-		adj[i] = row
-	}
-	return adj
+	var a adjacency
+	return a.build(positions, bounds, radius)
 }
 
 // Config describes a uniform random deployment, the scenario of Section
@@ -182,19 +173,23 @@ func Random(c Config, r *rng.Stream) (*Network, error) {
 	}
 	bounds := geom.Square(c.FieldSide)
 	positions := make([]geom.Point, c.Nodes+1)
-	positions[0] = bounds.Center()
-	for i := 1; i <= c.Nodes; i++ {
-		positions[i] = geom.Point{
-			X: r.Float64() * c.FieldSide,
-			Y: r.Float64() * c.FieldSide,
-		}
-	}
+	place(positions, bounds, r)
 	return &Network{
 		Positions: positions,
 		Range:     c.Range,
 		Bounds:    bounds,
 		adj:       buildAdjacency(positions, bounds, c.Range),
 	}, nil
+}
+
+// place puts the base station at the center of the square bounds and the
+// other nodes uniformly at random over it, drawing X then Y per node.
+func place(positions []geom.Point, bounds geom.Rect, r *rng.Stream) {
+	side := bounds.Width()
+	positions[0] = bounds.Center()
+	for i := 1; i < len(positions); i++ {
+		positions[i] = geom.Point{X: r.Float64() * side, Y: r.Float64() * side}
+	}
 }
 
 // Grid deploys (side x side) nodes on a regular lattice with the given

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/eventsim"
@@ -128,6 +129,38 @@ func TestRoleCountsSumToSensors(t *testing.T) {
 		}
 		if undecided < uncovered || uncovered == 0 {
 			t.Fatalf("pass %d: %d undecided for %d uncovered sensors", pass, undecided, uncovered)
+		}
+	}
+}
+
+// TestHeardListsHaveNoDuplicates pins what lets onHello append without a
+// membership scan: every sender is heard at most once per tree, extra roots
+// included, because broadcasts are never retransmitted and each node sends
+// each color once.
+func TestHeardListsHaveNoDuplicates(t *testing.T) {
+	for n := 200; n <= 600; n += 100 {
+		r := rng.New(uint64(n))
+		net, err := topology.Random(topology.PaperConfig(n), r.Split(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := eventsim.New()
+		medium := radio.New(sim, net, radio.PaperRate)
+		m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
+		cfg := DefaultConfig()
+		cfg.ExtraRoots = []topology.NodeID{7, topology.NodeID(n / 2)}
+		f, err := BuildDisjoint(sim, m, net, cfg, r.Split(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tr, heard := range f.Heard {
+			for i, h := range heard {
+				for k, src := range h {
+					if slices.Contains(h[:k], src) {
+						t.Fatalf("N=%d: node %d heard %d twice on tree %d: %v", n, i, src, tr, h)
+					}
+				}
+			}
 		}
 	}
 }

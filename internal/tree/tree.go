@@ -27,6 +27,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ipda-sim/ipda/internal/eventsim"
 	"github.com/ipda-sim/ipda/internal/mac"
@@ -77,6 +78,13 @@ func (c Config) Validate() error {
 	}
 	if c.DecisionDelay <= 0 || c.Deadline <= 0 {
 		return fmt.Errorf("tree: delays must be positive")
+	}
+	// A root listed twice would flood every color twice, and onHello's
+	// heard lists rely on each sender sending each color once.
+	for i, r := range c.ExtraRoots {
+		if slices.Contains(c.ExtraRoots[:i], r) {
+			return fmt.Errorf("tree: extra root %d listed twice", r)
+		}
 	}
 	return nil
 }
@@ -496,12 +504,14 @@ func (b *Builder) onHello(self topology.NodeID, p *packet.Packet) {
 	if t < 0 || t >= len(st.heard) {
 		return
 	}
+	// No sender is heard twice: HELLOs are broadcasts, which the MAC never
+	// retransmits, and every node sends each color at most once — roots
+	// once at kickoff (Validate rejects a root listed twice), aggregators
+	// once on deciding.
 	src := topology.NodeID(p.Src)
-	if !contains(st.heard[t], src) {
-		st.heard[t] = append(st.heard[t], src)
-		if st.best[t] == topology.None || p.Hop < st.minHop[t] {
-			st.best[t], st.minHop[t] = src, p.Hop
-		}
+	st.heard[t] = append(st.heard[t], src)
+	if st.best[t] == topology.None || p.Hop < st.minHop[t] {
+		st.best[t], st.minHop[t] = src, p.Hop
 	}
 	if st.decided {
 		return
@@ -519,15 +529,6 @@ func resize[E any](s []E, n int) []E {
 		return make([]E, n)
 	}
 	return s[:n]
-}
-
-func contains(xs []topology.NodeID, x topology.NodeID) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // TAGResult is the outcome of TAG spanning-tree construction: a single

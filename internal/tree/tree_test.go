@@ -186,6 +186,7 @@ func TestConfigValidate(t *testing.T) {
 		{K: 1, Adaptive: true, DecisionDelay: 1, Deadline: 1},
 		{K: 4, Adaptive: true, DecisionDelay: 0, Deadline: 1},
 		{K: 4, Adaptive: true, DecisionDelay: 1, Deadline: 0},
+		{K: 4, Adaptive: true, DecisionDelay: 1, Deadline: 1, ExtraRoots: []topology.NodeID{7, 9, 7}},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

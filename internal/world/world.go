@@ -90,9 +90,10 @@ func (a *Arena) Deploy(c topology.Config, r *rng.Stream) (*topology.Network, err
 // Core returns slot's iPDA instance re-deployed over (net, cfg, seed),
 // exactly as core.New would build it. A nil arena constructs fresh.
 // Reuse retains more than buffers: the instance's linksec cipher cache
-// survives Reset generationally, so a trial rerun at the same scheme
-// keeps its cipher instances and cached keystream blocks instead of
-// re-deriving them (see linksec.CipherCache.Reset).
+// keeps its table and cipher slabs across Reset, so a fresh deployment
+// binds its links from warm memory, and a trial rerun at the same scheme
+// rebinds each link to the cipher that already holds its key, cached
+// keystream blocks included (see linksec.CipherCache.Reset).
 func (a *Arena) Core(slot string, net *topology.Network, cfg core.Config, seed uint64) (*core.Instance, error) {
 	if a == nil {
 		return core.New(net, cfg, seed)

@@ -6,6 +6,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/ipda-sim/ipda/internal/packet"
+	"github.com/ipda-sim/ipda/internal/topology"
 )
 
 func TestDeployAndCount(t *testing.T) {
@@ -392,6 +395,55 @@ func TestMultiTreeEngineOptions(t *testing.T) {
 	if extra < single {
 		t.Errorf("mean coverage with extra base stations %v, below node 0 alone %v", extra, single)
 	}
+}
+
+// TestTDMAAckCollidesWithCoalescedBatch pins a known gap in TDMA's
+// two-hop slot colouring: it keeps same-slot data transmitters apart, but
+// the ACK a receiver returns inside its sender's slot comes from one hop
+// further out. On this deployment 268 and 360 share slot 18; 268's
+// coalesced SLICE_BATCH (anchor 515) is on the air when 59 acknowledges
+// 360's frame, and node 344 hears both, so the batch collides there. ARQ
+// retries only the anchor, so non-anchor targets lose their slices and the
+// trees disagree. A colouring that separates ACKs too must flip this test.
+func TestTDMAAckCollidesWithCoalescedBatch(t *testing.T) {
+	cfg := DefaultConfig(600)
+	cfg.MAC = "tdma"
+	cfg.Coalesce = true
+	net, err := DeployMultiTree(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sender, anchor = 268, 515
+	lostAt := map[int32]bool{} // non-anchor targets whose copy collided
+	ackCollided := false       // 59's ACK to 360, corrupted at 344
+	net.inst.Medium.AddTap(func(at, src, dst topology.NodeID, frame []byte, collided bool) {
+		p, err := packet.Unmarshal(frame)
+		if err != nil || !collided {
+			return
+		}
+		switch {
+		case p.Kind == packet.KindSliceBatch && src == sender && dst == anchor:
+			for _, e := range p.Entries {
+				if e.Dst == int32(at) && e.Dst != anchor {
+					lostAt[e.Dst] = true
+				}
+			}
+		case p.Kind == packet.KindAck && src == 59 && dst == 360 && at == 344:
+			ackCollided = true
+		}
+	})
+	res, err := net.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lostAt[344] || !ackCollided {
+		t.Fatalf("batch %d→%d lost at non-anchor targets %v, ACK 59→360 collided at 344: %v; want both at 344",
+			sender, anchor, lostAt, ackCollided)
+	}
+	if len(res.Outliers) == 0 {
+		t.Fatalf("lost coalesced slices left the trees unanimous: %+v", res)
+	}
+	t.Logf("batch lost at non-anchor targets %v; tree totals %v", lostAt, res.Totals)
 }
 
 func TestExtraBaseStationsPublicAPI(t *testing.T) {

@@ -68,11 +68,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("m=5 under collusion: totals=%v\n", v5.Totals)
-	fmt.Printf("verdict: accepted=%v value=%d, polluted trees identified: %v\n",
+	fmt.Printf("verdict: accepted=%v value=%.0f, polluted trees identified: %v\n",
 		v5.Accepted, v5.Value, v5.Outliers)
 }
 
-func firstOnTree(net *ipda.MultiTreeNetwork, tree int) int {
+func firstOnTree(net *ipda.Network, tree int) int {
 	for id := 1; id < net.Size(); id++ {
 		if net.TreeOf(id) == tree {
 			return id

@@ -10,12 +10,12 @@
 // assembled value r(j) of any aggregator is assumed overheard.
 //
 // A node's reading d(i) is disclosed when the adversary can complete one
-// of its two additive share sets:
+// of its additive share sets, one per tree:
 //
 //   - every transmitted slice of a set was decrypted and the set has no
-//     locally-kept share (a leaf's sets, or an aggregator's opposite-color
-//     set), or
-//   - the set keeps one share locally (an aggregator's own-color set) and
+//     locally-kept share (a leaf's sets, or an aggregator's sets for the
+//     trees it does not aggregate on), or
+//   - the set keeps one share locally (an aggregator's own-tree set) and
 //     the adversary decrypted the set's other l−1 slices plus every slice
 //     the node received, recovering the local share as
 //     d_ii = r(i) − Σ incoming.
@@ -111,32 +111,30 @@ func (e *Eavesdropper) Reset() {
 }
 
 // Disclosed reports whether the adversary learned node id's reading in the
-// observed round.
+// observed round: on any tree the node sliced on or kept a share for, the
+// node's share set for that tree is complete (see the package doc).
 func (e *Eavesdropper) Disclosed(id topology.NodeID) bool {
-	kept := map[packet.Color]bool{}
+	var kept core.TreeSet
 	for _, c := range e.localKept[id] {
-		kept[c] = true
+		kept |= 1 << c.Tree()
 	}
-	for _, color := range []packet.Color{packet.Red, packet.Blue} {
+	used := kept
+	for _, o := range e.sent[id] {
+		used |= 1 << o.color.Tree()
+	}
+	for _, t := range used.Trees() {
+		color := packet.TreeColor(t)
 		sentAll := true
-		any := false
 		for _, o := range e.sent[id] {
-			if o.color != color {
-				continue
-			}
-			any = true
-			if !e.compromised[o.l] {
+			if o.color == color && !e.compromised[o.l] {
 				sentAll = false
 				break
 			}
 		}
-		if !any && !kept[color] {
-			continue // node did not participate on this tree
-		}
 		if !sentAll {
 			continue
 		}
-		if !kept[color] {
+		if !kept.Has(t) {
 			// Complete transmitted set: reading recovered.
 			return true
 		}

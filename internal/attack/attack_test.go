@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/core"
+	"github.com/ipda-sim/ipda/internal/packet"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 	"github.com/ipda-sim/ipda/internal/tree"
@@ -199,5 +200,43 @@ func TestCompromiseRateMatchesPx(t *testing.T) {
 	frac := float64(e.CompromisedLinks()) / float64(total)
 	if math.Abs(frac-0.25) > 0.08 {
 		t.Fatalf("compromise fraction %v, want ~0.25", frac)
+	}
+}
+
+// TestDisclosedOnEveryTree drives the eavesdropper's hooks by hand for an
+// m = 3 round with l = 2: disclosure counts every tree a node sliced on or
+// kept a share for, not only red and blue.
+func TestDisclosedOnEveryTree(t *testing.T) {
+	e := NewEavesdropper(0, rng.New(1)) // only the links set below fall
+	for _, lk := range []link{{5, 20}, {5, 21}, {6, 12}, {6, 22}, {7, 23}, {9, 7}} {
+		e.compromised[lk] = true
+	}
+	var in core.Instance
+	e.Attach(&in)
+	slices := func(src topology.NodeID, targets ...topology.NodeID) {
+		for i, dst := range targets {
+			in.OnSlice(src, dst, packet.TreeColor(i/2), 1)
+		}
+	}
+	// Node 5's tree-2 share set is fully compromised; trees 0 and 1 are not.
+	slices(5, 10, 11, 12, 13, 20, 21)
+	// Node 6 has one compromised link on trees 1 and 2: no complete tree.
+	slices(6, 10, 11, 12, 13, 22, 24)
+	// Node 7 aggregates on tree 2: it keeps one share and sends the other;
+	// with that slice and every slice it received compromised, the kept
+	// share follows from its overheard assembled value.
+	slices(7, 10, 11, 12, 13)
+	in.OnSlice(7, 23, packet.TreeColor(2), 1)
+	in.OnLocalShare(7, packet.TreeColor(2), 1)
+	in.OnSlice(9, 7, packet.TreeColor(2), 1)
+	for id, want := range map[topology.NodeID]bool{5: true, 6: false, 7: true} {
+		if got := e.Disclosed(id); got != want {
+			t.Errorf("node %d: disclosed %v, want %v", id, got, want)
+		}
+	}
+	// An uncompromised incoming slice hides node 7's kept share.
+	in.OnSlice(8, 7, packet.TreeColor(2), 1)
+	if e.Disclosed(7) {
+		t.Error("node 7 disclosed with an incoming slice the adversary could not open")
 	}
 }

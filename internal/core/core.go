@@ -16,10 +16,13 @@
 //
 // Phases II and III form one round engine over any tree.Forest of m
 // disjoint trees: Deploy takes the tree count and the Phase I builder as
-// arguments, RunRound runs a round and hands back the per-tree totals, and
-// the caller decides the verdict. Repair, coalescing, faults and query
-// dissemination work for every m. Package mtree runs its m-tree
-// generalization on this engine.
+// arguments, and RunRound runs a round and reports every tree's total.
+// The engine decides the verdict for every m with one majority vote: a
+// round is accepted when a strict majority of the trees agree pairwise
+// within Th, which at m = 2 is exactly |S_b − S_r| ≤ Th (see majority).
+// Every query kind, repair, coalescing, faults, query dissemination,
+// instrumentation and tracing work for every m. Package mtree deploys the
+// m-tree generalization's Phase I on this engine.
 //
 // The engine also exposes the hooks the evaluation needs: pollution
 // attackers (Section II-C), node disablement for DoS-attacker localization
@@ -53,7 +56,8 @@ type Config struct {
 	Slices int
 	// Threshold is Th, the acceptance threshold on |S_b − S_r|
 	// (Section III-D; the paper suggests small values such as 5 for
-	// COUNT).
+	// COUNT). With m trees, two trees agree when their totals differ by at
+	// most Th, and a round needs a strict majority that agrees pairwise.
 	Threshold int64
 	// Tree configures Phase I.
 	Tree tree.Config
@@ -231,7 +235,6 @@ type Instance struct {
 	planned   []uint16
 	delivered []uint16
 	bsChild   []bsAccum // Phase III arrivals at the base stations, per tree
-	totals    []int64   // RunRound's per-tree totals
 	onQuery   func(self topology.NodeID, p *packet.Packet)
 
 	// Steady-state reuse machinery: the per-node slicing plans, the
@@ -308,6 +311,7 @@ type coreObs struct {
 	aggregatesSent  obs.Counter
 	roundsAccepted  obs.Counter
 	roundsRejected  obs.Counter
+	outlierTrees    obs.Counter
 	repairs         obs.Counter
 	roundSkips      obs.Counter
 }
@@ -323,6 +327,8 @@ func newCoreObs(reg *obs.Registry) *coreObs {
 			obs.Label{Name: "verdict", Value: "accepted"}),
 		roundsRejected: reg.Counter("ipda_core_rounds_total", "base-station verification outcomes",
 			obs.Label{Name: "verdict", Value: "rejected"}),
+		outlierTrees: reg.Counter("ipda_mtree_outlier_trees_total",
+			"trees voted outside the majority cluster"),
 		repairs:    reg.Counter("ipda_core_repairs_total", "tree re-attachments applied by localized repair"),
 		roundSkips: reg.Counter("ipda_core_round_skips_total", "aggregator round-skips for lack of a disjoint re-attachment"),
 	}
@@ -570,7 +576,7 @@ func (in *Instance) CanSlice(id topology.NodeID) bool {
 
 // RoundOutcome reports one additive aggregation round.
 type RoundOutcome struct {
-	Red, Blue           int64  // trees 0 and 1's totals S_r and S_b (RunRound returns every tree's)
+	Red, Blue           int64  // trees 0 and 1's totals S_r and S_b
 	RedCount, BlueCount uint32 // aggregate-message diagnostic counts
 	Participants        int    // nodes that sliced this round
 	Bytes               uint64 // radio bytes spent on the round
@@ -593,23 +599,29 @@ type RoundOutcome struct {
 	// unconditionally so outcomes never depend on whether tracing or
 	// other instrumentation is attached.
 	Latency float64
+
+	// M is the round's tree count; Totals[:M] holds every tree's total
+	// (Totals[0] and Totals[1] are Red and Blue).
+	M      int
+	Totals [tree.MaxTrees]int64
+	// Accepted, Value and Outliers are the base station's majority verdict
+	// over Totals[:M] (see majority): whether a strict majority of the
+	// trees agree within Th, the total of the lowest-index tree among them,
+	// and the trees outside that cluster.
+	Accepted bool
+	Value    int64
+	Outliers TreeSet
 }
 
-// Diff returns |S_b − S_r|.
-func (o RoundOutcome) Diff() int64 {
-	d := o.Blue - o.Red
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
+// Diff returns |S_b − S_r|, saturating at math.MaxInt64.
+func (o RoundOutcome) Diff() int64 { return spread(o.Red, o.Blue) }
 
 // Result reports one full query.
 type Result struct {
 	Spec     aggregate.Spec
 	Outcomes []RoundOutcome // one per additive round (value rounds, then count round if any)
-	Accepted bool           // every round passed the |S_b − S_r| ≤ Th check
-	Value    float64        // the finalized statistic (red-tree sums); valid when Accepted
+	Accepted bool           // every round's majority verdict accepted
+	Value    float64        // the finalized statistic over the rounds' values; valid when Accepted
 	Count    uint32         // participant count used by Finalize
 }
 
@@ -652,20 +664,16 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 			}
 			contribs[i] = c
 		}
-		out, _, err := in.RunRound(contribs)
+		out, err := in.RunRound(contribs)
 		if err != nil {
 			return nil, err
 		}
 		res.Outcomes = append(res.Outcomes, out)
-		accepted := out.Diff() <= in.Cfg.Threshold
-		if !accepted {
-			res.Accepted = false
-		}
-		in.Verdict(accepted)
+		res.Accepted = res.Accepted && out.Accepted
 		if round < valueRounds {
-			sums[round] = out.Red
+			sums[round] = out.Value
 		} else {
-			count = uint32(out.Red)
+			count = uint32(out.Value)
 		}
 	}
 	if !needsCount(spec) && len(res.Outcomes) > 0 {
@@ -682,23 +690,24 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 	return res, nil
 }
 
-// Verdict records the base station's verdict on the round RunRound just
-// ran: the verdict counters and instants and, with tracing, the verify
+// recordVerdict records the base station's verdict on the round RunRound
+// just ran: the verdict and outlier counters and, with tracing, the verify
 // instant every base station's pending aggregate spans re-parent under.
-func (in *Instance) Verdict(accepted bool) {
+func (in *Instance) recordVerdict(out *RoundOutcome) {
 	if in.obs != nil {
-		if accepted {
+		if out.Accepted {
 			in.obs.roundsAccepted.Inc()
 		} else {
 			in.obs.roundsRejected.Inc()
 		}
+		in.obs.outlierTrees.Add(float64(out.Outliers.Len()))
 	}
 	if in.qt != nil {
 		// The verify instant is the apex of the round's causal tree: the
 		// base stations' pending child aggregate spans re-parent under it,
 		// so every aggregation subtree hangs off the verdict.
 		verdict := "verify:accepted"
-		if !accepted {
+		if !out.Accepted {
 			verdict = "verify:rejected"
 		}
 		v := in.qt.Instant(uint32(uint16(in.round)), in.roundSpan, 0, verdict, float64(in.Sim.Now()))
@@ -767,10 +776,9 @@ func (in *Instance) advanceRound() uint16 {
 }
 
 // RunRound executes Phases II and III once for the given per-node additive
-// contributions (index 0 and other base stations are ignored). It returns
-// the outcome and the per-tree totals, which stay valid until the next
-// round; the caller decides the verdict and records it with Verdict.
-func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
+// contributions (index 0 and other base stations are ignored), decides the
+// base station's majority verdict over the tree totals and records it.
+func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 	n, m := in.Net.N(), in.m
 	round := in.advanceRound()
 	if in.faults != nil {
@@ -781,7 +789,7 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
 	}
 	dead, repaired, skipped, err := in.prepareTrees()
 	if err != nil {
-		return RoundOutcome{}, nil, err
+		return RoundOutcome{}, err
 	}
 	startBytes := in.Medium.TotalBytes()
 	startFrames := in.Medium.Stats().FramesSent
@@ -907,13 +915,14 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
 
 	// Fuse collections across every base station: slices addressed to a
 	// root directly plus the partial sums its tree children delivered.
-	for t := range in.totals {
-		in.totals[t] = in.bsChild[t].sum
+	var totals [tree.MaxTrees]int64
+	for t := range m {
+		totals[t] = in.bsChild[t].sum
 	}
 	for i := 0; i < n; i++ {
 		if in.Trees.Tree[i] == tree.Root {
-			for t := range in.totals {
-				in.totals[t] += in.asm[i*m+t].Total()
+			for t := range m {
+				totals[t] += in.asm[i*m+t].Total()
 			}
 		}
 	}
@@ -925,9 +934,9 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
 			}
 		}
 	}
-	return RoundOutcome{
-		Red:             in.totals[0],
-		Blue:            in.totals[1],
+	out := RoundOutcome{
+		Red:             totals[0],
+		Blue:            totals[1],
 		RedCount:        in.bsChild[0].count,
 		BlueCount:       in.bsChild[1].count,
 		Participants:    participants,
@@ -939,7 +948,12 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, []int64, error) {
 		Skipped:         skipped,
 		Repaired:        repaired,
 		Latency:         float64(in.lastBSArrival - t0),
-	}, in.totals, nil
+		M:               m,
+		Totals:          totals,
+	}
+	out.Accepted, out.Value, out.Outliers = majority(totals[:m], in.Cfg.Threshold)
+	in.recordVerdict(&out)
+	return out, nil
 }
 
 // skipping reports whether a live aggregator sits the current round out.
@@ -1018,7 +1032,6 @@ func (in *Instance) resetRoundState() {
 	in.planned = resizeCleared(in.planned, n*m)
 	in.delivered = resizeCleared(in.delivered, n*m)
 	in.bsChild = resizeCleared(in.bsChild, m)
-	in.totals = resizeCleared(in.totals, m)
 	// No events have run since the round started, so Now() is the round's
 	// t0: a round with no base-station arrival reports Latency 0.
 	in.lastBSArrival = in.Sim.Now()

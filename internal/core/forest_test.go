@@ -132,11 +132,11 @@ func TestDeployChecksForest(t *testing.T) {
 				live++
 			}
 		}
-		out, totals, err := in.RunRound(contribs)
+		out, err := in.RunRound(contribs)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
-		in.Verdict(true)
+		totals := out.Totals[:out.M]
 		if out.Participants != live {
 			t.Fatalf("%s: %d participants, want %d", v.name, out.Participants, live)
 		}
@@ -186,10 +186,10 @@ func TestSliceNoncesDistinctAcrossTrees(t *testing.T) {
 		contribs[i] = int64(i)
 		want += contribs[i]
 	}
-	if _, totals, err := in.RunRound(contribs); err != nil {
+	if out, err := in.RunRound(contribs); err != nil {
 		t.Fatal(err)
 	} else {
-		for tr, got := range totals {
+		for tr, got := range out.Totals[:out.M] {
 			if got != want {
 				t.Errorf("tree %d total %d, want %d", tr, got, want)
 			}

@@ -61,13 +61,14 @@ func MTrees(o Options) (*Table, error) {
 					continue // tree 0 reached nobody: skip the vote
 				}
 				in.Pollute(attacker, 900)
-				v, err := in.RunCount()
+				res, err := in.RunCount()
 				if err != nil {
 					return err
 				}
+				v := res.Outcomes[0]
 				honest := int64(len(in.Participants()))
 				outvoted.AddBool(tr, v.Accepted && v.Value <= honest && v.Value >= honest*8/10)
-				identified.AddBool(tr, len(v.Outliers) == 1 && v.Outliers[0] == 0)
+				identified.AddBool(tr, v.Outliers == 1<<0)
 			}
 		}
 		return nil

@@ -1,30 +1,28 @@
-// Package mtree generalizes iPDA from two disjoint aggregation trees to m
-// of them — the extension Section III-B sketches ("the disjoint
+// Package mtree generalizes iPDA's Phase I from two disjoint aggregation
+// trees to m of them — the extension Section III-B sketches ("the disjoint
 // aggregation tree construction phase can be easily generalized to build
 // multiple aggregation trees (m > 2); however ... the network must be very
-// dense") — and upgrades the base station's integrity check from
-// two-way agreement to majority voting.
-//
-// Majority voting addresses the paper's stated future work (Section VI,
-// collusive attacks): with m = 2, two colluding aggregators on different
-// trees that apply the same delta fool the |S_b − S_r| ≤ Th check; with
-// m = 3 the honest third tree outvotes them, the base station still
-// recovers the true total, and it identifies which trees were polluted.
+// dense").
 //
 // Phase I generalizes the paper's Equation (1): upon hearing HELLOs from
 // all m trees, a node becomes an aggregator with probability
 // p = min(1, k/ΣN_i) and joins tree t with probability proportional to
 // (ΣN − N_t) — the under-represented trees are favored, exactly as red
-// and blue balance each other in the m = 2 protocol. Phases II and III run
-// unchanged per tree on core's round engine: l slices to each of the m
-// trees (m·l − 1 transmissions per aggregator), then per-tree additive
-// aggregation.
+// and blue balance each other in the m = 2 protocol. Everything after
+// Phase I is core's: Deploy hands the m-tree forest to a core.Instance,
+// whose round engine runs Phases II and III per tree (l slices to each of
+// the m trees, m·l − 1 transmissions per aggregator, then per-tree
+// additive aggregation) and whose majority verdict addresses the paper's
+// stated future work (Section VI, collusive attacks). With m = 2, two
+// colluding aggregators on different trees that apply the same delta fool
+// the |S_b − S_r| ≤ Th check; with m = 3 the honest third tree outvotes
+// them, the base station still recovers the true total, and it identifies
+// which trees were polluted.
 package mtree
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/ipda-sim/ipda/internal/core"
 	"github.com/ipda-sim/ipda/internal/linksec"
@@ -34,31 +32,23 @@ import (
 	"github.com/ipda-sim/ipda/internal/tree"
 )
 
-// Instance is one deployed m-tree network: the generalized Phase I's
-// forest, run round by round by the embedded core engine. Everything but
-// the verdict is the engine's — Trees, Participants, Pollute, Kill,
-// Repair, Coalesce, Faults — and RunSum and RunCount replace its two-tree
-// check with majority voting.
-type Instance struct {
-	core.Instance
-}
-
-// New deploys the instance with m trees and runs the generalized Phase I.
-func New(net *topology.Network, cfg core.Config, m int, seed uint64) (*Instance, error) {
-	in := &Instance{}
-	if err := in.Reset(net, cfg, m, seed); err != nil {
+// New deploys a fresh core instance with m trees built by the generalized
+// Phase I (see Deploy).
+func New(net *topology.Network, cfg core.Config, m int, seed uint64) (*core.Instance, error) {
+	in := &core.Instance{}
+	if err := Deploy(in, net, cfg, m, seed); err != nil {
 		return nil, err
 	}
 	return in, nil
 }
 
-// Reset re-deploys the instance over net exactly as New(net, cfg, m, seed)
-// would, reusing the engine's simulator, medium, MAC tables, cipher pool,
-// and round buffers. Prior results are invalidated. The generalized flood
-// implements only Equation (1), so cfg.Tree.Adaptive must be set, and
-// cfg.Tree.K must be at least m. A nil cfg.Keys selects a pairwise scheme
-// keyed apart from core's default.
-func (in *Instance) Reset(net *topology.Network, cfg core.Config, m int, seed uint64) error {
+// Deploy re-deploys in over net with m trees built by the generalized
+// Phase I flood, reusing the engine's simulator, medium, MAC tables,
+// cipher pool, and round buffers; prior results are invalidated. The
+// flood implements only Equation (1), so cfg.Tree.Adaptive must be set,
+// and cfg.Tree.K must be at least m. A nil cfg.Keys selects a pairwise
+// scheme keyed apart from core's default.
+func Deploy(in *core.Instance, net *topology.Network, cfg core.Config, m int, seed uint64) error {
 	switch {
 	case m < 2 || m > tree.MaxTrees:
 		return fmt.Errorf("mtree: tree count must be in [2, %d], got %d", tree.MaxTrees, m)
@@ -71,15 +61,15 @@ func (in *Instance) Reset(net *topology.Network, cfg core.Config, m int, seed ui
 		cfg.Keys = linksec.NewPairwise(seed ^ 0x6d74726565)
 	}
 	return in.Deploy(net, cfg, seed, m, func(root *rng.Stream) (*tree.Forest, error) {
-		return in.buildTrees(root, m)
+		return buildTrees(in, root, m)
 	})
 }
 
-// buildTrees runs the generalized Phase I flood on the engine's freshly
-// reset radio stack and returns its m-tree forest. Like package tree's
-// two-tree flood, every base station starts every tree at hop 0, and
-// disabled nodes stay silent and undecided.
-func (in *Instance) buildTrees(root *rng.Stream, m int) (*tree.Forest, error) {
+// buildTrees runs the generalized Phase I flood on in's freshly reset
+// radio stack and returns its m-tree forest. Like package tree's two-tree
+// flood, every base station starts every tree at hop 0, and disabled
+// nodes stay silent and undecided.
+func buildTrees(in *core.Instance, root *rng.Stream, m int) (*tree.Forest, error) {
 	sim, link, cfg := in.Sim, in.MAC, &in.Cfg
 	roleRand := root.Split(2)
 	n := in.Net.N()
@@ -202,89 +192,4 @@ func (in *Instance) buildTrees(root *rng.Stream, m int) (*tree.Forest, error) {
 	})
 	sim.Run(sim.Now() + cfg.Tree.Deadline)
 	return f, nil
-}
-
-// Verdict is the base station's majority decision over the m tree totals.
-type Verdict struct {
-	Totals []int64 // per-tree totals
-	// Accepted is true when a strict majority of trees agree pairwise
-	// within Threshold.
-	Accepted bool
-	// Value is the majority value (mean of the agreeing cluster).
-	Value int64
-	// Outliers lists the tree indices outside the majority cluster —
-	// the polluted (or heavily lossy) trees.
-	Outliers []int
-}
-
-// majorityVerdict clusters totals by Threshold-agreement and accepts when
-// a strict majority agrees.
-func majorityVerdict(totals []int64, th int64) Verdict {
-	m := len(totals)
-	v := Verdict{Totals: totals}
-	// Find the largest set of trees that pairwise agree within th. With
-	// m <= 8 a greedy pass over sorted totals suffices: any maximal
-	// agreeing cluster is an interval of the sorted order with
-	// max-min <= th... pairwise agreement over an interval needs exactly
-	// that.
-	idx := make([]int, m)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return totals[idx[a]] < totals[idx[b]] })
-	bestLo, bestHi := 0, 0 // [lo, hi] inclusive window over sorted order
-	for lo := 0; lo < m; lo++ {
-		hi := lo
-		for hi+1 < m && totals[idx[hi+1]]-totals[idx[lo]] <= th {
-			hi++
-		}
-		if hi-lo > bestHi-bestLo {
-			bestLo, bestHi = lo, hi
-		}
-	}
-	clusterSize := bestHi - bestLo + 1
-	inCluster := make([]bool, m)
-	var sum int64
-	for i := bestLo; i <= bestHi; i++ {
-		inCluster[idx[i]] = true
-		sum += totals[idx[i]]
-	}
-	v.Accepted = 2*clusterSize > m
-	if clusterSize > 0 {
-		v.Value = sum / int64(clusterSize)
-	}
-	for t := 0; t < m; t++ {
-		if !inCluster[t] {
-			v.Outliers = append(v.Outliers, t)
-		}
-	}
-	return v
-}
-
-// RunCount aggregates a COUNT (one per participant) over all m trees and
-// returns the majority verdict.
-func (in *Instance) RunCount() (Verdict, error) {
-	readings := make([]int64, in.Net.N())
-	for i := range readings {
-		readings[i] = 1
-	}
-	return in.RunSum(readings)
-}
-
-// RunSum aggregates readings over all m trees. readings[0] is ignored.
-func (in *Instance) RunSum(readings []int64) (Verdict, error) {
-	if len(readings) != in.Net.N() {
-		return Verdict{}, fmt.Errorf("mtree: %d readings for %d nodes", len(readings), in.Net.N())
-	}
-	_, totals, err := in.RunRound(readings)
-	if err != nil {
-		return Verdict{}, err
-	}
-	v := majorityVerdict(append([]int64(nil), totals...), in.Cfg.Threshold)
-	in.Verdict(v.Accepted)
-	if in.Cfg.Obs != nil && in.Cfg.Obs.Reg != nil {
-		in.Cfg.Obs.Reg.Counter("ipda_mtree_outlier_trees_total",
-			"trees voted outside the majority cluster").Add(float64(len(v.Outliers)))
-	}
-	return v, nil
 }

@@ -1,7 +1,6 @@
 package mtree
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -21,7 +20,7 @@ func config(m int) core.Config {
 
 // deploy builds an m-tree instance on a dense deployment (m > 2 needs
 // density, as the paper warns).
-func deploy(t *testing.T, nodes, m int, seed uint64) *Instance {
+func deploy(t *testing.T, nodes, m int, seed uint64) *core.Instance {
 	t.Helper()
 	net, err := topology.Random(topology.PaperConfig(nodes), rng.New(seed))
 	if err != nil {
@@ -34,12 +33,20 @@ func deploy(t *testing.T, nodes, m int, seed uint64) *Instance {
 	return in
 }
 
-func TestTwoTreesMatchCoreBehaviour(t *testing.T) {
-	in := deploy(t, 400, 2, 1)
-	v, err := in.RunCount()
+// count runs one COUNT query on in and returns its round's outcome, which
+// carries the majority verdict.
+func count(t *testing.T, in *core.Instance) core.RoundOutcome {
+	t.Helper()
+	res, err := in.RunCount()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res.Outcomes[0]
+}
+
+func TestTwoTreesMatchCoreBehaviour(t *testing.T) {
+	in := deploy(t, 400, 2, 1)
+	v := count(t, in)
 	if !v.Accepted {
 		t.Fatalf("clean m=2 round rejected: %+v", v)
 	}
@@ -51,15 +58,12 @@ func TestTwoTreesMatchCoreBehaviour(t *testing.T) {
 
 func TestThreeTreesCleanRound(t *testing.T) {
 	in := deploy(t, 600, 3, 2)
-	v, err := in.RunCount()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := count(t, in)
 	if !v.Accepted {
-		t.Fatalf("clean m=3 round rejected: totals %v", v.Totals)
+		t.Fatalf("clean m=3 round rejected: totals %v", v.Totals[:v.M])
 	}
-	if len(v.Outliers) != 0 {
-		t.Fatalf("clean round flagged outliers %v (totals %v)", v.Outliers, v.Totals)
+	if v.Outliers != 0 {
+		t.Fatalf("clean round flagged outliers %v (totals %v)", v.Outliers.Trees(), v.Totals[:v.M])
 	}
 }
 
@@ -108,21 +112,23 @@ func TestSinglePolluterOutvoted(t *testing.T) {
 		t.Skip("no aggregator on tree 0")
 	}
 	in.Pollute(attacker, 900)
-	v, err := in.RunCount()
+	res, err := in.RunCount()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Majority (trees 1 and 2) still agrees: the round is ACCEPTED with
-	// the honest value, and tree 0 is identified as the outlier.
-	if !v.Accepted {
-		t.Fatalf("majority did not carry: totals %v", v.Totals)
+	v := res.Outcomes[0]
+	// Majority (trees 1 and 2) still agrees: the query is ACCEPTED with
+	// the honest value, tree 1's total, and tree 0 is identified as the
+	// outlier.
+	if !res.Accepted || !v.Accepted {
+		t.Fatalf("majority did not carry: totals %v", v.Totals[:v.M])
 	}
-	if len(v.Outliers) != 1 || v.Outliers[0] != 0 {
-		t.Fatalf("outliers %v, want [0] (totals %v)", v.Outliers, v.Totals)
+	if v.Outliers != 1<<0 {
+		t.Fatalf("outliers %v, want [0] (totals %v)", v.Outliers.Trees(), v.Totals[:v.M])
 	}
 	honest := int64(len(in.Participants()))
-	if v.Value < honest*9/10 || v.Value > honest {
-		t.Fatalf("majority value %d vs %d participants", v.Value, honest)
+	if v.Value != v.Totals[1] || res.Value != float64(v.Value) || v.Value < honest*9/10 || v.Value > honest {
+		t.Fatalf("query value %v, round value %d, totals %v, %d participants", res.Value, v.Value, v.Totals[:v.M], honest)
 	}
 }
 
@@ -148,13 +154,10 @@ func TestCollusionDefeatsTwoTreesButNotThree(t *testing.T) {
 	}
 	in2.Pollute(a0, 700)
 	in2.Pollute(a1, 700)
-	v2, err := in2.RunCount()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := count(t, in2)
 	honest2 := int64(len(in2.Participants()))
 	if !v2.Accepted {
-		t.Logf("m=2 colluders detected by luck (totals %v)", v2.Totals)
+		t.Logf("m=2 colluders detected by luck (totals %v)", v2.Totals[:v2.M])
 	} else if v2.Value < honest2+600 {
 		t.Fatalf("m=2 collusion accepted but value %d not shifted (participants %d)", v2.Value, honest2)
 	}
@@ -179,10 +182,7 @@ func TestCollusionDefeatsTwoTreesButNotThree(t *testing.T) {
 	}
 	in3.Pollute(b0, 700)
 	in3.Pollute(b1, 700)
-	v3, err := in3.RunCount()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v3 := count(t, in3)
 	honest3 := int64(len(in3.Participants()))
 	// With only 1 honest tree out of 3 no strict majority should form
 	// around the polluted value... the two polluted trees DO agree with
@@ -190,21 +190,21 @@ func TestCollusionDefeatsTwoTreesButNotThree(t *testing.T) {
 	// value. Majority voting with m=3 tolerates f colluders only when
 	// m >= 2f+1 — here f=2 needs m=5. What m=3 does guarantee is that
 	// the verdict flags a dissenting tree, alerting the base station.
-	if v3.Accepted && len(v3.Outliers) == 0 {
-		t.Fatalf("m=3 collusion produced a unanimous verdict: totals %v", v3.Totals)
+	if v3.Accepted && v3.Outliers == 0 {
+		t.Fatalf("m=3 collusion produced a unanimous verdict: totals %v", v3.Totals[:v3.M])
 	}
 	if v3.Accepted && v3.Value >= honest3+600 {
 		// The colluding majority won the vote, but the honest tree is
 		// flagged as "outlier" — the alert a cautious base station acts
 		// on. Verify the honest total is recoverable from the outlier.
 		found := false
-		for _, o := range v3.Outliers {
+		for _, o := range v3.Outliers.Trees() {
 			if v3.Totals[o] <= honest3 && v3.Totals[o] >= honest3*9/10 {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("honest total lost: totals %v outliers %v participants %d", v3.Totals, v3.Outliers, honest3)
+			t.Fatalf("honest total lost: totals %v outliers %v participants %d", v3.Totals[:v3.M], v3.Outliers.Trees(), honest3)
 		}
 	}
 }
@@ -240,120 +240,17 @@ func TestFivePoint_TwoColludersOutvotedByThreeHonestTrees(t *testing.T) {
 	}
 	in.Pollute(c0, 700)
 	in.Pollute(c1, 700)
-	v, err := in.RunCount()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := count(t, in)
 	if !v.Accepted {
-		t.Fatalf("honest 3-of-5 majority did not carry: totals %v", v.Totals)
+		t.Fatalf("honest 3-of-5 majority did not carry: totals %v", v.Totals[:v.M])
 	}
 	honest := int64(len(in.Participants()))
 	if v.Value > honest || v.Value < honest*85/100 {
-		t.Fatalf("majority value %d vs participants %d (totals %v)", v.Value, honest, v.Totals)
+		t.Fatalf("majority value %d vs participants %d (totals %v)", v.Value, honest, v.Totals[:v.M])
 	}
-	if len(v.Outliers) != 2 {
-		t.Fatalf("outliers %v, want the two polluted trees (totals %v)", v.Outliers, v.Totals)
+	if v.Outliers != 1<<0|1<<1 {
+		t.Fatalf("outliers %v, want the two polluted trees [0 1] (totals %v)", v.Outliers.Trees(), v.Totals[:v.M])
 	}
-}
-
-func TestMajorityVerdictUnit(t *testing.T) {
-	cases := []struct {
-		totals   []int64
-		th       int64
-		accepted bool
-		value    int64
-		outliers []int
-	}{
-		{[]int64{100, 100, 100}, 5, true, 100, nil},
-		{[]int64{100, 103, 600}, 5, true, 101, []int{2}},
-		{[]int64{100, 600, 600}, 5, true, 600, []int{0}}, // colluding majority
-		{[]int64{100, 300, 600}, 5, false, 0, nil},       // no majority
-		{[]int64{100, 104}, 5, true, 102, nil},
-		{[]int64{100, 110}, 5, false, 0, nil},
-	}
-	for i, c := range cases {
-		v := majorityVerdict(c.totals, c.th)
-		if v.Accepted != c.accepted {
-			t.Errorf("case %d: accepted %v, want %v", i, v.Accepted, c.accepted)
-			continue
-		}
-		if v.Accepted && v.Value != c.value {
-			t.Errorf("case %d: value %d, want %d", i, v.Value, c.value)
-		}
-		if len(c.outliers) != len(v.Outliers) && !(c.outliers == nil && len(v.Outliers) <= len(c.totals)-1 && !c.accepted) {
-			if c.accepted {
-				t.Errorf("case %d: outliers %v, want %v", i, v.Outliers, c.outliers)
-			}
-		}
-		if c.accepted && len(c.outliers) > 0 {
-			if len(v.Outliers) != len(c.outliers) || v.Outliers[0] != c.outliers[0] {
-				t.Errorf("case %d: outliers %v, want %v", i, v.Outliers, c.outliers)
-			}
-		}
-	}
-}
-
-func TestMajorityVerdictProperties(t *testing.T) {
-	r := rng.New(71)
-	if err := quickCheck(2000, func() bool {
-		m := r.Intn(7) + 2
-		th := int64(r.Intn(10))
-		totals := make([]int64, m)
-		for i := range totals {
-			totals[i] = int64(r.Intn(2000)) - 1000
-		}
-		v := majorityVerdict(totals, th)
-		// Outliers and cluster partition the trees.
-		inCluster := m - len(v.Outliers)
-		if inCluster < 1 {
-			return false
-		}
-		// Accepted iff the cluster is a strict majority.
-		if v.Accepted != (2*inCluster > m) {
-			return false
-		}
-		// Every outlier index is valid and unique.
-		seen := map[int]bool{}
-		for _, o := range v.Outliers {
-			if o < 0 || o >= m || seen[o] {
-				return false
-			}
-			seen[o] = true
-		}
-		// Cluster members pairwise agree within th: verify by checking
-		// max-min over non-outliers.
-		var lo, hi int64
-		first := true
-		for t := 0; t < m; t++ {
-			if seen[t] {
-				continue
-			}
-			if first {
-				lo, hi = totals[t], totals[t]
-				first = false
-				continue
-			}
-			if totals[t] < lo {
-				lo = totals[t]
-			}
-			if totals[t] > hi {
-				hi = totals[t]
-			}
-		}
-		return hi-lo <= th
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// quickCheck runs prop n times and reports the first failure.
-func quickCheck(n int, prop func() bool) error {
-	for i := 0; i < n; i++ {
-		if !prop() {
-			return fmt.Errorf("property failed at trial %d", i)
-		}
-	}
-	return nil
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -389,11 +286,8 @@ func TestDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := in.RunCount()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v.Totals
+		v := count(t, in)
+		return v.Totals[:v.M]
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -431,15 +325,16 @@ func TestExactTotalsUnderTDMA(t *testing.T) {
 				readings[id] = int64(id%17 + 3)
 				want += readings[id]
 			}
-			v, err := in.RunSum(readings)
+			res, err := in.RunSum(readings)
 			if err != nil {
 				t.Fatal(err)
 			}
+			v := res.Outcomes[0]
 			t.Logf("seed %d m=%d: %d participants, sum %d", seed, m, len(participants), want)
-			for tr, got := range v.Totals {
+			for tr, got := range v.Totals[:v.M] {
 				if got != want {
 					t.Errorf("seed %d m=%d: tree %d total %d, want %d over %d participants (totals %v)",
-						seed, m, tr, got, want, len(participants), v.Totals)
+						seed, m, tr, got, want, len(participants), v.Totals[:v.M])
 				}
 			}
 		}

@@ -94,11 +94,11 @@ func TestExactTotalsUnderKillsAndRepair(t *testing.T) {
 			for i := range ones {
 				ones[i] = 1
 			}
-			count, countTotals, err := in.RunRound(ones)
+			count, err := in.RunRound(ones)
 			if err != nil {
 				t.Fatal(err)
 			}
-			countTotals = slices.Clone(countTotals)
+			countTotals := count.Totals[:count.M]
 			readings := make([]int64, n)
 			for i := range readings {
 				readings[i] = 1000 // must not leak in from non-participants
@@ -108,12 +108,11 @@ func TestExactTotalsUnderKillsAndRepair(t *testing.T) {
 				readings[id] = int64(id%17 + 3)
 				want += readings[id]
 			}
-			sum, sumTotals, err := in.RunRound(readings)
+			sum, err := in.RunRound(readings)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v := majorityVerdict(slices.Clone(sumTotals), cfg.Threshold)
-			in.Verdict(v.Accepted)
+			sumTotals := sum.Totals[:sum.M]
 
 			if !repair {
 				if slices.Min(countTotals) == slices.Max(countTotals) || slices.Min(sumTotals) == slices.Max(sumTotals) {
@@ -135,8 +134,8 @@ func TestExactTotalsUnderKillsAndRepair(t *testing.T) {
 					t.Errorf("seed %d: tree %d SUM %d, want %d (totals %v)", seed, tr, sumTotals[tr], want, sumTotals)
 				}
 			}
-			if !v.Accepted || len(v.Outliers) != 0 {
-				t.Errorf("seed %d: majority verdict %+v", seed, v)
+			if !sum.Accepted || sum.Outliers != 0 {
+				t.Errorf("seed %d: majority verdict accepted %v, outliers %v", seed, sum.Accepted, sum.Outliers.Trees())
 			}
 		}
 	}

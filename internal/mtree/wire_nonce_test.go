@@ -87,11 +87,8 @@ func TestSliceNoncesUniqueOnTheWire(t *testing.T) {
 		}
 		return r
 	}
-	coreRounds := func(t *testing.T, cfg core.Config, nodes int, seed uint64, rounds int) *nonceWatch {
-		in, err := core.New(network(nodes, seed), cfg, seed+1)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// rounds watches in's air over COUNT and SUM queries.
+	rounds := func(t *testing.T, in *core.Instance, rounds int) *nonceWatch {
 		w := watchNonces(t, in.Medium)
 		repaired := 0
 		for r := 0; r < rounds; r++ {
@@ -104,39 +101,24 @@ func TestSliceNoncesUniqueOnTheWire(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if cfg.Repair && repaired == 0 {
+		if in.Cfg.Repair && repaired == 0 {
 			t.Fatal("churn schedule triggered no repairs")
 		}
 		return w
 	}
-
-	// mtreeRounds is coreRounds for an m = 3 deployment. Its COUNT rounds
-	// run on the engine directly, whose outcome carries the repair tally.
-	mtreeRounds := func(t *testing.T, cfg core.Config, nodes int, seed uint64, rounds int) *nonceWatch {
+	coreRounds := func(t *testing.T, cfg core.Config, nodes int, seed uint64, n int) *nonceWatch {
+		in, err := core.New(network(nodes, seed), cfg, seed+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rounds(t, in, n)
+	}
+	mtreeRounds := func(t *testing.T, cfg core.Config, nodes int, seed uint64, n int) *nonceWatch {
 		in, err := New(network(nodes, seed), cfg, 3, seed+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := watchNonces(t, in.Medium)
-		ones := make([]int64, in.Net.N())
-		for i := range ones {
-			ones[i] = 1
-		}
-		repaired := 0
-		for r := 0; r < rounds; r++ {
-			out, _, err := in.RunRound(ones)
-			if err != nil {
-				t.Fatal(err)
-			}
-			repaired += out.Repaired
-			if _, err := in.RunSum(readings(in.Net.N())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if cfg.Repair && repaired == 0 {
-			t.Fatal("churn schedule triggered no repairs")
-		}
-		return w
+		return rounds(t, in, n)
 	}
 
 	t.Run("csma", func(t *testing.T) {

@@ -29,11 +29,10 @@ import (
 // Arena is one worker's reusable simulation state. The zero value is ready
 // to use.
 type Arena struct {
-	pool   topology.Pool
-	cores  map[string]*core.Instance
-	tags   map[string]*tag.Instance
-	mtrees map[string]*mtree.Instance
-	subs   []*Arena // per-shard-worker nested arenas, created on demand
+	pool  topology.Pool
+	cores map[string]*core.Instance // red/blue and m-tree deployments alike
+	tags  map[string]*tag.Instance
+	subs  []*Arena // per-shard-worker nested arenas, created on demand
 }
 
 // New returns an empty arena.
@@ -98,6 +97,15 @@ func (a *Arena) Core(slot string, net *topology.Network, cfg core.Config, seed u
 	if a == nil {
 		return core.New(net, cfg, seed)
 	}
+	in := a.core(slot)
+	if err := in.Reset(net, cfg, seed); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// core returns slot's core instance, creating it on first use.
+func (a *Arena) core(slot string) *core.Instance {
 	in := a.cores[slot]
 	if in == nil {
 		in = &core.Instance{}
@@ -106,10 +114,7 @@ func (a *Arena) Core(slot string, net *topology.Network, cfg core.Config, seed u
 		}
 		a.cores[slot] = in
 	}
-	if err := in.Reset(net, cfg, seed); err != nil {
-		return nil, err
-	}
-	return in, nil
+	return in
 }
 
 // Tag returns slot's TAG instance re-deployed over (net, cfg, seed).
@@ -131,20 +136,15 @@ func (a *Arena) Tag(slot string, net *topology.Network, cfg tag.Config, seed uin
 	return in, nil
 }
 
-// MTree returns slot's m-tree instance re-deployed over (net, cfg, m, seed).
-func (a *Arena) MTree(slot string, net *topology.Network, cfg core.Config, m int, seed uint64) (*mtree.Instance, error) {
+// MTree returns slot's core instance re-deployed over (net, cfg, seed)
+// with m trees built by mtree's Phase I, exactly as mtree.New would build
+// it. It shares the slot namespace with Core.
+func (a *Arena) MTree(slot string, net *topology.Network, cfg core.Config, m int, seed uint64) (*core.Instance, error) {
 	if a == nil {
 		return mtree.New(net, cfg, m, seed)
 	}
-	in := a.mtrees[slot]
-	if in == nil {
-		in = &mtree.Instance{}
-		if a.mtrees == nil {
-			a.mtrees = make(map[string]*mtree.Instance)
-		}
-		a.mtrees[slot] = in
-	}
-	if err := in.Reset(net, cfg, m, seed); err != nil {
+	in := a.core(slot)
+	if err := mtree.Deploy(in, net, cfg, m, seed); err != nil {
 		return nil, err
 	}
 	return in, nil

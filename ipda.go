@@ -15,6 +15,10 @@
 //	res, err := net.Count()
 //	fmt.Println(res.Value, res.Accepted)
 //
+// DeployMultiTree builds m > 2 disjoint trees instead (the paper's
+// Section III-B extension); the result is the same kind of Network, whose
+// base station majority-votes over the m tree totals.
+//
 // The attack surface of the paper is first-class: InjectPollution turns an
 // aggregator malicious (the base station then rejects the round), and
 // AttachEavesdropper measures how much a passive adversary with a given
@@ -222,6 +226,33 @@ type Network struct {
 
 // Deploy places the nodes, builds the radio stack, and runs Phase I.
 func Deploy(cfg Config) (*Network, error) {
+	return deploy(cfg, func(topo *topology.Network, ccfg core.Config) (*core.Instance, error) {
+		return core.New(topo, ccfg, cfg.Seed^0xa5a5a5a5)
+	})
+}
+
+// DeployMultiTree deploys m disjoint trees over cfg's topology: the m > 2
+// generalization of iPDA (the extension Section III-B sketches), whose
+// base station verifies every round by majority vote. With m ≥ 2f+1 trees
+// it survives f colluding same-delta polluters — the scenario the paper's
+// Section VI leaves as future work. The denser the network, the larger
+// the m it can support. Every other option works as it does for Deploy;
+// AdaptiveRoles=false is rejected rather than silently ignored, because
+// the m-tree Phase I implements only Equation (1). The aggregator budget K
+// is raised to at least max(4, m).
+func DeployMultiTree(cfg Config, m int) (*Network, error) {
+	if !cfg.AdaptiveRoles {
+		return nil, errors.New("ipda: DeployMultiTree does not support Config.AdaptiveRoles=false")
+	}
+	return deploy(cfg, func(topo *topology.Network, ccfg core.Config) (*core.Instance, error) {
+		ccfg.Tree.K = max(4, cfg.K, m)
+		return mtree.New(topo, ccfg, m, cfg.Seed^0x3b9)
+	})
+}
+
+// deploy places the nodes and hands the topology and the protocol
+// configuration, instrumentation attached, to build, which runs Phase I.
+func deploy(cfg Config, build func(*topology.Network, core.Config) (*core.Instance, error)) (*Network, error) {
 	topoCfg := topology.Config{Nodes: cfg.Nodes, FieldSide: cfg.FieldSide, Range: cfg.Range}
 	topo, err := topology.Random(topoCfg, rng.New(cfg.Seed))
 	if err != nil {
@@ -241,7 +272,7 @@ func Deploy(cfg Config) (*Network, error) {
 		qt = qtrace.New(0)
 		ccfg.QTrace = qt
 	}
-	inst, err := core.New(topo, ccfg, cfg.Seed^0xa5a5a5a5)
+	inst, err := build(topo, ccfg)
 	if err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)
 	}
@@ -257,7 +288,7 @@ func (n *Network) AvgDegree() float64 { return n.topo.AvgDegree() }
 // Participants returns the number of sensors that take part in queries.
 func (n *Network) Participants() int { return len(n.inst.Participants()) }
 
-// Coverage returns the fraction of sensors reached by both trees
+// Coverage returns the fraction of sensors reached by every tree
 // (Figure 8a).
 func (n *Network) Coverage() float64 {
 	return n.inst.Trees.CoverageFraction()
@@ -272,10 +303,17 @@ func (n *Network) Participation() float64 {
 type QueryResult struct {
 	// Value is the finalized statistic; meaningful only when Accepted.
 	Value float64
-	// Accepted reports the integrity check |S_b − S_r| ≤ Th.
+	// Accepted reports the base station's majority verdict on every
+	// round: a strict majority of the trees agree pairwise within Th,
+	// which with two trees is the integrity check |S_b − S_r| ≤ Th.
 	Accepted bool
-	// RedSum and BlueSum are the first-round totals of the two trees.
+	// RedSum and BlueSum are the first-round totals of trees 0 and 1.
 	RedSum, BlueSum int64
+	// Totals holds every tree's first-round total, and Outliers lists the
+	// trees the first round's vote left outside the majority (polluted or
+	// lossy trees).
+	Totals   []int64
+	Outliers []int
 	// Participants is the number of sensors that contributed.
 	Participants int
 	// RedContributors and BlueContributors count the participants whose
@@ -298,6 +336,8 @@ func fromResult(res *core.Result) *QueryResult {
 	if len(res.Outcomes) > 0 {
 		first := res.Outcomes[0]
 		out.RedSum, out.BlueSum = first.Red, first.Blue
+		out.Totals = append([]int64(nil), first.Totals[:first.M]...)
+		out.Outliers = first.Outliers.Trees()
 		out.Participants = first.Participants
 		out.RedContributors, out.BlueContributors = first.RedContributed, first.BlueContributed
 		out.Dead, out.Skipped, out.Repaired = first.Dead, first.Skipped, first.Repaired
@@ -353,29 +393,34 @@ func (n *Network) Coalescing() (frames, slices uint64) {
 	return st.FramesCoalesced, st.SlicesCoalesced
 }
 
-// Aggregators returns the node IDs holding an aggregator role on either
-// tree (the base station, on both trees, is not listed).
+// Aggregators returns the node IDs holding an aggregator role on any
+// tree, tree by tree (base stations, the roots of every tree, are not
+// listed).
 func (n *Network) Aggregators() []int {
-	return append(n.RedAggregators(), n.BlueAggregators()...)
+	var out []int
+	for t := range n.inst.Trees.Heard {
+		out = n.appendAggregators(out, t)
+	}
+	return out
 }
 
-// RedAggregators returns the nodes aggregating on the red tree.
-func (n *Network) RedAggregators() []int {
-	var out []int
-	for _, id := range n.inst.Trees.Aggregators(0) {
+// RedAggregators returns the nodes aggregating on the red tree (tree 0).
+func (n *Network) RedAggregators() []int { return n.appendAggregators(nil, 0) }
+
+// BlueAggregators returns the nodes aggregating on the blue tree (tree 1).
+func (n *Network) BlueAggregators() []int { return n.appendAggregators(nil, 1) }
+
+func (n *Network) appendAggregators(out []int, t int) []int {
+	for _, id := range n.inst.Trees.Aggregators(t) {
 		out = append(out, int(id))
 	}
 	return out
 }
 
-// BlueAggregators returns the nodes aggregating on the blue tree.
-func (n *Network) BlueAggregators() []int {
-	var out []int
-	for _, id := range n.inst.Trees.Aggregators(1) {
-		out = append(out, int(id))
-	}
-	return out
-}
+// TreeOf returns the tree index node id aggregates on (0 and 1 are red
+// and blue): -1 for leaves and nodes Phase I never reached, -2 for base
+// stations (the roots of every tree).
+func (n *Network) TreeOf(id int) int { return n.inst.Trees.Tree[id] }
 
 // InjectPollution makes node id a data-pollution attacker adding delta to
 // every intermediate result it forwards; delta 0 restores it.
@@ -751,96 +796,6 @@ func (q *QueryTrace) WriteText(w io.Writer) error {
 // path to the base station.
 func (q *QueryTrace) WriteHealth(w io.Writer) error {
 	return qtrace.WriteHealth(w, q.t.Spans())
-}
-
-// MultiTreeNetwork is the m > 2 generalization of iPDA (the extension
-// Section III-B sketches): m node-disjoint aggregation trees with
-// majority-vote verification at the base station. With m ≥ 2f+1 trees the
-// base station survives f colluding same-delta polluters — the scenario
-// the paper's Section VI leaves as future work.
-type MultiTreeNetwork struct {
-	topo *topology.Network
-	inst *mtree.Instance
-}
-
-// DeployMultiTree deploys m disjoint trees over cfg's topology. The
-// denser the network, the larger the m it can support. Repair, Coalesce,
-// Faults, ExtraBaseStations and MAC work as they do for Deploy. Three
-// options do not exist here, and a cfg that sets one is rejected rather
-// than silently run without it: AdaptiveRoles=false (the m-tree Phase I
-// implements only Equation (1)), and Observe and TraceQueries
-// (MultiTreeNetwork has no Obs or QueryTrace). The aggregator budget K is
-// raised to at least max(4, m).
-func DeployMultiTree(cfg Config, m int) (*MultiTreeNetwork, error) {
-	switch {
-	case !cfg.AdaptiveRoles:
-		return nil, errors.New("ipda: DeployMultiTree does not support Config.AdaptiveRoles=false")
-	case cfg.Observe:
-		return nil, errors.New("ipda: DeployMultiTree does not support Config.Observe")
-	case cfg.TraceQueries:
-		return nil, errors.New("ipda: DeployMultiTree does not support Config.TraceQueries")
-	}
-	topoCfg := topology.Config{Nodes: cfg.Nodes, FieldSide: cfg.FieldSide, Range: cfg.Range}
-	topo, err := topology.Random(topoCfg, rng.New(cfg.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("ipda: %w", err)
-	}
-	ccfg, err := cfg.coreConfig()
-	if err != nil {
-		return nil, fmt.Errorf("ipda: %w", err)
-	}
-	ccfg.Tree.K = max(4, cfg.K, m)
-	inst, err := mtree.New(topo, ccfg, m, cfg.Seed^0x3b9)
-	if err != nil {
-		return nil, fmt.Errorf("ipda: %w", err)
-	}
-	return &MultiTreeNetwork{topo: topo, inst: inst}, nil
-}
-
-// Size returns the number of nodes including the base station.
-func (n *MultiTreeNetwork) Size() int { return n.topo.N() }
-
-// Coverage returns the fraction of sensors reached by all m trees.
-func (n *MultiTreeNetwork) Coverage() float64 { return n.inst.Trees.CoverageFraction() }
-
-// TreeOf returns the tree index node id aggregates on: -1 for leaves and
-// nodes Phase I never reached, -2 for base stations (the roots of every
-// tree).
-func (n *MultiTreeNetwork) TreeOf(id int) int { return n.inst.Trees.Tree[id] }
-
-// InjectPollution makes node id a pollution attacker; delta 0 removes it.
-func (n *MultiTreeNetwork) InjectPollution(id int, delta int64) {
-	n.inst.Pollute(topology.NodeID(id), delta)
-}
-
-// MultiTreeResult is one majority-verified query.
-type MultiTreeResult struct {
-	// Totals holds each tree's independent total.
-	Totals []int64
-	// Accepted reports whether a strict majority of trees agreed.
-	Accepted bool
-	// Value is the majority total.
-	Value int64
-	// Outliers lists the dissenting tree indices (polluted or lossy).
-	Outliers []int
-}
-
-// Count runs a majority-verified COUNT over all trees.
-func (n *MultiTreeNetwork) Count() (*MultiTreeResult, error) {
-	v, err := n.inst.RunCount()
-	if err != nil {
-		return nil, fmt.Errorf("ipda: %w", err)
-	}
-	return &MultiTreeResult{Totals: v.Totals, Accepted: v.Accepted, Value: v.Value, Outliers: v.Outliers}, nil
-}
-
-// Sum runs a majority-verified SUM over all trees.
-func (n *MultiTreeNetwork) Sum(readings []int64) (*MultiTreeResult, error) {
-	v, err := n.inst.RunSum(readings)
-	if err != nil {
-		return nil, fmt.Errorf("ipda: %w", err)
-	}
-	return &MultiTreeResult{Totals: v.Totals, Accepted: v.Accepted, Value: v.Value, Outliers: v.Outliers}, nil
 }
 
 // TheoreticalDisclosure returns Equation (11) for a d-regular network:

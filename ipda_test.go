@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -300,18 +301,25 @@ func TestMultiTreePublicAPI(t *testing.T) {
 	if _, err := DeployMultiTree(cfg, 1); err == nil {
 		t.Fatal("m=1 accepted")
 	}
-	// Options the m-tree protocol cannot honour are rejected by name, not
-	// silently dropped.
-	for field, set := range map[string]func(*Config){
-		"AdaptiveRoles": func(c *Config) { c.AdaptiveRoles = false },
-		"Observe":       func(c *Config) { c.Observe = true },
-		"TraceQueries":  func(c *Config) { c.TraceQueries = true },
-	} {
-		bad := cfg
-		set(&bad)
-		if _, err := DeployMultiTree(bad, 3); err == nil || !strings.Contains(err.Error(), "Config."+field) {
-			t.Errorf("DeployMultiTree with %s: err = %v, want one naming Config.%s", field, err, field)
-		}
+	// The m-tree Phase I implements only Equation (1): the option it
+	// cannot honour is rejected by name, not silently dropped.
+	bad := cfg
+	bad.AdaptiveRoles = false
+	if _, err := DeployMultiTree(bad, 3); err == nil || !strings.Contains(err.Error(), "Config.AdaptiveRoles") {
+		t.Errorf("DeployMultiTree with AdaptiveRoles=false: err = %v, want one naming Config.AdaptiveRoles", err)
+	}
+	// Observation and tracing work as they do for Deploy.
+	seen := cfg
+	seen.Observe, seen.TraceQueries = true, true
+	obsNet, err := DeployMultiTree(seen, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obsNet.Count(); err != nil {
+		t.Fatal(err)
+	}
+	if obsNet.Obs() == nil || obsNet.QueryTrace() == nil || obsNet.QueryTrace().Len() == 0 {
+		t.Fatal("observed and traced m=3 deployment recorded nothing")
 	}
 }
 
@@ -323,7 +331,7 @@ func TestMultiTreePublicAPI(t *testing.T) {
 func TestMultiTreeEngineOptions(t *testing.T) {
 	base := DefaultConfig(600)
 	base.MAC = "tdma"
-	deploy := func(set func(c *Config)) *MultiTreeNetwork {
+	deploy := func(set func(c *Config)) *Network {
 		t.Helper()
 		cfg := base
 		set(&cfg)
@@ -335,7 +343,7 @@ func TestMultiTreeEngineOptions(t *testing.T) {
 	}
 	// count runs one COUNT, which must be accepted, and returns its result
 	// and the frames it put on the air.
-	count := func(name string, net *MultiTreeNetwork) (*MultiTreeResult, uint64) {
+	count := func(name string, net *Network) (*QueryResult, uint64) {
 		t.Helper()
 		before := net.inst.Medium.Stats().FramesSent
 		res, err := net.Count()
@@ -347,7 +355,7 @@ func TestMultiTreeEngineOptions(t *testing.T) {
 		}
 		return res, net.inst.Medium.Stats().FramesSent - before
 	}
-	unanimous := func(name string, net *MultiTreeNetwork) uint64 {
+	unanimous := func(name string, net *Network) uint64 {
 		t.Helper()
 		res, frames := count(name, net)
 		if len(res.Outliers) != 0 {
@@ -590,7 +598,7 @@ func TestObserveExportsMetricsAndSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *plain != *observed {
+	if !reflect.DeepEqual(plain, observed) {
 		t.Fatalf("observation perturbed the round: %+v vs %+v", plain, observed)
 	}
 }

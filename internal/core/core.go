@@ -1,9 +1,9 @@
 // Package core implements the iPDA protocol — the paper's primary
 // contribution — over the simulated wireless network.
 //
-// An Instance binds one deployed network to one pair of disjoint
-// aggregation trees (Phase I, delegated to package tree) and then answers
-// aggregation queries round by round:
+// An Instance binds one deployed network to m disjoint aggregation trees
+// (Phase I, delegated to package tree; the paper's red and blue at m = 2)
+// and then answers aggregation queries round by round:
 //
 //   - Phase II (privacy-preserving data report): every participating node
 //     splits its per-round additive contribution into l encrypted slices
@@ -15,14 +15,17 @@
 //     two totals and accepts the round only if |S_b − S_r| ≤ Th.
 //
 // Phases II and III form one round engine over any tree.Forest of m
-// disjoint trees: Deploy takes the tree count and the Phase I builder as
-// arguments, and RunRound runs a round and reports every tree's total.
-// The engine decides the verdict for every m with one majority vote: a
-// round is accepted when a strict majority of the trees agree pairwise
-// within Th, which at m = 2 is exactly |S_b − S_r| ≤ Th (see majority).
-// Every query kind, repair, coalescing, faults, query dissemination,
-// instrumentation and tracing work for every m. Package mtree deploys the
-// m-tree generalization's Phase I on this engine.
+// disjoint trees: Deploy takes the tree count (Reset and New deploy two),
+// and RunRound runs a round and reports every tree's total. The engine
+// decides the verdict for every m with one majority vote: a round is
+// accepted when a strict majority of the trees agree pairwise within Th,
+// which at m = 2 is exactly |S_b − S_r| ≤ Th (see majority). Every query
+// kind, repair, coalescing, faults, query dissemination, instrumentation
+// and tracing work for every m. More trees address the paper's stated
+// future work (Section VI, collusive attacks): with m = 2, two colluding
+// aggregators on different trees that apply the same delta fool the
+// check; with m = 3 the honest third tree outvotes one polluter, the base
+// station keeps the true total, and it names the polluted tree.
 //
 // The engine also exposes the hooks the evaluation needs: pollution
 // attackers (Section II-C), node disablement for DoS-attacker localization
@@ -342,10 +345,12 @@ type bsAccum struct {
 
 // aggSpanNames names each tree's Phase III aggregate spans without a
 // per-send string concatenation.
-var aggSpanNames = [tree.MaxTrees]string{
-	"aggregate:red", "aggregate:blue", "aggregate:t2", "aggregate:t3",
-	"aggregate:t4", "aggregate:t5", "aggregate:t6", "aggregate:t7",
-}
+var aggSpanNames = func() (s [tree.MaxTrees]string) {
+	for t := range s {
+		s[t] = "aggregate:" + tree.Name(t)
+	}
+	return s
+}()
 
 // New deploys an Instance: it builds the radio stack over net, runs
 // Phase I, and verifies tree disjointness. All randomness derives from
@@ -367,27 +372,20 @@ func New(net *topology.Network, cfg Config, seed uint64) (*Instance, error) {
 // almost entirely off the allocator. Callers must not use results (Trees,
 // Run outputs' aliased state) from before the Reset afterwards.
 func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error {
-	return in.Deploy(net, cfg, seed, 2, in.buildTrees)
+	return in.Deploy(net, cfg, seed, 2)
 }
 
-// buildTrees is Reset's Phase I: the paper's red/blue construction
-// (package tree).
-func (in *Instance) buildTrees(root *rng.Stream) (*tree.Forest, error) {
-	treeCfg := in.Cfg.Tree
-	treeCfg.Disabled = in.Cfg.Disabled
-	treeCfg.ExtraRoots = in.Cfg.ExtraRoots
-	treeCfg.Obs = in.Cfg.Obs
-	return in.builder.Build(in.Sim, in.MAC, in.Net, treeCfg, root.Split(2))
+// Deploy re-deploys the instance over net like Reset, with m disjoint
+// trees (2 ≤ m ≤ tree.MaxTrees; Reset is Deploy at m = 2).
+func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, m int) error {
+	return in.deploy(net, cfg, seed, m, nil)
 }
 
-// Deploy re-deploys the instance over net like Reset, with build as a
-// Phase I that yields m trees: build runs on the freshly reset simulator,
-// medium and MAC, may draw from root (the engine owns root's labels 1, 3
-// and 4), and returns the forest Phases II and III run on, which becomes
-// Trees. A malformed forest, or one of other than m trees, is an error.
-// The MAC is reset before build runs, so m must be known up front: it
-// sizes the coalesced frame budget.
-func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, m int, build func(root *rng.Stream) (*tree.Forest, error)) error {
+// deploy is Deploy with an optional stand-in for Phase I: a non-nil
+// forest replaces the flood, so tests can feed the engine hand-built and
+// malformed forests. A malformed forest, or one of other than m trees, is
+// an error.
+func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int, forest *tree.Forest) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -436,11 +434,18 @@ func (in *Instance) Deploy(net *topology.Network, cfg Config, seed uint64, m int
 	in.queryParent = qtrace.None
 	in.Net = net
 	in.Cfg = cfg
-	// Every builder's Phase I shares one network-wide span (query 0).
+	// Phase I is one network-wide span (query 0). The flood draws from
+	// root's label 2; the engine owns labels 1, 3 and 4.
 	phase1 := in.qt.Start(0, qtrace.None, -1, "phase1:tree-construction", float64(in.Sim.Now()))
-	forest, err := build(root)
-	if err != nil {
-		return err
+	if forest == nil {
+		treeCfg := cfg.Tree
+		treeCfg.Disabled = cfg.Disabled
+		treeCfg.ExtraRoots = cfg.ExtraRoots
+		treeCfg.Obs = cfg.Obs
+		var err error
+		if forest, err = in.builder.Build(in.Sim, in.MAC, net, treeCfg, m, root.Split(2)); err != nil {
+			return err
+		}
 	}
 	in.qt.End(phase1, float64(in.Sim.Now()))
 	if err := forest.Check(n); err != nil {

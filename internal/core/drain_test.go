@@ -13,19 +13,22 @@ import (
 // cancellation rests on: Phase I and every query round run until each
 // event they scheduled — sends, retransmissions, ACK timeouts, backoffs —
 // has fired, so nothing is left pending to fire inside the next phase, or
-// inside the next trial on a pooled kernel.
+// inside the next trial on a pooled kernel. The flood and the engine are
+// the same at every tree count; mtree3 runs them at m = 3.
 func TestPhasesDrainTheirEvents(t *testing.T) {
 	for _, tc := range []struct {
 		name string
+		m    int
 		set  func(*Config)
 	}{
-		{"csma", func(*Config) {}},
-		{"tdma", func(c *Config) { c.MAC.Scheme = mac.SchemeTDMA }},
-		{"coalesce", func(c *Config) { c.Coalesce = true }},
-		{"churn-repair", func(c *Config) {
+		{"csma", 2, func(*Config) {}},
+		{"tdma", 2, func(c *Config) { c.MAC.Scheme = mac.SchemeTDMA }},
+		{"coalesce", 2, func(c *Config) { c.Coalesce = true }},
+		{"churn-repair", 2, func(c *Config) {
 			c.Repair = true
 			c.Faults = &fault.Config{CrashRate: 0.12, RecoverRate: 0.3, Seed: 9}
 		}},
+		{"mtree3", 3, func(*Config) {}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -36,10 +39,7 @@ func TestPhasesDrainTheirEvents(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				inst, err := New(net, cfg, seed+1000)
-				if err != nil {
-					t.Fatal(err)
-				}
+				inst := deployM(t, net, cfg, tc.m, seed+1000)
 				if p := inst.Sim.Pending(); p != 0 {
 					t.Fatalf("seed %d: %d events pending after Phase I", seed, p)
 				}

@@ -84,7 +84,7 @@ func TestDeployChecksForest(t *testing.T) {
 		f := clone(valid)
 		c.mutate(&f)
 		var in Instance
-		err := in.Deploy(net, cfg, 1, 3, func(*rng.Stream) (*tree.Forest, error) { return &f, nil })
+		err := in.deploy(net, cfg, 1, 3, &f)
 		if err == nil {
 			t.Errorf("%s: malformed forest accepted", c.name)
 		} else if !strings.HasPrefix(err.Error(), "core: phase I produced overlapping trees") {
@@ -94,7 +94,7 @@ func TestDeployChecksForest(t *testing.T) {
 
 	var in Instance
 	f := clone(valid)
-	if err := in.Deploy(net, cfg, 1, 2, func(*rng.Stream) (*tree.Forest, error) { return &f, nil }); err == nil {
+	if err := in.deploy(net, cfg, 1, 2, &f); err == nil {
 		t.Error("three-tree forest accepted for a two-tree deployment")
 	}
 
@@ -116,7 +116,7 @@ func TestDeployChecksForest(t *testing.T) {
 		v.set(&c)
 		var in Instance
 		f := clone(valid)
-		if err := in.Deploy(net, c, 1, 3, func(*rng.Stream) (*tree.Forest, error) { return &f, nil }); err != nil {
+		if err := in.deploy(net, c, 1, 3, &f); err != nil {
 			t.Fatalf("%s: valid forest rejected: %v", v.name, err)
 		}
 		if v.victim != topology.None {
@@ -177,7 +177,7 @@ func TestSliceNoncesDistinctAcrossTrees(t *testing.T) {
 	cfg.Slices = 1
 	cfg.MAC.Scheme = mac.SchemeTDMA
 	var in Instance
-	if err := in.Deploy(net, cfg, 1, 3, func(*rng.Stream) (*tree.Forest, error) { return &f, nil }); err != nil {
+	if err := in.deploy(net, cfg, 1, 3, &f); err != nil {
 		t.Fatal(err)
 	}
 	contribs := make([]int64, n)

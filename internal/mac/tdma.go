@@ -15,8 +15,8 @@
 // from a same-slot owner three hops from the ACK's addressee. The
 // addressee's ARQ recovers what such an ACK corrupts, but the non-anchor
 // targets of a coalesced batch get no retransmission and lose their
-// slices (TestTDMAAckCollidesWithCoalescedBatch pins a field where this
-// happens).
+// slices (TestTDMAAckCollidesWithCoalescedBatch searches the air of an
+// m = 3 field for such a loss).
 //
 // The assignment is a pure function of the network topology — no rng, no
 // tree state — so it is byte-identical across trial workers and shard

@@ -1,6 +1,6 @@
 // Package obs is the protocol-wide instrumentation layer: a registry of
 // labeled counters, gauges and histograms (spans live in qtrace). Every
-// layer of the stack (radio, mac, tree, core, tag, mtree, energy,
+// layer of the stack (radio, mac, tree, core, tag, energy,
 // harness) exposes a SetObs-style hook that resolves its instruments once
 // at attach time and then updates them from the hot path with plain
 // field stores.

@@ -5,15 +5,13 @@ import (
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/core"
-	"github.com/ipda-sim/ipda/internal/mtree"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 	"github.com/ipda-sim/ipda/internal/tree"
 )
 
-// fuzzForests builds real Phase I forests on a small dense deployment:
-// the red/blue flood (m = 2, with an extra base station) and the m-tree
-// flood (m = 3).
+// fuzzForests builds real Phase I forests through core on a small dense
+// deployment: m = 2 with an extra base station, and m = 3.
 func fuzzForests(f *testing.F) []*tree.Forest {
 	net, err := topology.Random(topology.Config{Nodes: 80, FieldSide: 150, Range: 50}, rng.New(5))
 	if err != nil {
@@ -25,8 +23,8 @@ func fuzzForests(f *testing.F) []*tree.Forest {
 	if err != nil {
 		f.Fatal(err)
 	}
-	three, err := mtree.New(net, core.DefaultConfig(), 3, 7)
-	if err != nil {
+	three := &core.Instance{}
+	if err := three.Deploy(net, core.DefaultConfig(), 7, 3); err != nil {
 		f.Fatal(err)
 	}
 	return []*tree.Forest{two.Trees, three.Trees}

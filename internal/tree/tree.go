@@ -2,15 +2,18 @@
 // construction (Section III-B of the paper) — and the TAG spanning-tree
 // construction used by the baseline.
 //
-// The base station floods HELLO messages as both a red and a blue
-// aggregator. A node that has heard HELLOs from aggregators of both colors
-// waits a short decision window, estimates the red/blue balance in its
-// neighborhood from the HELLOs it received, and then chooses a role: red
-// aggregator, blue aggregator, or leaf. Aggregators join the tree of their
-// color (parent = the lowest-hop heard aggregator of that color) and
-// forward the HELLO; leaves stay silent. Nodes that never hear both colors
+// The base station floods HELLO messages as an aggregator of every tree:
+// the paper's red and blue, or m trees in the generalization Section III-B
+// sketches ("the disjoint aggregation tree construction phase can be
+// easily generalized to build multiple aggregation trees (m > 2); however
+// ... the network must be very dense"). A node that has heard HELLOs from
+// aggregators of every tree waits a short decision window, estimates the
+// trees' balance in its neighborhood from the HELLOs it received, and then
+// chooses a role: an aggregator of one tree, or a leaf. Aggregators join
+// their tree (parent = the lowest-hop heard aggregator of that tree) and
+// forward the HELLO; leaves stay silent. Nodes that never hear every tree
 // cannot participate in aggregation — the coverage loss factor (a) of
-// Section IV-B.3.
+// Section IV-B.3, which grows with m.
 //
 // Role probabilities follow the paper's adaptive rule (Equation 1):
 //
@@ -18,11 +21,14 @@
 //	pr = p · Nblue/(Nred+Nblue)   — bias toward the under-represented color
 //	pb = p · Nred/(Nred+Nblue)
 //
-// or the simplified fixed rule pr = pb = 0.5 (Equation 2).
+// or the simplified fixed rule pr = pb = 0.5 (Equation 2). With m trees,
+// p = min(1, k/ΣN) and tree t is joined with probability
+// p·(ΣN − N_t)/((m−1)·ΣN), or p/m under the fixed rule; at m = 2 these are
+// Equations (1) and (2). One flood, Builder, builds every m.
 //
 // Phase I's outcome is a Forest, the one tree representation of the
-// simulator: package mtree's m-tree flood builds the same type, and the
-// forest answers coverage, participation and repair for any tree count.
+// simulator: it answers coverage, participation and repair for any tree
+// count.
 package tree
 
 import (
@@ -41,12 +47,12 @@ import (
 // Config are Phase I parameters.
 type Config struct {
 	// K is the aggregator budget parameter k of Section III-B (paper
-	// recommends 4). Must be >= 2 when Adaptive.
+	// recommends 4). Must be at least the tree count when Adaptive.
 	K int
 	// Adaptive selects Equation (1) when true, Equation (2) (pr=pb=0.5)
 	// when false.
 	Adaptive bool
-	// DecisionDelay is how long a node waits after hearing both colors
+	// DecisionDelay is how long a node waits after hearing every tree
 	// before fixing its role, to collect more HELLOs.
 	DecisionDelay eventsim.Time
 	// Deadline bounds the whole phase in simulated seconds.
@@ -57,7 +63,7 @@ type Config struct {
 	Disabled []bool
 	// ExtraRoots lists additional base stations beyond node 0 (Section
 	// II-A: "iPDA is readily extensible to multiple base station cases").
-	// Every root floods both colors at hop 0 and collects aggregation
+	// Every root floods every tree at hop 0 and collects aggregation
 	// results; nodes attach to whichever root's flood reaches them first.
 	ExtraRoots []topology.NodeID
 	// Obs is the optional instrumentation sink: it counts role decisions
@@ -79,8 +85,8 @@ func (c Config) Validate() error {
 	if c.DecisionDelay <= 0 || c.Deadline <= 0 {
 		return fmt.Errorf("tree: delays must be positive")
 	}
-	// A root listed twice would flood every color twice, and onHello's
-	// heard lists rely on each sender sending each color once.
+	// A root listed twice would flood every tree twice, and onHello's
+	// heard lists rely on each sender sending each tree's HELLO once.
 	for i, r := range c.ExtraRoots {
 		if slices.Contains(c.ExtraRoots[:i], r) {
 			return fmt.Errorf("tree: extra root %d listed twice", r)
@@ -288,98 +294,110 @@ func (f *Forest) RepairDead(down func(topology.NodeID) bool) (RepairOutcome, err
 	return out, nil
 }
 
-// nodeState is the per-node Phase I state machine. Its per-color arrays
-// are indexed by tree: 0 is red, 1 is blue.
-type nodeState struct {
-	tree          int // NoTree until decided, then NoTree (leaf), 0 or 1; Root for base stations
-	parent        topology.NodeID
-	hop           uint16
-	heard         [2][]topology.NodeID // senders of each color's HELLOs heard
-	minHop        [2]uint16
-	best          [2]topology.NodeID // lowest-hop sender of each color
-	decisionArmed bool
-	decided       bool
-}
+var names = [MaxTrees]string{"red", "blue", "t2", "t3", "t4", "t5", "t6", "t7"}
 
-// Builder runs Phase I repeatedly, reusing the per-node state machines,
-// the neighbor-list backing arrays, the Forest, and the per-node decision
+// Name is tree t's name in metrics and traces: the paper's red and blue,
+// then t2, t3, ….
+func Name(t int) string { return names[t] }
+
+// Builder runs Phase I repeatedly, reusing the per-node state, the
+// neighbor-list backing arrays, the Forest, and the per-node decision
 // closures across builds. A Build on a used Builder is byte-identical to
 // one on a fresh Builder — state is fully reinitialized, only capacity
 // survives — but it invalidates the Forest of the previous Build (the
 // neighbor lists share backing storage). One Builder serves one protocol
 // instance; it is not safe for concurrent use.
 type Builder struct {
-	states    []nodeState
-	forest    Forest
-	heard     [2][][]topology.NodeID
+	forest Forest
+	// Per node i and tree t, flat at index t·n + i so that Forest.Heard[t]
+	// is a window of heard: the senders of the tree-t HELLOs i heard, and
+	// the lowest-hop one with its hop (set by the first HELLO).
+	heard  [][]topology.NodeID
+	best   []topology.NodeID
+	minHop []uint16
+	// Per node: how many trees it has heard (its decision arms when that
+	// reaches m), and whether its role is fixed (base stations start so).
+	seen      []uint8
+	decided   []bool
 	decideFns []func()
 	handlerFn mac.Handler
 	kickoffFn func()
 
 	// Per-build context, set by Build and read by the event callbacks.
 	sim      *eventsim.Sim
-	m        *mac.MAC
+	link     *mac.MAC
 	cfg      Config
+	n, m     int
 	roleRand *rng.Stream
-	// ipda_tree_roles_total handles: red and blue by tree index.
+	counts   [MaxTrees]int // decide's scratch: HELLO counts per tree
+	// ipda_tree_roles_total handles; aggs is indexed by tree.
 	undecided, leaf obs.Counter
-	aggs            [2]obs.Counter
+	aggs            [MaxTrees]obs.Counter
 }
 
-// BuildDisjoint runs Phase I over the given network and returns the
-// constructed red/blue forest. It drives sim until cfg.Deadline; the
-// MAC's receive handlers are owned by this function for the duration of
-// the call.
-func BuildDisjoint(sim *eventsim.Sim, m *mac.MAC, net *topology.Network, cfg Config, rand *rng.Stream) (*Forest, error) {
-	return new(Builder).Build(sim, m, net, cfg, rand)
-}
-
-// Build is BuildDisjoint over the Builder's reusable storage. The forest
-// holds two trees, Heard = [red, blue].
-func (b *Builder) Build(sim *eventsim.Sim, m *mac.MAC, net *topology.Network, cfg Config, rand *rng.Stream) (*Forest, error) {
+// Build runs Phase I over the given network and returns the constructed
+// forest of m trees (2 ≤ m ≤ MaxTrees; at m = 2, Heard = [red, blue]). It
+// drives sim until cfg.Deadline; the MAC's receive handlers are owned by
+// Build for the duration of the call.
+func (b *Builder) Build(sim *eventsim.Sim, link *mac.MAC, net *topology.Network, cfg Config, m int, rand *rng.Stream) (*Forest, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	switch {
+	case m < 2 || m > MaxTrees:
+		return nil, fmt.Errorf("tree: tree count must be in [2, %d], got %d", MaxTrees, m)
+	case cfg.Adaptive && cfg.K < m:
+		return nil, fmt.Errorf("tree: adaptive config requires K >= the tree count, got %d < %d", cfg.K, m)
+	}
 	n := net.N()
-	if cap(b.states) < n {
-		b.states = append(b.states[:cap(b.states)], make([]nodeState, n-cap(b.states))...)
+	f := &b.forest
+	f.Tree = resize(f.Tree, n)
+	f.Parent = resize(f.Parent, n)
+	f.Hop = resize(f.Hop, n)
+	for i := range f.Tree {
+		f.Tree[i], f.Parent[i], f.Hop[i] = NoTree, topology.None, 0
 	}
-	b.states = b.states[:n]
-	for i := range b.states {
-		st := &b.states[i]
-		st.tree = NoTree
-		st.parent = topology.None
-		st.hop = 0
-		for t := range st.heard {
-			st.heard[t] = st.heard[t][:0]
-			st.minHop[t] = 0
-			st.best[t] = topology.None
-		}
-		st.decisionArmed = false
-		st.decided = false
+	if cap(b.heard) < n*m {
+		// Grow in place, so every list keeps its backing array.
+		b.heard = append(b.heard[:cap(b.heard)], make([][]topology.NodeID, n*m-cap(b.heard))...)
 	}
-	b.states[0].tree = Root
-	b.states[0].decided = true
+	b.heard = b.heard[:n*m]
+	for k := range b.heard {
+		b.heard[k] = b.heard[k][:0]
+	}
+	f.Heard = f.Heard[:0]
+	for t := range m {
+		f.Heard = append(f.Heard, b.heard[t*n:(t+1)*n:(t+1)*n])
+	}
+	b.best = resize(b.best, n*m)
+	b.minHop = resize(b.minHop, n*m)
+	b.seen = resize(b.seen, n)
+	b.decided = resize(b.decided, n)
+	clear(b.seen)
+	clear(b.decided)
+	f.Tree[0], b.decided[0] = Root, true
 	for _, r := range cfg.ExtraRoots {
 		if r <= 0 || int(r) >= n {
 			return nil, fmt.Errorf("tree: extra root %d out of range", r)
 		}
-		b.states[r].tree = Root
-		b.states[r].decided = true
+		f.Tree[r], b.decided[r] = Root, true
 	}
 
 	b.sim = sim
-	b.m = m
+	b.link = link
 	b.cfg = cfg
+	b.n, b.m = n, m
 	b.roleRand = rand.Split(1)
 
-	b.undecided, b.leaf, b.aggs = obs.Counter{}, obs.Counter{}, [2]obs.Counter{}
+	b.undecided, b.leaf, b.aggs = obs.Counter{}, obs.Counter{}, [MaxTrees]obs.Counter{}
 	if cfg.Obs != nil && cfg.Obs.Reg != nil {
 		role := func(name string) obs.Counter {
 			return cfg.Obs.Reg.Counter("ipda_tree_roles_total", "Phase I role decisions", obs.Label{Name: "role", Value: name})
 		}
 		b.undecided, b.leaf = role("undecided"), role("leaf")
-		b.aggs = [2]obs.Counter{role("red"), role("blue")}
+		for t := range m {
+			b.aggs[t] = role(names[t])
+		}
 	}
 
 	if cap(b.decideFns) < n {
@@ -401,32 +419,15 @@ func (b *Builder) Build(sim *eventsim.Sim, m *mac.MAC, net *topology.Network, cf
 		b.kickoffFn = func() { b.kickoff() }
 	}
 	for i := 0; i < n; i++ {
-		m.SetHandler(topology.NodeID(i), b.handlerFn)
+		link.SetHandler(topology.NodeID(i), b.handlerFn)
 	}
 
 	sim.After(0, b.kickoffFn)
 	sim.Run(sim.Now() + cfg.Deadline)
 
-	f := &b.forest
-	f.Tree = resize(f.Tree, n)
-	f.Parent = resize(f.Parent, n)
-	f.Hop = resize(f.Hop, n)
-	for t := range b.heard {
-		b.heard[t] = resize(b.heard[t], n)
-	}
-	f.Heard = append(f.Heard[:0], b.heard[0], b.heard[1])
 	undecided := 0
-	for i := range b.states {
-		st := &b.states[i]
-		f.Tree[i] = st.tree
-		f.Parent[i], f.Hop[i] = topology.None, 0
-		if st.tree >= 0 {
-			f.Parent[i], f.Hop[i] = st.parent, st.hop
-		}
-		for t := range b.heard {
-			b.heard[t][i] = st.heard[t]
-		}
-		if !st.decided {
+	for _, d := range b.decided {
+		if !d {
 			undecided++
 		}
 	}
@@ -434,90 +435,115 @@ func (b *Builder) Build(sim *eventsim.Sim, m *mac.MAC, net *topology.Network, cf
 	return f, nil
 }
 
-// kickoff starts the flood: every base station initiates as both a red and
-// a blue aggregator at hop 0.
+// kickoff starts the flood: every base station initiates as an aggregator
+// of every tree at hop 0, node 0 first, each root's trees in index order.
 func (b *Builder) kickoff() {
-	b.sendHello(0, packet.Red, 0)
-	b.sendHello(0, packet.Blue, 0)
+	for t := range b.m {
+		b.sendHello(0, t, 0)
+	}
 	for _, r := range b.cfg.ExtraRoots {
-		b.sendHello(r, packet.Red, 0)
-		b.sendHello(r, packet.Blue, 0)
+		for t := range b.m {
+			b.sendHello(r, t, 0)
+		}
 	}
 }
 
-func (b *Builder) sendHello(src topology.NodeID, color packet.Color, hop uint16) {
-	b.m.Send(src, &packet.Packet{
+func (b *Builder) sendHello(src topology.NodeID, t int, hop uint16) {
+	b.link.Send(src, &packet.Packet{
 		Header: packet.Header{Kind: packet.KindHello, Src: int32(src), Dst: packet.Broadcast},
-		Color:  color,
+		Color:  packet.TreeColor(t),
 		Hop:    hop,
 	})
 }
 
+// decide fixes node id's role once its decision window closes: one draw
+// from the role stream picks a tree or the leaf role (see role). Only
+// nodes that heard every tree are ever armed, and heard lists never
+// shrink, so every count is positive.
 func (b *Builder) decide(id topology.NodeID) {
-	st := &b.states[id]
-	if st.decided {
-		return
+	b.decided[id] = true
+	n := b.n
+	counts := b.counts[:b.m]
+	for t := range counts {
+		counts[t] = len(b.heard[t*n+int(id)])
 	}
-	st.decided = true
-	nRed, nBlue := len(st.heard[0]), len(st.heard[1])
-	if nRed == 0 || nBlue == 0 {
-		// Should not happen (decision is armed only after both colors)
-		// but lost frames cannot rescind; stay undecided.
-		st.decided = false
-		st.decisionArmed = false
-		return
-	}
-	cfg := &b.cfg
-	var p, pr float64
-	if cfg.Adaptive {
-		p = 1
-		if nRed+nBlue > cfg.K {
-			p = float64(cfg.K) / float64(nRed+nBlue)
-		}
-		pr = p * float64(nBlue) / float64(nRed+nBlue)
-	} else {
-		p = 1
-		pr = 0.5
-	}
-	u := b.roleRand.Float64()
-	t := 1
-	switch {
-	case u < pr:
-		t = 0
-	case u >= p:
+	t := b.cfg.role(b.roleRand.Float64(), counts)
+	if t == NoTree {
 		b.leaf.Inc()
 		return
 	}
-	st.tree = t
-	st.parent = st.best[t]
-	st.hop = st.minHop[t] + 1
-	b.sendHello(id, packet.TreeColor(t), st.hop)
+	k := t*n + int(id)
+	f := &b.forest
+	f.Tree[id], f.Parent[id], f.Hop[id] = t, b.best[k], b.minHop[k]+1
+	b.sendHello(id, t, f.Hop[id])
 	b.aggs[t].Inc()
+}
+
+// role is Phase I's role rule, a pure function of a uniform draw
+// u ∈ [0, 1) and the node's HELLO count per tree, heard[t] = N_t > 0. It
+// returns the tree the node joins, or NoTree for a leaf.
+//
+// A node aggregates with probability p: min(1, K/ΣN) under Equation (1),
+// and 1 under Equation (2). It joins tree t with probability
+// p·(ΣN − N_t)/((m−1)·ΣN) under Equation (1), favouring the trees it heard
+// least, and p/m under Equation (2). The trees take consecutive intervals
+// of [0, p) in index order; the last takes what the others leave. At
+// m = 2 the first bound is the paper's pr = p·N_blue/(N_red+N_blue), or
+// 0.5, evaluated in the same order, so red/blue forests are bit-identical
+// to the two-colour rule's.
+func (c *Config) role(u float64, heard []int) int {
+	m, total := len(heard), 0
+	for _, h := range heard {
+		total += h
+	}
+	p := 1.0
+	if c.Adaptive && total > c.K {
+		p = float64(c.K) / float64(total)
+	}
+	if u >= p {
+		return NoTree
+	}
+	acc, den := 0, m
+	if c.Adaptive {
+		den = (m - 1) * total
+	}
+	for t := range m - 1 {
+		if c.Adaptive {
+			acc += total - heard[t]
+		} else {
+			acc++
+		}
+		if u < p*float64(acc)/float64(den) {
+			return t
+		}
+	}
+	return m - 1
 }
 
 func (b *Builder) onHello(self topology.NodeID, p *packet.Packet) {
 	if len(b.cfg.Disabled) > int(self) && b.cfg.Disabled[self] {
 		return
 	}
-	st := &b.states[self]
 	t := p.Color.Tree()
-	if t < 0 || t >= len(st.heard) {
+	if t < 0 || t >= b.m {
 		return
 	}
 	// No sender is heard twice: HELLOs are broadcasts, which the MAC never
-	// retransmits, and every node sends each color at most once — roots
-	// once at kickoff (Validate rejects a root listed twice), aggregators
-	// once on deciding.
+	// retransmits, and every node sends each tree's HELLO at most once —
+	// roots once at kickoff (Validate rejects a root listed twice),
+	// aggregators once on deciding.
 	src := topology.NodeID(p.Src)
-	st.heard[t] = append(st.heard[t], src)
-	if st.best[t] == topology.None || p.Hop < st.minHop[t] {
-		st.best[t], st.minHop[t] = src, p.Hop
+	k := t*b.n + int(self)
+	b.heard[k] = append(b.heard[k], src)
+	first := len(b.heard[k]) == 1
+	if first || p.Hop < b.minHop[k] {
+		b.best[k], b.minHop[k] = src, p.Hop
 	}
-	if st.decided {
+	if !first {
 		return
 	}
-	if !st.decisionArmed && len(st.heard[0]) > 0 && len(st.heard[1]) > 0 {
-		st.decisionArmed = true
+	b.seen[self]++
+	if int(b.seen[self]) == b.m && !b.decided[self] {
 		b.sim.After(b.cfg.DecisionDelay, b.decideFns[self])
 	}
 }

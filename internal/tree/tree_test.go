@@ -1,7 +1,10 @@
 package tree
 
 import (
+	"math"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"github.com/ipda-sim/ipda/internal/eventsim"
 	"github.com/ipda-sim/ipda/internal/mac"
@@ -10,8 +13,15 @@ import (
 	"github.com/ipda-sim/ipda/internal/topology"
 )
 
-// build runs Phase I over a fresh random deployment.
+// build runs the red/blue Phase I over a fresh random deployment.
 func build(t *testing.T, nodes int, seed uint64, cfg Config) (*Forest, *topology.Network) {
+	t.Helper()
+	return buildM(t, nodes, seed, cfg, 2)
+}
+
+// buildM runs Phase I for the given tree count over a fresh random
+// deployment.
+func buildM(t *testing.T, nodes int, seed uint64, cfg Config, trees int) (*Forest, *topology.Network) {
 	t.Helper()
 	r := rng.New(seed)
 	net, err := topology.Random(topology.PaperConfig(nodes), r.Split(0))
@@ -21,7 +31,7 @@ func build(t *testing.T, nodes int, seed uint64, cfg Config) (*Forest, *topology
 	sim := eventsim.New()
 	medium := radio.New(sim, net, radio.PaperRate)
 	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
-	res, err := BuildDisjoint(sim, m, net, cfg, r.Split(2))
+	res, err := new(Builder).Build(sim, m, net, cfg, trees, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +259,7 @@ func TestDisabledNodesStaySilent(t *testing.T) {
 	sim := eventsim.New()
 	medium := radio.New(sim, net, radio.PaperRate)
 	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
-	res, err := BuildDisjoint(sim, m, net, cfg, r.Split(2))
+	res, err := new(Builder).Build(sim, m, net, cfg, 2, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +298,7 @@ func TestPhaseAccountsTraffic(t *testing.T) {
 	sim := eventsim.New()
 	medium := radio.New(sim, net, radio.PaperRate)
 	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
-	res, err := BuildDisjoint(sim, m, net, DefaultConfig(), r.Split(2))
+	res, err := new(Builder).Build(sim, m, net, DefaultConfig(), 2, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,5 +308,231 @@ func TestPhaseAccountsTraffic(t *testing.T) {
 	}
 	if medium.TotalBytes() < want {
 		t.Fatal("bytes < frames")
+	}
+}
+
+// TestTreesAreDisjoint: the flood builds a well-formed forest with every
+// tree populated, for m = 2 to 4 on a dense deployment.
+func TestTreesAreDisjoint(t *testing.T) {
+	for _, m := range []int{2, 3, 4} {
+		f, net := buildM(t, 600, uint64(m)*13, DefaultConfig(), m)
+		if err := f.Check(net.N()); err != nil {
+			t.Fatalf("m=%d: %v", m, err)
+		}
+		if len(f.Heard) != m {
+			t.Fatalf("m=%d: %d trees built", m, len(f.Heard))
+		}
+		for tr := range m {
+			if len(f.Aggregators(tr)) == 0 {
+				t.Fatalf("m=%d: tree %d empty", m, tr)
+			}
+		}
+	}
+}
+
+// TestCoverageDropsWithMoreTrees quantifies the paper's density warning:
+// at fixed density, covering all m trees gets harder as m grows.
+func TestCoverageDropsWithMoreTrees(t *testing.T) {
+	cov := func(m int) float64 {
+		f, _ := buildM(t, 400, 99, DefaultConfig(), m)
+		return f.CoverageFraction()
+	}
+	c2, c3, c4 := cov(2), cov(3), cov(4)
+	if c3 > c2 || c4 > c3 {
+		t.Fatalf("coverage m=2 %v, m=3 %v, m=4 %v: not falling with m", c2, c3, c4)
+	}
+	if c2 < 0.85 {
+		t.Fatalf("m=2 coverage %v too low at N=400", c2)
+	}
+}
+
+// TestBuildRejectsTreeCounts: Build takes 2 to MaxTrees trees, and under
+// Equation (1) at least as large an aggregator budget K as trees.
+func TestBuildRejectsTreeCounts(t *testing.T) {
+	net, err := topology.Grid(3, 20, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(1)
+	sim := eventsim.New()
+	medium := radio.New(sim, net, radio.PaperRate)
+	link := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
+	fixed := DefaultConfig()
+	fixed.Adaptive = false
+	for _, c := range []struct {
+		cfg Config
+		m   int
+		ok  bool
+	}{
+		{DefaultConfig(), 1, false},
+		{DefaultConfig(), MaxTrees + 1, false},
+		{DefaultConfig(), 4, true},
+		{DefaultConfig(), 5, false},
+		{fixed, MaxTrees, true},
+	} {
+		_, err := new(Builder).Build(sim, link, net, c.cfg, c.m, r.Split(2))
+		if (err == nil) != c.ok {
+			t.Errorf("m=%d adaptive=%v K=%d: err = %v", c.m, c.cfg.Adaptive, c.cfg.K, err)
+		}
+	}
+}
+
+// paperRole is the paper's two-colour role rule, Equations (1) and (2),
+// written as Section III-B states it: red below pr, a leaf from p on, blue
+// in between.
+func paperRole(u float64, nRed, nBlue, k int, adaptive bool) (role int, p, pr float64) {
+	if adaptive {
+		p = 1
+		if nRed+nBlue > k {
+			p = float64(k) / float64(nRed+nBlue)
+		}
+		pr = p * float64(nBlue) / float64(nRed+nBlue)
+	} else {
+		p, pr = 1, 0.5
+	}
+	switch {
+	case u < pr:
+		return 0, p, pr
+	case u >= p:
+		return NoTree, p, pr
+	}
+	return 1, p, pr
+}
+
+// unit maps 53 random bits into [0, 1) as rng.Stream.Float64 does.
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+
+// TestRoleRule checks the pure role rule. At m = 2 it must decide exactly
+// as the paper's two-colour formulas, at the draw and at both sides of
+// each bound, so red/blue forests are bit-identical. At m ≥ 3 tree t must
+// own [B_t−1, B_t) for bounds B_t that sum the widths
+// p·(ΣN−N_t)/((m−1)·ΣN) (p/m under Equation (2)) and end at p.
+func TestRoleRule(t *testing.T) {
+	two := func(x uint64, red, blue, k uint8, adaptive bool) bool {
+		nRed, nBlue := int(red)%64+1, int(blue)%64+1
+		c := Config{K: int(k)%14 + 2, Adaptive: adaptive}
+		_, p, pr := paperRole(0, nRed, nBlue, c.K, adaptive)
+		for _, u := range []float64{unit(x), pr, math.Nextafter(pr, 0), p, math.Nextafter(p, 0)} {
+			if u >= 1 {
+				continue
+			}
+			want, _, _ := paperRole(u, nRed, nBlue, c.K, adaptive)
+			if got := c.role(u, []int{nRed, nBlue}); got != want {
+				t.Logf("u=%v N=(%d,%d) K=%d adaptive=%v: role %d, paper %d", u, nRed, nBlue, c.K, adaptive, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(two, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+
+	many := func(x uint64, counts [MaxTrees]uint8, mm, k uint8, adaptive bool) bool {
+		m := int(mm)%(MaxTrees-2) + 3
+		heard := make([]int, m)
+		total := 0
+		for i := range heard {
+			heard[i] = int(counts[i])%64 + 1
+			total += heard[i]
+		}
+		c := Config{K: m + int(k)%8, Adaptive: adaptive}
+		p := 1.0
+		if adaptive && total > c.K {
+			p = float64(c.K) / float64(total)
+		}
+		// Widths are at least p/(8·512) > 1e-6 here, so a margin of 1e-9
+		// tells every interval's ends apart from float rounding.
+		const margin = 1e-9
+		lo := 0.0
+		for tr := range m {
+			w := p / float64(m)
+			if adaptive {
+				w = p * float64(total-heard[tr]) / float64((m-1)*total)
+			}
+			hi := lo + w
+			for _, u := range []float64{lo + margin, (lo + hi) / 2, hi - margin} {
+				if got := c.role(u, heard); got != tr {
+					t.Logf("u=%v in tree %d's interval [%v, %v) (heard %v, K=%d, adaptive=%v): role %d", u, tr, lo, hi, heard, c.K, adaptive, got)
+					return false
+				}
+			}
+			lo = hi
+		}
+		if math.Abs(lo-p) > margin {
+			t.Logf("widths sum to %v, want p = %v", lo, p)
+			return false
+		}
+		u := unit(x)
+		return c.role(p, heard) == NoTree && c.role(math.Nextafter(p, 0), heard) == m-1 &&
+			(u < p || c.role(u, heard) == NoTree)
+	}
+	if err := quick.Check(many, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFixedRuleAtThreeTrees runs Equation (2) at m = 3: every node that
+// heard all three trees aggregates (p = 1), every other sensor stays
+// undecided, and each tree's aggregator count lies within 4σ of its
+// Binomial(A, 1/3) mean over the A aggregators.
+func TestFixedRuleAtThreeTrees(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Adaptive = false
+	const m = 3
+	f, net := buildM(t, 600, 47, cfg, m)
+	if err := f.Check(net.N()); err != nil {
+		t.Fatal(err)
+	}
+	agg := 0
+	for i := 1; i < net.N(); i++ {
+		covered := f.Covered(topology.NodeID(i))
+		if covered != (f.Tree[i] >= 0) {
+			t.Fatalf("node %d: covered %v but on tree %d", i, covered, f.Tree[i])
+		}
+		if covered {
+			agg++
+		}
+	}
+	if agg < 100 {
+		t.Fatalf("only %d aggregators", agg)
+	}
+	mean := float64(agg) / m
+	sigma := math.Sqrt(float64(agg) * (1.0 / m) * (1 - 1.0/m))
+	for tr := range m {
+		if c := float64(len(f.Aggregators(tr))); math.Abs(c-mean) > 4*sigma {
+			t.Errorf("tree %d has %v of %d aggregators, want %v ± %v", tr, c, agg, mean, 4*sigma)
+		}
+	}
+}
+
+// TestParentIsLowestHopHeard: an aggregator's parent is the first
+// lowest-hop aggregator of its tree it heard before deciding. Heard lists
+// keep arrival order, so every sender heard before the parent must sit
+// strictly deeper than it.
+func TestParentIsLowestHopHeard(t *testing.T) {
+	for _, m := range []int{2, 3} {
+		f, net := buildM(t, 600, 53, DefaultConfig(), m)
+		aggs := 0
+		for i := 1; i < net.N(); i++ {
+			tr := f.Tree[i]
+			if tr < 0 {
+				continue
+			}
+			aggs++
+			heard, p := f.Heard[tr][i], f.Parent[i]
+			pos := slices.Index(heard, p)
+			if pos < 0 {
+				t.Fatalf("m=%d: node %d's parent %d not heard on tree %d", m, i, p, tr)
+			}
+			for _, h := range heard[:pos] {
+				if f.Hop[h] <= f.Hop[p] {
+					t.Fatalf("m=%d: node %d heard %d (hop %d) before its parent %d (hop %d)", m, i, h, f.Hop[h], p, f.Hop[p])
+				}
+			}
+		}
+		if aggs == 0 {
+			t.Fatalf("m=%d: no aggregators", m)
+		}
 	}
 }

@@ -20,7 +20,6 @@ package world
 import (
 	"github.com/ipda-sim/ipda/internal/core"
 	"github.com/ipda-sim/ipda/internal/harness"
-	"github.com/ipda-sim/ipda/internal/mtree"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/tag"
 	"github.com/ipda-sim/ipda/internal/topology"
@@ -87,25 +86,23 @@ func (a *Arena) Deploy(c topology.Config, r *rng.Stream) (*topology.Network, err
 }
 
 // Core returns slot's iPDA instance re-deployed over (net, cfg, seed),
-// exactly as core.New would build it. A nil arena constructs fresh.
+// exactly as core.New would build it: MTree with the paper's two trees. A
+// nil arena constructs fresh.
 // Reuse retains more than buffers: the instance's linksec cipher cache
 // keeps its table and cipher slabs across Reset, so a fresh deployment
 // binds its links from warm memory, and a trial rerun at the same scheme
 // rebinds each link to the cipher that already holds its key, cached
 // keystream blocks included (see linksec.CipherCache.Reset).
 func (a *Arena) Core(slot string, net *topology.Network, cfg core.Config, seed uint64) (*core.Instance, error) {
-	if a == nil {
-		return core.New(net, cfg, seed)
-	}
-	in := a.core(slot)
-	if err := in.Reset(net, cfg, seed); err != nil {
-		return nil, err
-	}
-	return in, nil
+	return a.MTree(slot, net, cfg, 2, seed)
 }
 
-// core returns slot's core instance, creating it on first use.
+// core returns slot's core instance, creating it on first use; a nil
+// arena returns a fresh one.
 func (a *Arena) core(slot string) *core.Instance {
+	if a == nil {
+		return &core.Instance{}
+	}
 	in := a.cores[slot]
 	if in == nil {
 		in = &core.Instance{}
@@ -137,14 +134,11 @@ func (a *Arena) Tag(slot string, net *topology.Network, cfg tag.Config, seed uin
 }
 
 // MTree returns slot's core instance re-deployed over (net, cfg, seed)
-// with m trees built by mtree's Phase I, exactly as mtree.New would build
-// it. It shares the slot namespace with Core.
+// with m trees (see core.Instance.Deploy). It shares the slot namespace
+// with Core. A nil arena constructs fresh.
 func (a *Arena) MTree(slot string, net *topology.Network, cfg core.Config, m int, seed uint64) (*core.Instance, error) {
-	if a == nil {
-		return mtree.New(net, cfg, m, seed)
-	}
 	in := a.core(slot)
-	if err := mtree.Deploy(in, net, cfg, m, seed); err != nil {
+	if err := in.Deploy(net, cfg, seed, m); err != nil {
 		return nil, err
 	}
 	return in, nil

@@ -26,7 +26,6 @@
 package ipda
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -37,7 +36,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/energy"
 	"github.com/ipda-sim/ipda/internal/fault"
 	"github.com/ipda-sim/ipda/internal/mac"
-	"github.com/ipda-sim/ipda/internal/mtree"
 	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/privacy"
 	"github.com/ipda-sim/ipda/internal/qtrace"
@@ -225,34 +223,25 @@ type Network struct {
 }
 
 // Deploy places the nodes, builds the radio stack, and runs Phase I.
-func Deploy(cfg Config) (*Network, error) {
-	return deploy(cfg, func(topo *topology.Network, ccfg core.Config) (*core.Instance, error) {
-		return core.New(topo, ccfg, cfg.Seed^0xa5a5a5a5)
-	})
-}
+func Deploy(cfg Config) (*Network, error) { return deploy(cfg, 2) }
 
 // DeployMultiTree deploys m disjoint trees over cfg's topology: the m > 2
 // generalization of iPDA (the extension Section III-B sketches), whose
 // base station verifies every round by majority vote. With m ≥ 2f+1 trees
 // it survives f colluding same-delta polluters — the scenario the paper's
 // Section VI leaves as future work. The denser the network, the larger
-// the m it can support. Every other option works as it does for Deploy;
-// AdaptiveRoles=false is rejected rather than silently ignored, because
-// the m-tree Phase I implements only Equation (1). The aggregator budget K
-// is raised to at least max(4, m).
+// the m it can support. Every option works as it does for Deploy, and the
+// same seed draws the same topology and randomness. The aggregator budget
+// K is raised to at least max(4, m), so DeployMultiTree(cfg, 2) is
+// Deploy(cfg) unless K is 2 or 3.
 func DeployMultiTree(cfg Config, m int) (*Network, error) {
-	if !cfg.AdaptiveRoles {
-		return nil, errors.New("ipda: DeployMultiTree does not support Config.AdaptiveRoles=false")
-	}
-	return deploy(cfg, func(topo *topology.Network, ccfg core.Config) (*core.Instance, error) {
-		ccfg.Tree.K = max(4, cfg.K, m)
-		return mtree.New(topo, ccfg, m, cfg.Seed^0x3b9)
-	})
+	cfg.K = max(4, cfg.K, m)
+	return deploy(cfg, m)
 }
 
-// deploy places the nodes and hands the topology and the protocol
-// configuration, instrumentation attached, to build, which runs Phase I.
-func deploy(cfg Config, build func(*topology.Network, core.Config) (*core.Instance, error)) (*Network, error) {
+// deploy places the nodes, builds the radio stack with instrumentation
+// attached, and runs Phase I for m trees.
+func deploy(cfg Config, m int) (*Network, error) {
 	topoCfg := topology.Config{Nodes: cfg.Nodes, FieldSide: cfg.FieldSide, Range: cfg.Range}
 	topo, err := topology.Random(topoCfg, rng.New(cfg.Seed))
 	if err != nil {
@@ -272,8 +261,8 @@ func deploy(cfg Config, build func(*topology.Network, core.Config) (*core.Instan
 		qt = qtrace.New(0)
 		ccfg.QTrace = qt
 	}
-	inst, err := build(topo, ccfg)
-	if err != nil {
+	inst := &core.Instance{}
+	if err := inst.Deploy(topo, ccfg, cfg.Seed^0xa5a5a5a5, m); err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)
 	}
 	return &Network{cfg: cfg, topo: topo, inst: inst, sink: sink, qt: qt}, nil

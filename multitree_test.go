@@ -2,7 +2,9 @@ package ipda
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -122,8 +124,9 @@ func TestMultiTreeStream(t *testing.T) {
 
 // TestMultiTreeObserveAndTrace observes and traces an m = 3 deployment
 // with a polluted tree-2 aggregator through the code paths m = 2 uses: the
-// export holds the engine's verdict and outlier counters, and the trace
-// holds tree 2's aggregate spans and the verify instant.
+// export holds Phase I's tree-2 role count and the engine's verdict and
+// outlier counters, and the trace holds tree 2's aggregate spans and the
+// verify instant.
 func TestMultiTreeObserveAndTrace(t *testing.T) {
 	net := deployTDMA3(t, func(c *Config) { c.Observe, c.TraceQueries = true, true })
 	for id := 1; id < net.Size(); id++ {
@@ -146,6 +149,7 @@ func TestMultiTreeObserveAndTrace(t *testing.T) {
 	for _, want := range []string{
 		"ipda_mtree_outlier_trees_total 1",
 		`ipda_core_rounds_total{verdict="accepted"} 1`,
+		fmt.Sprintf(`ipda_tree_roles_total{role="t2"} %d`, len(net.inst.Trees.Aggregators(2))),
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("prometheus export missing %q", want)
@@ -159,5 +163,50 @@ func TestMultiTreeObserveAndTrace(t *testing.T) {
 		if !strings.Contains(trace.String(), want) {
 			t.Errorf("query trace missing %s", want)
 		}
+	}
+}
+
+// TestMultiTreeOfTwoIsDeploy: one flood, one seed and one key rule serve
+// every m, so a two-tree DeployMultiTree is Deploy, query for query.
+func TestMultiTreeOfTwoIsDeploy(t *testing.T) {
+	cfg := DefaultConfig(400)
+	two, err := DeployMultiTree(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Deploy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings := make([]int64, one.Size())
+	for i := range readings {
+		readings[i] = int64(i%23 + 1)
+	}
+	for _, net := range []*Network{one, two} {
+		if len(net.inst.Trees.Heard) != 2 {
+			t.Fatalf("%d trees deployed", len(net.inst.Trees.Heard))
+		}
+	}
+	a, err := one.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := two.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("COUNT: Deploy %+v, DeployMultiTree %+v", a, b)
+	}
+	a, err = one.Sum(readings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = two.Sum(readings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("SUM: Deploy %+v, DeployMultiTree %+v", a, b)
 	}
 }

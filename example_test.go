@@ -32,7 +32,7 @@ func ExampleNetwork_InjectPollution() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.InjectPollution(net.RedAggregators()[0], 1000)
+	net.InjectPollution(net.TreeAggregators(0)[0], 1000)
 	res, err := net.Count()
 	if err != nil {
 		log.Fatal(err)

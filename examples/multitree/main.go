@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reds, blues := two.RedAggregators(), two.BlueAggregators()
+	reds, blues := two.TreeAggregators(0), two.TreeAggregators(1)
 	if len(reds) == 0 || len(blues) == 0 {
 		log.Fatal("degenerate trees")
 	}
@@ -42,9 +42,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nm=3 deployment: %.1f%% of sensors reach all three trees\n", 100*three.Coverage())
-	c0, c1 := firstOnTree(three, 0), firstOnTree(three, 1)
-	three.InjectPollution(c0, 700)
-	three.InjectPollution(c1, 700)
+	three.InjectPollution(three.TreeAggregators(0)[0], 700)
+	three.InjectPollution(three.TreeAggregators(1)[0], 700)
 	v3, err := three.Count()
 	if err != nil {
 		log.Fatal(err)
@@ -61,8 +60,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nm=5 deployment: %.1f%% of sensors reach all five trees\n", 100*five.Coverage())
-	five.InjectPollution(firstOnTree(five, 0), 700)
-	five.InjectPollution(firstOnTree(five, 1), 700)
+	five.InjectPollution(five.TreeAggregators(0)[0], 700)
+	five.InjectPollution(five.TreeAggregators(1)[0], 700)
 	v5, err := five.Count()
 	if err != nil {
 		log.Fatal(err)
@@ -70,14 +69,4 @@ func main() {
 	fmt.Printf("m=5 under collusion: totals=%v\n", v5.Totals)
 	fmt.Printf("verdict: accepted=%v value=%.0f, polluted trees identified: %v\n",
 		v5.Accepted, v5.Value, v5.Outliers)
-}
-
-func firstOnTree(net *ipda.Network, tree int) int {
-	for id := 1; id < net.Size(); id++ {
-		if net.TreeOf(id) == tree {
-			return id
-		}
-	}
-	log.Fatalf("no aggregator on tree %d", tree)
-	return 0
 }

@@ -202,14 +202,3 @@ func (s Spec) Finalize(sums []int64, count uint32) (float64, error) {
 		return 0, fmt.Errorf("aggregate: unknown kind %v", s.Kind)
 	}
 }
-
-// PowerMean computes the k-th power mean estimate of the extremum of
-// readings directly (no network), for validating the approximation:
-// (Σ rᵢᵏ)^(1/k) → max as k → ∞ and → min as k → −∞.
-func PowerMean(readings []int64, k int) float64 {
-	var sum float64
-	for _, r := range readings {
-		sum += math.Pow(float64(r), float64(k))
-	}
-	return math.Pow(sum, 1/float64(k))
-}

@@ -191,19 +191,3 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestPowerMeanConvergence(t *testing.T) {
-	readings := []int64{3, 7, 11, 42}
-	prevErr := math.Inf(1)
-	for _, k := range []int{2, 8, 32} {
-		est := PowerMean(readings, k)
-		e := math.Abs(est - 42)
-		if e > prevErr+1e-9 {
-			t.Fatalf("power mean error grew at k=%d: %v > %v", k, e, prevErr)
-		}
-		prevErr = e
-	}
-	if est := PowerMean(readings, -32); math.Abs(est-3) > 0.2 {
-		t.Fatalf("negative power mean %v, want ~3", est)
-	}
-}

@@ -46,17 +46,6 @@ func CoverageLowerBound(degrees []int, pr, pb float64) float64 {
 	return 1 - sum
 }
 
-// CoverageLowerBoundNetwork applies CoverageLowerBound to the degree
-// sequence of a deployed network (excluding the base station, which is on
-// both trees by definition).
-func CoverageLowerBoundNetwork(net *topology.Network, pr, pb float64) float64 {
-	degrees := make([]int, 0, net.N()-1)
-	for i := 1; i < net.N(); i++ {
-		degrees = append(degrees, net.Degree(topology.NodeID(i)))
-	}
-	return CoverageLowerBound(degrees, pr, pb)
-}
-
 // ExpectedFullyCoveredFraction returns E[fraction of nodes with both
 // colors in reach] = 1 − mean_i p_i — the quantity Figure 8(a) actually
 // plots (unlike Φ(G), this is never vacuous).

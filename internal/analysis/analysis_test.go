@@ -148,13 +148,24 @@ func TestPDiscloseNetworkDensityInsensitive(t *testing.T) {
 }
 
 func TestExpectedIncomingLinksRegular(t *testing.T) {
-	// In a d-regular graph, E[nl] = d*(2l-1)/d = 2l-1.
-	net, err := topology.Regular(100, 10)
+	// Where a node and its neighbours all have degree d, E[nl] =
+	// d*(2l-1)/d = 2l-1. On a 4-neighbour lattice that holds two hops in
+	// from the border and away from the base station at the centre: node
+	// 21 sits at lattice point (2,2) of a 9x9 grid.
+	net, err := topology.Grid(9, 10, 10.5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if d := net.Degree(21); d != 4 {
+		t.Fatalf("node 21 has degree %d, want 4", d)
+	}
+	for _, nb := range net.Neighbors(21) {
+		if d := net.Degree(nb); d != 4 {
+			t.Fatalf("neighbour %d has degree %d, want 4", nb, d)
+		}
+	}
 	for _, l := range []int{1, 2, 3} {
-		got := ExpectedIncomingLinks(net, 5, l)
+		got := ExpectedIncomingLinks(net, 21, l)
 		want := float64(2*l - 1)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("l=%d: E[nl] = %v, want %v", l, got, want)

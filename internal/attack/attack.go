@@ -101,15 +101,6 @@ func (e *Eavesdropper) isCompromised(lk link) bool {
 	return v
 }
 
-// Reset clears per-round observations but keeps the compromised-link set
-// (compromise is a property of the key material, not of one round).
-func (e *Eavesdropper) Reset() {
-	e.sent = make(map[topology.NodeID][]obs)
-	e.localKept = make(map[topology.NodeID][]packet.Color)
-	e.incoming = make(map[topology.NodeID][]link)
-	e.decrypted = make(map[link]int)
-}
-
 // Disclosed reports whether the adversary learned node id's reading in the
 // observed round: on any tree the node sliced on or kept a share for, the
 // node's share set for that tree is complete (see the package doc).
@@ -167,18 +158,6 @@ func (e *Eavesdropper) DiscloseRate(nodes []topology.NodeID) float64 {
 		}
 	}
 	return float64(d) / float64(len(nodes))
-}
-
-// CompromisedLinks returns how many distinct links the adversary controls
-// among those observed so far.
-func (e *Eavesdropper) CompromisedLinks() int {
-	n := 0
-	for _, v := range e.compromised {
-		if v {
-			n++
-		}
-	}
-	return n
 }
 
 // LocalizeResult reports a DoS-polluter localization run.

@@ -237,7 +237,7 @@ type Instance struct {
 	// fields.
 	planned   []uint16
 	delivered []uint16
-	bsChild   []bsAccum // Phase III arrivals at the base stations, per tree
+	bsSum     []int64 // Phase III arrivals at the base stations, per tree
 	onQuery   func(self topology.NodeID, p *packet.Packet)
 
 	// Steady-state reuse machinery: the per-node slicing plans, the
@@ -335,12 +335,6 @@ func newCoreObs(reg *obs.Registry) *coreObs {
 		repairs:    reg.Counter("ipda_core_repairs_total", "tree re-attachments applied by localized repair"),
 		roundSkips: reg.Counter("ipda_core_round_skips_total", "aggregator round-skips for lack of a disjoint re-attachment"),
 	}
-}
-
-// bsAccum accumulates Phase III arrivals at the base station per tree.
-type bsAccum struct {
-	sum   int64
-	count uint32
 }
 
 // aggSpanNames names each tree's Phase III aggregate spans without a
@@ -581,11 +575,10 @@ func (in *Instance) CanSlice(id topology.NodeID) bool {
 
 // RoundOutcome reports one additive aggregation round.
 type RoundOutcome struct {
-	Red, Blue           int64  // trees 0 and 1's totals S_r and S_b
-	RedCount, BlueCount uint32 // aggregate-message diagnostic counts
-	Participants        int    // nodes that sliced this round
-	Bytes               uint64 // radio bytes spent on the round
-	Frames              uint64 // frames transmitted during the round
+	Red, Blue    int64  // trees 0 and 1's totals S_r and S_b
+	Participants int    // nodes that sliced this round
+	Bytes        uint64 // radio bytes spent on the round
+	Frames       uint64 // frames transmitted during the round
 
 	// RedContributed and BlueContributed count the participants whose
 	// complete slice set for that tree was assembled by live aggregators
@@ -922,7 +915,7 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 	// root directly plus the partial sums its tree children delivered.
 	var totals [tree.MaxTrees]int64
 	for t := range m {
-		totals[t] = in.bsChild[t].sum
+		totals[t] = in.bsSum[t]
 	}
 	for i := 0; i < n; i++ {
 		if in.Trees.Tree[i] == tree.Root {
@@ -942,8 +935,6 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 	out := RoundOutcome{
 		Red:             totals[0],
 		Blue:            totals[1],
-		RedCount:        in.bsChild[0].count,
-		BlueCount:       in.bsChild[1].count,
 		Participants:    participants,
 		Bytes:           in.Medium.TotalBytes() - startBytes,
 		Frames:          in.Medium.Stats().FramesSent - startFrames,
@@ -1036,7 +1027,7 @@ func (in *Instance) resetRoundState() {
 	in.childCount = resizeCleared(in.childCount, n)
 	in.planned = resizeCleared(in.planned, n*m)
 	in.delivered = resizeCleared(in.delivered, n*m)
-	in.bsChild = resizeCleared(in.bsChild, m)
+	in.bsSum = resizeCleared(in.bsSum, m)
 	// No events have run since the round started, so Now() is the round's
 	// t0: a round with no base-station arrival reports Latency 0.
 	in.lastBSArrival = in.Sim.Now()
@@ -1423,9 +1414,7 @@ func (in *Instance) onAggregate(self topology.NodeID, p *packet.Packet) {
 		return
 	}
 	if in.Trees.Tree[self] == tree.Root {
-		acc := &in.bsChild[t]
-		acc.sum += p.Value
-		acc.count += p.Count
+		in.bsSum[t] += p.Value
 		in.lastBSArrival = in.Sim.Now()
 		in.noteAggArrival(self, p)
 		return

@@ -113,40 +113,9 @@ func (m *Meter) ChargeIdle(dt float64) {
 	}
 }
 
-// Spent returns the energy node id has consumed.
-func (m *Meter) Spent(id topology.NodeID) float64 { return m.spent[id] }
-
-// Remaining returns node id's remaining charge (possibly negative if the
-// caller kept charging past depletion).
-func (m *Meter) Remaining(id topology.NodeID) float64 {
-	return m.model.Battery - m.spent[id]
-}
-
-// Depleted reports whether node id has exhausted its battery.
-func (m *Meter) Depleted(id topology.NodeID) bool {
-	return m.spent[id] >= m.model.Battery
-}
-
-// FirstDepleted returns the node with the least remaining charge and
-// whether it is depleted. The base station (node 0) is mains-powered and
-// skipped, as is conventional in WSN lifetime studies.
-func (m *Meter) FirstDepleted() (topology.NodeID, bool) {
-	worst := topology.NodeID(-1)
-	worstSpent := -1.0
-	for i := 1; i < len(m.spent); i++ {
-		if m.spent[i] > worstSpent {
-			worstSpent = m.spent[i]
-			worst = topology.NodeID(i)
-		}
-	}
-	if worst < 0 {
-		return topology.None, false
-	}
-	return worst, m.spent[worst] >= m.model.Battery
-}
-
-// TotalSpent returns the network-wide energy consumed (excluding the base
-// station).
+// TotalSpent returns the network-wide energy consumed, excluding the base
+// station (node 0), which is mains-powered as is conventional in WSN
+// lifetime studies.
 func (m *Meter) TotalSpent() float64 {
 	var s float64
 	for i := 1; i < len(m.spent); i++ {

@@ -3,8 +3,6 @@ package energy
 import (
 	"math"
 	"testing"
-
-	"github.com/ipda-sim/ipda/internal/topology"
 )
 
 func meter(t *testing.T, n int) *Meter {
@@ -22,14 +20,11 @@ func TestChargesAccumulate(t *testing.T) {
 	m.ChargeRx(1, 50)
 	model := DefaultModel()
 	want := 100*model.TxPerByte + 50*model.RxPerByte
-	if got := m.Spent(1); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("Spent = %v, want %v", got, want)
+	if got := m.MaxSpent(); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("MaxSpent = %v, want %v", got, want)
 	}
-	if m.Spent(2) != 0 {
-		t.Fatal("uncharged node spent energy")
-	}
-	if got := m.Remaining(1); math.Abs(got-(model.Battery-want)) > 1e-15 {
-		t.Fatalf("Remaining = %v", got)
+	if got := m.TotalSpent(); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("TotalSpent = %v, want %v: an uncharged node spent energy", got, want)
 	}
 }
 
@@ -37,43 +32,11 @@ func TestIdleChargesEveryone(t *testing.T) {
 	m := meter(t, 4)
 	m.ChargeIdle(10)
 	want := 10 * DefaultModel().IdlePerSec
-	for i := 0; i < 4; i++ {
-		if got := m.Spent(topology.NodeID(i)); math.Abs(got-want) > 1e-15 {
-			t.Fatalf("node %d idle charge %v, want %v", i, got, want)
-		}
+	if got := m.MaxSpent(); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("MaxSpent = %v, want %v", got, want)
 	}
-}
-
-func TestDepletion(t *testing.T) {
-	model := DefaultModel()
-	model.Battery = 1e-4
-	m, err := NewMeter(3, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Depleted(1) {
-		t.Fatal("fresh node depleted")
-	}
-	m.ChargeTx(1, 200) // 200 µJ > 100 µJ battery
-	if !m.Depleted(1) {
-		t.Fatal("drained node not depleted")
-	}
-	id, dead := m.FirstDepleted()
-	if id != 1 || !dead {
-		t.Fatalf("FirstDepleted = %d,%v", id, dead)
-	}
-}
-
-func TestFirstDepletedSkipsBaseStation(t *testing.T) {
-	m := meter(t, 3)
-	m.ChargeTx(0, 1<<30) // the mains-powered sink burns a lot
-	m.ChargeTx(2, 10)
-	id, dead := m.FirstDepleted()
-	if id != 2 {
-		t.Fatalf("FirstDepleted picked %d, want 2", id)
-	}
-	if dead {
-		t.Fatal("node 2 wrongly depleted")
+	if got := m.TotalSpent(); math.Abs(got-3*want) > 1e-15 {
+		t.Fatalf("TotalSpent over 3 sensors = %v, want %v", got, 3*want)
 	}
 }
 
@@ -111,9 +74,7 @@ func TestModelValidation(t *testing.T) {
 
 func TestEmptyMeter(t *testing.T) {
 	m := meter(t, 1) // base station only
-	if id, dead := m.FirstDepleted(); id != topology.None || dead {
-		t.Fatalf("FirstDepleted on BS-only network = %d,%v", id, dead)
-	}
+	m.ChargeTx(0, 100)
 	if m.TotalSpent() != 0 || m.MaxSpent() != 0 {
 		t.Fatal("empty meter reports consumption")
 	}

@@ -111,14 +111,12 @@ type Injector struct {
 	protected []bool
 	// touched[i] is 1 + the last round a scripted event changed node i;
 	// churn skips such nodes for that round so a script always wins it.
-	touched  []int
-	events   []Event // sorted by round, stable
-	next     int     // first event not yet applied
-	round    int     // next round Advance expects
-	crashes  uint64
-	recovers uint64
-	o        *injObs
-	qt       *qtrace.Tracer
+	touched []int
+	events  []Event // sorted by round, stable
+	next    int     // first event not yet applied
+	round   int     // next round Advance expects
+	o       *injObs
+	qt      *qtrace.Tracer
 }
 
 type injObs struct {
@@ -221,7 +219,6 @@ func (inj *Injector) crash(id topology.NodeID, at float64, tgt Target) {
 		return
 	}
 	inj.down[id] = true
-	inj.crashes++
 	tgt.Kill(id)
 	if inj.o != nil {
 		inj.o.crashes.Inc()
@@ -237,7 +234,6 @@ func (inj *Injector) recover(id topology.NodeID, at float64, tgt Target) {
 		return
 	}
 	inj.down[id] = false
-	inj.recovers++
 	tgt.Revive(id)
 	if inj.o != nil {
 		inj.o.recovers.Inc()
@@ -247,9 +243,6 @@ func (inj *Injector) recover(id topology.NodeID, at float64, tgt Target) {
 		inj.qt.Instant(uint32(inj.round), qtrace.None, int32(id), "fault:recover", at)
 	}
 }
-
-// Down reports the injector's view of node id.
-func (inj *Injector) Down(id topology.NodeID) bool { return inj.down[id] }
 
 // DeadCount returns how many nodes are currently down.
 func (inj *Injector) DeadCount() int {
@@ -261,7 +254,3 @@ func (inj *Injector) DeadCount() int {
 	}
 	return n
 }
-
-// Crashes and Recoveries return cumulative injection counts.
-func (inj *Injector) Crashes() uint64    { return inj.crashes }
-func (inj *Injector) Recoveries() uint64 { return inj.recovers }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/obs"
@@ -48,8 +49,8 @@ func TestScriptedEvents(t *testing.T) {
 	if !reflect.DeepEqual(rec.log, want) {
 		t.Fatalf("event log %v, want %v", rec.log, want)
 	}
-	if !inj.Down(5) || inj.Down(3) {
-		t.Fatalf("down state wrong: down(5)=%v down(3)=%v", inj.Down(5), inj.Down(3))
+	if !inj.down[5] || inj.down[3] {
+		t.Fatalf("down state wrong: down(5)=%v down(3)=%v", inj.down[5], inj.down[3])
 	}
 	if inj.DeadCount() != 1 {
 		t.Fatalf("DeadCount = %d, want 1", inj.DeadCount())
@@ -85,16 +86,18 @@ func TestChurnRatesAreHonored(t *testing.T) {
 	rec := &recorder{}
 	inj.Advance(0, 0, rec)
 	// ~999 live unprotected nodes, 10% crash rate: expect near 100.
-	if c := inj.Crashes(); c < 60 || c > 150 {
+	if c := len(rec.log); c < 60 || c > 150 {
 		t.Fatalf("first-round crashes = %d, want near 100", c)
 	}
 	// With no recovery, dead nodes stay dead and crashes accumulate.
 	inj.Advance(1, 0, rec)
-	if inj.Recoveries() != 0 {
-		t.Fatal("recoveries without RecoverRate")
+	for _, l := range rec.log {
+		if !strings.HasPrefix(l, "kill:") {
+			t.Fatalf("%s without RecoverRate", l)
+		}
 	}
-	if inj.DeadCount() != int(inj.Crashes()) {
-		t.Fatalf("DeadCount %d != Crashes %d with no recovery", inj.DeadCount(), inj.Crashes())
+	if inj.DeadCount() != len(rec.log) {
+		t.Fatalf("DeadCount %d != crashes %d with no recovery", inj.DeadCount(), len(rec.log))
 	}
 }
 
@@ -108,8 +111,8 @@ func TestProtectedNodesNeverCrash(t *testing.T) {
 	for r := 0; r < 30; r++ {
 		inj.Advance(r, 0, rec)
 	}
-	if inj.Down(0) || inj.Down(7) {
-		t.Fatalf("protected node crashed: down(0)=%v down(7)=%v", inj.Down(0), inj.Down(7))
+	if inj.down[0] || inj.down[7] {
+		t.Fatalf("protected node crashed: down(0)=%v down(7)=%v", inj.down[0], inj.down[7])
 	}
 	for _, l := range rec.log {
 		if l == "kill:0" || l == "kill:7" {
@@ -126,11 +129,11 @@ func TestRecoverRateRevives(t *testing.T) {
 	}
 	rec := &recorder{}
 	inj.Advance(0, 0, rec)
-	if !inj.Down(4) {
+	if !inj.down[4] {
 		t.Fatal("scripted crash not applied")
 	}
 	inj.Advance(1, 0, rec)
-	if inj.Down(4) {
+	if inj.down[4] {
 		t.Fatal("RecoverRate=1 did not revive at the next round")
 	}
 }

@@ -17,14 +17,8 @@ type Point struct {
 
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// Dist2 returns the squared Euclidean distance between p and q. Use this
-// for range comparisons to avoid the square root.
+// Dist2 returns the squared Euclidean distance between p and q; range
+// comparisons use it to avoid the square root.
 func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return dx*dx + dy*dy
@@ -45,14 +39,6 @@ func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 
 // Height returns the extent of r along Y.
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
-
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Contains reports whether p lies inside r (boundary inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
 
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {
@@ -98,23 +84,15 @@ func growI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// NewGridIndex builds an index over points with cells sized for the given
-// radius. The radius must be positive.
-func NewGridIndex(bounds Rect, points []Point, radius float64) *GridIndex {
-	g := &GridIndex{}
-	g.Rebuild(bounds, points, radius)
-	return g
-}
-
 // Rebuild reinitializes g over a new point set, reusing the backing arrays
 // from previous builds: an index that is rebuilt repeatedly over similarly
 // sized deployments stops allocating once it has grown to its steady-state
-// shape. Contents are identical to a fresh NewGridIndex over the same
+// shape. Contents are identical to a fresh index rebuilt over the same
 // inputs, so rows do not depend on the index's history. The radius must be
 // positive.
 func (g *GridIndex) Rebuild(bounds Rect, points []Point, radius float64) {
 	if radius <= 0 {
-		panic("geom: NewGridIndex radius must be positive")
+		panic("geom: GridIndex radius must be positive")
 	}
 	g.bounds = bounds
 	g.cellSize = radius

@@ -5,15 +5,15 @@ import "github.com/ipda-sim/ipda/internal/stats"
 // Acc accumulates one scalar metric over a sweep's (point × trial) grid.
 //
 // Each grid cell owns a private streaming accumulator (count / mean /
-// variance via Welford, min / max, sum — stats.Sample), so trials record
+// variance via Welford, max — stats.Sample), so trials record
 // observations without allocating trial-indexed result slices or taking a
 // lock. Point folds a point's cells in trial order, which makes every
 // summary independent of trial completion order — the keystone of the
 // harness's Workers=1 ≡ Workers=N guarantee.
 //
 // Add may only be called from the trial that owns t (distinct trials
-// touch distinct cells, so the grid needs no synchronization); Point and
-// Sweep must only be called after Run returns.
+// touch distinct cells, so the grid needs no synchronization); Point must
+// only be called after Run returns.
 type Acc struct {
 	trials int
 	cells  []stats.Sample
@@ -32,7 +32,7 @@ func (a *Acc) Add(t *T, v float64) {
 }
 
 // AddBool records a 0/1 observation, so a point's Mean is the rate of
-// true among recorded trials and Sum is their count.
+// true among recorded trials.
 func (a *Acc) AddBool(t *T, b bool) {
 	v := 0.0
 	if b {
@@ -47,16 +47,6 @@ func (a *Acc) Point(point int) *stats.Sample {
 	var s stats.Sample
 	for trial := 0; trial < a.trials; trial++ {
 		s.Merge(&a.cells[point*a.trials+trial])
-	}
-	return &s
-}
-
-// Sweep returns the summary over the entire grid, folded in (point,
-// trial) order.
-func (a *Acc) Sweep() *stats.Sample {
-	var s stats.Sample
-	for i := range a.cells {
-		s.Merge(&a.cells[i])
 	}
 	return &s
 }

@@ -395,14 +395,6 @@ type Sealed struct {
 // ErrAuth is returned when a sealed payload fails authentication.
 var ErrAuth = errors.New("linksec: authentication failed")
 
-// SealedSize is the wire length of one sealed share as produced by
-// Cipher.EncryptTo: 8-byte ciphertext, 4-byte nonce, 4-byte tag.
-const SealedSize = 16
-
-// ErrShort is returned when a wire buffer is too small to hold a sealed
-// share.
-var ErrShort = errors.New("linksec: sealed payload truncated")
-
 // ksSlots is the size of the per-Cipher direct-mapped keystream-block
 // cache. Slice nonces are round<<8 | dir<<7 | idx, so a block counter
 // ctr = nonce>>1 carries the direction bit at bit 6 and idx>>1 in its low
@@ -473,13 +465,6 @@ type Cipher struct {
 	bout         [aes.BlockSize]byte
 }
 
-// NewCipher creates a reusable cipher state for key.
-func NewCipher(key Key) *Cipher {
-	c := &Cipher{}
-	c.setKey(key)
-	return c
-}
-
 // setKey binds the shared permutation and splits key into whitening
 // words; it never allocates. Cached keystream blocks are the caller's to
 // invalidate.
@@ -503,9 +488,6 @@ func (c *Cipher) rekey(key Key) {
 	clear(c.ksTag[:])
 	c.setKey(key)
 }
-
-// Key returns the link key this cipher seals under.
-func (c *Cipher) Key() Key { return c.key }
 
 // aesBlock returns the two keystream words of block counter ctr, serving
 // repeats — the second seal of a nonce pair, the Open matching a Seal, an
@@ -558,31 +540,6 @@ func (c *Cipher) Open(s Sealed) (int64, error) {
 		return 0, ErrAuth
 	}
 	return int64(binary.BigEndian.Uint64(s.Cipher[:]) ^ c.keystream(s.Nonce)), nil
-}
-
-// EncryptTo seals value under nonce and appends the SealedSize-byte wire
-// encoding to dst, returning the extended slice. Steady-state calls with
-// sufficient capacity in dst perform no allocation.
-func (c *Cipher) EncryptTo(dst []byte, nonce uint32, value int64) []byte {
-	ct := uint64(value) ^ c.keystream(nonce)
-	var cipher [8]byte
-	binary.BigEndian.PutUint64(cipher[:], ct)
-	dst = append(dst, cipher[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, nonce)
-	return binary.BigEndian.AppendUint32(dst, c.tagOf(nonce, cipher))
-}
-
-// DecryptTo authenticates and decrypts the sealed share at the front of
-// src (the wire form EncryptTo appends) without allocating.
-func (c *Cipher) DecryptTo(src []byte) (int64, error) {
-	if len(src) < SealedSize {
-		return 0, ErrShort
-	}
-	var s Sealed
-	copy(s.Cipher[:], src[:8])
-	s.Nonce = binary.BigEndian.Uint32(src[8:12])
-	s.Tag = binary.BigEndian.Uint32(src[12:16])
-	return c.Open(s)
 }
 
 // slot is one CipherCache table entry: the link of one normalised node

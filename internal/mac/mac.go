@@ -415,10 +415,6 @@ func (m *MAC) SetQTrace(t *qtrace.Tracer) { m.qt = t }
 // Stats returns cumulative counters.
 func (m *MAC) Stats() Stats { return m.stats }
 
-// QueueLen returns the number of frames queued at node id (including any
-// frame currently in service).
-func (m *MAC) QueueLen(id topology.NodeID) int { return len(m.queues[id]) }
-
 // Send enqueues a frame for transmission from src; pkt.Dst selects unicast
 // (reliable, ARQ) or packet.Broadcast (fire-and-forget). The frame is
 // copied at enqueue — the caller keeps pkt and may reuse it immediately —

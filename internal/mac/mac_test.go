@@ -158,7 +158,7 @@ func TestDropAfterRetryLimit(t *testing.T) {
 	if m.Stats().Dropped == 0 {
 		t.Fatalf("no drop after retry limit: %+v", m.Stats())
 	}
-	if m.QueueLen(0) != 0 {
+	if len(m.queues[0]) != 0 {
 		t.Fatal("queue not drained after drop")
 	}
 }

@@ -79,18 +79,13 @@ type slotScratch struct {
 	used  []bool            // colors occupied within two hops
 }
 
-// AssignSlots two-hop-colors net: the returned table maps each node to a
+// assignSlots two-hop-colors net: the returned table maps each node to a
 // slot such that no two nodes within two hops of each other share one.
 // Nodes are colored greedily in (hop distance from node 0, id) order —
 // BFS order keeps neighborhoods compact, so the greedy choice stays near
 // the two-hop-degree lower bound — with unreachable nodes last by id.
-// dst is reused when it has capacity.
-func AssignSlots(net *topology.Network, dst []int32) []int32 {
-	var scratch slotScratch
-	return assignSlots(net, dst, &scratch)
-}
-
-// assignSlots is AssignSlots over caller-held scratch (see resetTDMA).
+// dst is reused when it has capacity, and s is caller-held scratch (see
+// resetTDMA).
 func assignSlots(net *topology.Network, dst []int32, s *slotScratch) []int32 {
 	n := net.N()
 	dst = resizeI32(dst, n)
@@ -190,16 +185,6 @@ func (m *MAC) resetTDMA() {
 	}
 	m.slotLen = tdmaSlotLen(m)
 }
-
-// Slot returns the TDMA slot of node id (meaningful only under
-// SchemeTDMA).
-func (m *MAC) Slot(id topology.NodeID) int32 { return m.slot[id] }
-
-// NumSlots returns the TDMA frame length in slots.
-func (m *MAC) NumSlots() int { return m.numSlots }
-
-// SlotLen returns the TDMA slot duration.
-func (m *MAC) SlotLen() eventsim.Time { return m.slotLen }
 
 // tdmaDelay returns the time from now until src's next owned slot
 // boundary, always strictly positive so same-instant rescheduling cannot

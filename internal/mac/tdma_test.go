@@ -52,7 +52,7 @@ func TestAssignSlotsCollisionFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collisionFree(t, grid, AssignSlots(grid, nil))
+	collisionFree(t, grid, assignSlots(grid, nil, new(slotScratch)))
 
 	// Dense random fields, including disconnected ones: every node gets a
 	// slot and the invariant holds regardless of reachability.
@@ -61,7 +61,7 @@ func TestAssignSlotsCollisionFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		collisionFree(t, net, AssignSlots(net, nil))
+		collisionFree(t, net, assignSlots(net, nil, new(slotScratch)))
 	}
 }
 
@@ -70,15 +70,15 @@ func TestAssignSlotsDeterministicAndReusesDst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := AssignSlots(net, nil)
-	b := AssignSlots(net, make([]int32, 0, net.N()))
+	a := assignSlots(net, nil, new(slotScratch))
+	b := assignSlots(net, make([]int32, 0, net.N()), new(slotScratch))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("assignment differs at node %d: %d vs %d", i, a[i], b[i])
 		}
 	}
 	// Reusing a previously-populated dst must give the same table.
-	c := AssignSlots(net, b)
+	c := assignSlots(net, b, new(slotScratch))
 	for i := range a {
 		if a[i] != c[i] {
 			t.Fatalf("reused-dst assignment differs at node %d", i)
@@ -156,7 +156,7 @@ func TestTDMATransmissionsStayInOwnedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim, medium, m := tdmaSetup(t, net)
-	period := eventsim.Time(m.NumSlots()) * m.SlotLen()
+	period := eventsim.Time(m.numSlots) * m.slotLen
 	type tx struct {
 		src topology.NodeID
 		at  eventsim.Time
@@ -184,7 +184,7 @@ func TestTDMATransmissionsStayInOwnedSlots(t *testing.T) {
 		t.Fatal("no transmissions observed")
 	}
 	for _, x := range txs {
-		base := eventsim.Time(m.Slot(x.src)) * m.SlotLen()
+		base := eventsim.Time(m.slot[x.src]) * m.slotLen
 		// Phase within the period must be the sender's slot start.
 		k := int((x.at - base) / period)
 		for _, kk := range []int{k - 1, k, k + 1} {
@@ -196,7 +196,7 @@ func TestTDMATransmissionsStayInOwnedSlots(t *testing.T) {
 				goto ok
 			}
 		}
-		t.Fatalf("node %d transmitted at %v, not on a slot-%d boundary", x.src, x.at, m.Slot(x.src))
+		t.Fatalf("node %d transmitted at %v, not on a slot-%d boundary", x.src, x.at, m.slot[x.src])
 	ok:
 	}
 }

@@ -45,21 +45,3 @@ func TestAccuracyNonFinite(t *testing.T) {
 		}
 	}
 }
-
-func TestTrueSumSkipsBaseStation(t *testing.T) {
-	if got := TrueSum([]int64{999, 1, 2, 3}); got != 6 {
-		t.Fatalf("TrueSum = %d", got)
-	}
-	if got := TrueSum(nil); got != 0 {
-		t.Fatalf("TrueSum(nil) = %d", got)
-	}
-}
-
-func TestBytesPerNode(t *testing.T) {
-	if got := BytesPerNode(1000, 4); got != 250 {
-		t.Fatalf("BytesPerNode = %v", got)
-	}
-	if got := BytesPerNode(1000, 0); got != 0 {
-		t.Fatalf("BytesPerNode n=0 = %v", got)
-	}
-}

@@ -34,7 +34,7 @@ type Type uint8
 const (
 	// TypeCounter is a monotonically non-decreasing cumulative value.
 	TypeCounter Type = iota
-	// TypeGauge is a value that can go up and down (set or add).
+	// TypeGauge is a value that can go up and down (set).
 	TypeGauge
 	// TypeHistogram counts observations into fixed cumulative buckets.
 	TypeHistogram
@@ -226,21 +226,6 @@ func (g Gauge) Set(v float64) {
 	if g.s != nil {
 		g.s.val = v
 	}
-}
-
-// Add adds v (negative to subtract).
-func (g Gauge) Add(v float64) {
-	if g.s != nil {
-		g.s.val += v
-	}
-}
-
-// Value returns the current value (0 for the zero handle).
-func (g Gauge) Value() float64 {
-	if g.s == nil {
-		return 0
-	}
-	return g.s.val
 }
 
 // Histogram is a handle to one histogram series. The zero value is a

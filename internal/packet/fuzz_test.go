@@ -2,11 +2,25 @@ package packet
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 )
 
-// FuzzUnmarshal drives the wire decoder with arbitrary bytes: it must
-// never panic, and anything it accepts must re-marshal to the same frame.
+// samePacket reports whether a and b decoded to the same packet. Entries
+// compare by content: a decode into a reused Packet keeps a non-nil empty
+// backing array where a fresh one has nil.
+func samePacket(a, b *Packet) bool {
+	x, y := *a, *b
+	x.Entries, y.Entries = nil, nil
+	return reflect.DeepEqual(x, y) && slices.Equal(a.Entries, b.Entries)
+}
+
+// FuzzUnmarshal drives DecodeFrame, the wire decoder the MAC runs, with
+// arbitrary bytes. It must never panic; a decode into a reused scratch
+// Packet must match a decode into a zero one; and anything it accepts must
+// re-marshal to a frame that decodes to the same header and re-marshals to
+// itself.
 func FuzzUnmarshal(f *testing.F) {
 	seeds := []*Packet{
 		{Header: Header{Kind: KindHello, Src: 1, Dst: Broadcast, Round: 2, Seq: 3}, Color: Red, Hop: 4},
@@ -29,19 +43,34 @@ func FuzzUnmarshal(f *testing.F) {
 	}}
 	traced := &Packet{Header: Header{Kind: KindSlice, Src: 31, Dst: 32, Round: 33, Seq: 34, TraceQ: 35, TraceSpan: 0xdeadbeef},
 		Cipher: [8]byte{0xff, 0, 0xff}, Nonce: 36, Tag: 37, Color: Blue}
-	f.Add(batch.Marshal())
+	batchFrame := batch.Marshal()
+	f.Add(batchFrame)
 	f.Add(traced.Marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Unmarshal(data)
+		p := new(Packet)
+		err := DecodeFrame(p, data)
+		// The MAC decodes every frame into one scratch Packet and keeps its
+		// Entries backing array; here the scratch last held a 3-entry batch.
+		var scratch Packet
+		if err := DecodeFrame(&scratch, batchFrame); err != nil || len(scratch.Entries) != 3 {
+			t.Fatalf("batch seed decoded to %d entries, err %v", len(scratch.Entries), err)
+		}
+		scratchErr := DecodeFrame(&scratch, data)
+		if (err == nil) != (scratchErr == nil) || (err != nil && err.Error() != scratchErr.Error()) {
+			t.Fatalf("fresh decode error %v, scratch decode error %v", err, scratchErr)
+		}
+		if !samePacket(p, &scratch) {
+			t.Fatalf("scratch decode %+v differs from fresh decode %+v", scratch, *p)
+		}
 		if err != nil {
 			return
 		}
 		out := p.Marshal()
 		// The decoder may have accepted trailing garbage; the canonical
 		// re-encoding must itself round-trip exactly.
-		q, err := Unmarshal(out)
-		if err != nil {
-			t.Fatalf("re-unmarshal of accepted frame failed: %v", err)
+		q := new(Packet)
+		if err := DecodeFrame(q, out); err != nil {
+			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}
 		if q.Header != p.Header {
 			t.Fatalf("header mutated: %+v vs %+v", q.Header, p.Header)

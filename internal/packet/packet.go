@@ -91,18 +91,6 @@ func TreeColor(t int) Color { return Color(t + 1) }
 // NoColor.
 func (c Color) Tree() int { return int(c) - 1 }
 
-// Other returns the opposite tree color; NoColor maps to itself.
-func (c Color) Other() Color {
-	switch c {
-	case Red:
-		return Blue
-	case Blue:
-		return Red
-	default:
-		return NoColor
-	}
-}
-
 // Broadcast is the destination address of link-local broadcast frames.
 const Broadcast int32 = -1
 
@@ -309,15 +297,6 @@ func FrameTraceSpan(frame []byte) uint32 {
 		return 0
 	}
 	return binary.BigEndian.Uint32(frame[15:19])
-}
-
-// Unmarshal decodes a frame produced by Marshal.
-func Unmarshal(data []byte) (*Packet, error) {
-	p := &Packet{}
-	if err := DecodeFrame(p, data); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // DecodeFrame decodes a frame produced by Marshal into an existing Packet,

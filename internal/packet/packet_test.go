@@ -21,12 +21,6 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", k, got, want)
 		}
 	}
-}
-
-func TestColorOther(t *testing.T) {
-	if Red.Other() != Blue || Blue.Other() != Red || NoColor.Other() != NoColor {
-		t.Fatal("Color.Other wrong")
-	}
 	if Red.String() != "red" || Blue.String() != "blue" || NoColor.String() != "none" {
 		t.Fatal("Color.String wrong")
 	}
@@ -38,7 +32,8 @@ func roundTrip(t *testing.T, p *Packet) *Packet {
 	if len(data) != p.Size()-PhysOverhead+traceCtxSize {
 		t.Fatalf("%v: marshal length %d, Size-PhysOverhead+ctx %d", p.Kind, len(data), p.Size()-PhysOverhead+traceCtxSize)
 	}
-	q, err := Unmarshal(data)
+	q := new(Packet)
+	err := DecodeFrame(q, data)
 	if err != nil {
 		t.Fatalf("%v: unmarshal: %v", p.Kind, err)
 	}
@@ -111,22 +106,23 @@ func TestSizes(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal(nil); err == nil {
+	var q Packet
+	if err := DecodeFrame(&q, nil); err == nil {
 		t.Fatal("nil frame accepted")
 	}
-	if _, err := Unmarshal([]byte{1, 2, 3}); err == nil {
+	if err := DecodeFrame(&q, []byte{1, 2, 3}); err == nil {
 		t.Fatal("short frame accepted")
 	}
 	// Valid header, truncated body.
 	p := &Packet{Header: Header{Kind: KindSlice, Src: 1, Dst: 2}}
 	data := p.Marshal()
-	if _, err := Unmarshal(data[:len(data)-4]); err == nil {
+	if err := DecodeFrame(&q, data[:len(data)-4]); err == nil {
 		t.Fatal("truncated slice body accepted")
 	}
 	// Unknown kind.
 	bad := append([]byte{}, data...)
 	bad[0] = 200
-	if _, err := Unmarshal(bad); err == nil {
+	if err := DecodeFrame(&q, bad); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
@@ -155,7 +151,8 @@ func TestRoundTripProperty(t *testing.T) {
 				Value:  value,
 				Count:  count,
 			}
-			q, err := Unmarshal(p.Marshal())
+			q := new(Packet)
+			err := DecodeFrame(q, p.Marshal())
 			if err != nil {
 				return false
 			}
@@ -236,17 +233,13 @@ func TestDecodeFrameMatchesUnmarshal(t *testing.T) {
 		Color:  Red,
 	}
 	frame := p.Marshal()
-	want, err := Unmarshal(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got Packet
 	got.Func = 99 // stale state must be cleared by DecodeFrame
 	if err := DecodeFrame(&got, frame); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(&got, want) {
-		t.Fatalf("DecodeFrame = %+v, want %+v", got, *want)
+	if !reflect.DeepEqual(&got, p) {
+		t.Fatalf("DecodeFrame = %+v, want %+v", got, *p)
 	}
 	if err := DecodeFrame(&got, frame[:3]); err == nil {
 		t.Fatal("truncated frame decoded")
@@ -275,7 +268,8 @@ func TestTraceContext(t *testing.T) {
 	if FrameTraceSpan(frame[:wireHeaderSize-1]) != 0 {
 		t.Fatal("truncated frame yielded a span ref")
 	}
-	q, err := Unmarshal(frame)
+	q := new(Packet)
+	err := DecodeFrame(q, frame)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@
 //     MAC cannot prevent); a node cannot receive while transmitting.
 //   - Timing: a frame of s bytes occupies the channel for s*8/DataRate
 //     seconds; the evaluation uses the paper's 1 Mbps.
-//   - Accounting: per-node and global byte/frame counters feed the
+//   - Accounting: global byte/frame counters feed the
 //     communication-overhead experiments (Figure 7).
 //
 // Propagation delay is negligible at sensor-network scales (50 m ≈ 0.17 µs)
@@ -48,24 +48,20 @@ import (
 	"github.com/ipda-sim/ipda/internal/topology"
 )
 
-// Receiver handles frames successfully decoded by a node. The frame slice
-// is only valid for the duration of the call: senders reuse their buffers
-// across transmissions, so a receiver that needs the bytes later must copy.
-type Receiver func(self topology.NodeID, frame []byte)
-
 // BatchReceiver handles one frame for every node that decoded it, in
-// deterministic neighbor order — the vectorized alternative to per-node
-// Receivers. The medium resolves all of a transmission's receptions first
-// (carrier bookkeeping, energy, taps, obs, stats) and then hands the frame
-// to the batch receiver exactly once, so a MAC can decode it once and fan
-// the shared view out to every receiver. Neither the frame nor the `to`
-// slice may be retained past the call.
+// deterministic neighbor order. The medium resolves all of a
+// transmission's receptions first (carrier bookkeeping, energy, taps, obs,
+// stats) and then hands the frame to the batch receiver exactly once, so a
+// MAC can decode it once and fan the shared view out to every receiver.
+// Neither the frame nor the `to` slice may be retained past the call:
+// senders reuse their buffers across transmissions, so a receiver that
+// needs the bytes later must copy.
 type BatchReceiver func(frame []byte, to []topology.NodeID)
 
 // Tap observes every frame audible at a node, decoded or not — the
 // eavesdropper's and the monitor's view of the medium. collided reports
-// whether the frame was corrupted at this observer. As with Receiver, the
-// frame slice must not be retained past the call.
+// whether the frame was corrupted at this observer. As with BatchReceiver,
+// the frame slice must not be retained past the call.
 type Tap func(observer topology.NodeID, src, dst topology.NodeID, frame []byte, collided bool)
 
 // Stats are cumulative medium counters.
@@ -88,25 +84,22 @@ type Medium struct {
 	sim       *eventsim.Sim
 	net       *topology.Network
 	rateBps   float64
-	receiver  []Receiver
 	batchRecv BatchReceiver
 	batch     []topology.NodeID // reusable ok-receiver staging for finish
 	taps      []Tap
 
-	rx        []nodeRx        // per node: carrier state
-	txNum     uint64          // transmissions started; numbers each one
-	finEnd    eventsim.Time   // watermark: the (end, num) key of the
-	finNum    uint64          // last end-of-air event fired
-	nodeSent  []uint64        // per node: bytes transmitted
-	nodeCount []uint64        // per node: frames transmitted
-	txPool    []*transmission // recycled transmission records
-	stats     Stats
-	meter     *energy.Meter
-	lossRate  float64
-	lossRand  *rng.Stream
-	obs       *mediumObs
-	qt        *qtrace.Tracer
-	qtModel   energy.Model // per-byte joule attribution for traced frames
+	rx       []nodeRx        // per node: carrier state
+	txNum    uint64          // transmissions started; numbers each one
+	finEnd   eventsim.Time   // watermark: the (end, num) key of the
+	finNum   uint64          // last end-of-air event fired
+	txPool   []*transmission // recycled transmission records
+	stats    Stats
+	meter    *energy.Meter
+	lossRate float64
+	lossRand *rng.Stream
+	obs      *mediumObs
+	qt       *qtrace.Tracer
+	qtModel  energy.Model // per-byte joule attribution for traced frames
 }
 
 // mediumObs holds the medium's pre-resolved instrument handles, indexed
@@ -212,15 +205,11 @@ func New(sim *eventsim.Sim, net *topology.Network, rateBps float64) *Medium {
 	if rateBps <= 0 {
 		panic("radio: data rate must be positive")
 	}
-	n := net.N()
 	return &Medium{
-		sim:       sim,
-		net:       net,
-		rateBps:   rateBps,
-		receiver:  make([]Receiver, n),
-		rx:        make([]nodeRx, n),
-		nodeSent:  make([]uint64, n),
-		nodeCount: make([]uint64, n),
+		sim:     sim,
+		net:     net,
+		rateBps: rateBps,
+		rx:      make([]nodeRx, net.N()),
 	}
 }
 
@@ -244,13 +233,10 @@ func (m *Medium) Net() *topology.Network { return m.net }
 func (m *Medium) Reset(net *topology.Network) {
 	n := net.N()
 	m.net = net
-	m.receiver = resizeCleared(m.receiver, n)
 	m.batchRecv = nil
 	m.taps = m.taps[:0]
 	m.rx = resizeCleared(m.rx, n)
 	m.txNum, m.finEnd, m.finNum = 0, 0, 0
-	m.nodeSent = resizeCleared(m.nodeSent, n)
-	m.nodeCount = resizeCleared(m.nodeCount, n)
 	m.stats = Stats{}
 	m.meter = nil
 	m.lossRate = 0
@@ -268,13 +254,10 @@ func resizeCleared[T any](s []T, n int) []T {
 	return s
 }
 
-// SetReceiver installs the decode callback for a node.
-func (m *Medium) SetReceiver(id topology.NodeID, r Receiver) { m.receiver[id] = r }
-
-// SetBatchReceiver installs a medium-wide batch decode callback. When one
-// is installed it replaces the per-node Receiver path entirely: finish
+// SetBatchReceiver installs the medium-wide decode callback: finish
 // resolves every reception's bookkeeping first and then delivers the frame
-// once, with the ordered list of nodes that decoded it. Reset detaches it.
+// once, with the ordered list of nodes that decoded it. Without one, frames
+// are resolved and counted but delivered to no one. Reset detaches it.
 func (m *Medium) SetBatchReceiver(r BatchReceiver) { m.batchRecv = r }
 
 // AddTap installs a promiscuous observer over the whole medium. It sees
@@ -301,12 +284,6 @@ func (m *Medium) SetLoss(rate float64, rand *rng.Stream) {
 
 // Stats returns cumulative medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
-
-// NodeBytesSent returns the bytes transmitted by one node.
-func (m *Medium) NodeBytesSent(id topology.NodeID) uint64 { return m.nodeSent[id] }
-
-// NodeFramesSent returns the frames transmitted by one node.
-func (m *Medium) NodeFramesSent(id topology.NodeID) uint64 { return m.nodeCount[id] }
 
 // TotalBytes returns the total bytes put on the air.
 func (m *Medium) TotalBytes() uint64 { return m.stats.BytesSent }
@@ -369,8 +346,6 @@ func (m *Medium) Transmit(src topology.NodeID, dst int32, frame []byte, size int
 	// A node that starts transmitting corrupts any reception in progress
 	// at itself (half-duplex).
 	self.gen++
-	m.nodeSent[src] += uint64(size)
-	m.nodeCount[src]++
 	m.stats.FramesSent++
 	m.stats.BytesSent += uint64(size)
 	if m.meter != nil {
@@ -438,14 +413,14 @@ func (m *Medium) Transmit(src topology.NodeID, dst int32, frame []byte, size int
 // It first raises the watermark to the transmission's key, which releases
 // its carrier at every hearer at once, recorded or not.
 //
-// With a batch receiver installed, resolution is two passes: the first
-// settles every reception's outcome and bookkeeping (half-duplex, energy,
-// qtrace, taps, stats, obs) while staging the nodes that decoded the
-// frame; the second hands the frame to the batch receiver once. Handlers
-// never read transient radio state synchronously (they only schedule
-// strictly-future events) and the bookkeeping draws no randomness, so the
-// split is behavior-identical to the interleaved per-receiver dispatch —
-// receivers still observe the frame in the same relative order.
+// Resolution is two passes: the first settles every reception's outcome
+// and bookkeeping (half-duplex, energy, qtrace, taps, stats, obs) while
+// staging the nodes that decoded the frame; the second hands the frame to
+// the batch receiver once. Handlers never read transient radio state
+// synchronously (they only schedule strictly-future events) and the
+// bookkeeping draws no randomness, so the split is behavior-identical to
+// dispatching each receiver as its reception resolves — receivers still
+// observe the frame in neighbor order.
 //
 // Coalesced multi-slice frames (packet.KindSliceBatch) are delivered
 // promiscuously: the frame is anchored to one ACKing destination but
@@ -500,12 +475,8 @@ func (m *Medium) finish(tx *transmission) {
 				m.obs.rxBytes[k].Add(float64(tx.size))
 			}
 		}
-		if addressed || promisc {
-			if batched {
-				deliver = append(deliver, nb)
-			} else if h := m.receiver[nb]; h != nil {
-				h(nb, tx.frame)
-			}
+		if batched && (addressed || promisc) {
+			deliver = append(deliver, nb)
 		}
 	}
 	frame := tx.frame

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/energy"
@@ -38,15 +39,20 @@ func pair(t *testing.T) (*eventsim.Sim, *Medium, *topology.Network) {
 	return sim, New(sim, net, PaperRate), net
 }
 
+// onDecode routes every decoded frame to f, once per decoding node, in the
+// order the medium delivers them.
+func onDecode(m *Medium, f func(self topology.NodeID, frame []byte)) {
+	m.SetBatchReceiver(func(frame []byte, to []topology.NodeID) {
+		for _, id := range to {
+			f(id, frame)
+		}
+	})
+}
+
 func TestBroadcastDelivery(t *testing.T) {
 	sim, m, net := pair(t)
 	got := map[topology.NodeID][]byte{}
-	for i := 0; i < net.N(); i++ {
-		id := topology.NodeID(i)
-		m.SetReceiver(id, func(self topology.NodeID, frame []byte) {
-			got[self] = frame
-		})
-	}
+	onDecode(m, func(self topology.NodeID, frame []byte) { got[self] = frame })
 	frame := []byte{1, 2, 3}
 	sim.At(0, func() { m.Transmit(0, packet.Broadcast, frame, 30) })
 	sim.RunAll()
@@ -64,10 +70,7 @@ func TestBroadcastDelivery(t *testing.T) {
 func TestUnicastOnlyAddressee(t *testing.T) {
 	sim, m, net := pair(t)
 	delivered := map[topology.NodeID]bool{}
-	for i := 0; i < net.N(); i++ {
-		id := topology.NodeID(i)
-		m.SetReceiver(id, func(self topology.NodeID, _ []byte) { delivered[self] = true })
-	}
+	onDecode(m, func(self topology.NodeID, _ []byte) { delivered[self] = true })
 	dst := net.Neighbors(0)[0]
 	sim.At(0, func() { m.Transmit(0, int32(dst), []byte{9}, 20) })
 	sim.RunAll()
@@ -122,7 +125,11 @@ outer:
 	sim := eventsim.New()
 	m := New(sim, net, PaperRate)
 	received := 0
-	m.SetReceiver(mid, func(topology.NodeID, []byte) { received++ })
+	onDecode(m, func(id topology.NodeID, _ []byte) {
+		if id == mid {
+			received++
+		}
+	})
 	// Overlapping transmissions from the hidden pair.
 	sim.At(0, func() { m.Transmit(a, packet.Broadcast, []byte{1}, 100) })
 	sim.At(0.0001, func() { m.Transmit(b, packet.Broadcast, []byte{2}, 100) })
@@ -139,7 +146,11 @@ func TestNonOverlappingFramesBothDecode(t *testing.T) {
 	sim, m, net := pair(t)
 	dst := net.Neighbors(0)[0]
 	count := 0
-	m.SetReceiver(dst, func(topology.NodeID, []byte) { count++ })
+	onDecode(m, func(id topology.NodeID, _ []byte) {
+		if id == dst {
+			count++
+		}
+	})
 	sim.At(0, func() { m.Transmit(0, int32(dst), []byte{1}, 50) })
 	// 50 bytes at 1 Mbps = 400 us; second frame well clear.
 	sim.At(0.001, func() { m.Transmit(0, int32(dst), []byte{2}, 50) })
@@ -153,7 +164,11 @@ func TestHalfDuplexReceiverTransmitting(t *testing.T) {
 	sim, m, net := pair(t)
 	dst := net.Neighbors(0)[0]
 	count := 0
-	m.SetReceiver(dst, func(topology.NodeID, []byte) { count++ })
+	onDecode(m, func(id topology.NodeID, _ []byte) {
+		if id == dst {
+			count++
+		}
+	})
 	// dst starts a long transmission; 0 sends to dst during it.
 	sim.At(0, func() { m.Transmit(dst, packet.Broadcast, []byte{7}, 1000) })
 	sim.At(0.001, func() { m.Transmit(0, int32(dst), []byte{1}, 20) })
@@ -206,9 +221,6 @@ func TestStatsAccounting(t *testing.T) {
 	if s.FramesDelivered != 2 {
 		t.Fatalf("delivered = %d", s.FramesDelivered)
 	}
-	if m.NodeBytesSent(0) != 40 || m.NodeFramesSent(0) != 1 {
-		t.Fatalf("node 0 accounting: %d bytes %d frames", m.NodeBytesSent(0), m.NodeFramesSent(0))
-	}
 	if m.TotalBytes() != 100 {
 		t.Fatalf("TotalBytes = %d", m.TotalBytes())
 	}
@@ -221,18 +233,29 @@ func TestEnergyMetering(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetMeter(meter)
-	dst := net.Neighbors(0)[0]
-	sim.At(0, func() { m.Transmit(0, int32(dst), []byte{1}, 50) })
+	// The sender is a sensor: the meter's totals leave out the
+	// mains-powered base station.
+	src := net.Neighbors(0)[0]
+	sim.At(0, func() { m.Transmit(src, 0, []byte{1}, 50) })
 	sim.RunAll()
 	model := energy.DefaultModel()
-	if got, want := meter.Spent(0), 50*model.TxPerByte; got != want {
+	if got, want := meter.MaxSpent(), 50*model.TxPerByte; got != want {
 		t.Fatalf("tx charge %v, want %v", got, want)
 	}
-	// Every neighbor of 0 paid the receive cost, not just the addressee.
-	for _, nb := range net.Neighbors(0) {
-		if got, want := meter.Spent(nb), 50*model.RxPerByte; got != want {
-			t.Fatalf("rx charge at %d = %v, want %v", nb, got, want)
+	// Every sensor neighbour of src paid the receive cost, not just the
+	// addressee (the base station).
+	sensors := 0
+	for _, nb := range net.Neighbors(src) {
+		if nb != 0 {
+			sensors++
 		}
+	}
+	if sensors == 0 {
+		t.Fatal("sender has no sensor neighbour")
+	}
+	want := 50*model.TxPerByte + float64(sensors)*50*model.RxPerByte
+	if got := meter.TotalSpent(); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("total charge %v, want %v (tx plus %d receivers)", got, want, sensors)
 	}
 }
 
@@ -246,7 +269,11 @@ func TestFadingLoss(t *testing.T) {
 	m.SetLoss(0.5, rng.New(9))
 	dst := net.Neighbors(0)[0]
 	got := 0
-	m.SetReceiver(dst, func(topology.NodeID, []byte) { got++ })
+	onDecode(m, func(id topology.NodeID, _ []byte) {
+		if id == dst {
+			got++
+		}
+	})
 	const frames = 400
 	for i := 0; i < frames; i++ {
 		i := i
@@ -278,9 +305,7 @@ func TestSingleEventPerTransmit(t *testing.T) {
 		t.Fatalf("test topology too sparse (degree %d)", deg)
 	}
 	delivered := 0
-	for i := 0; i < net.N(); i++ {
-		m.SetReceiver(topology.NodeID(i), func(topology.NodeID, []byte) { delivered++ })
-	}
+	onDecode(m, func(topology.NodeID, []byte) { delivered++ })
 	sim.At(0, func() { m.Transmit(0, packet.Broadcast, []byte{1}, 30) })
 	sim.Run(0) // fire only the t=0 kickoff, leaving the completion pending
 	if got := sim.Pending(); got != 1 {
@@ -497,9 +522,7 @@ func TestOutOfRangeNoDelivery(t *testing.T) {
 	sim := eventsim.New()
 	m := New(sim, net, PaperRate)
 	count := 0
-	for i := 0; i < net.N(); i++ {
-		m.SetReceiver(topology.NodeID(i), func(topology.NodeID, []byte) { count++ })
-	}
+	onDecode(m, func(topology.NodeID, []byte) { count++ })
 	var isolated topology.NodeID = -1
 	for i := 0; i < net.N(); i++ {
 		if net.Degree(topology.NodeID(i)) == 0 {

@@ -9,8 +9,6 @@
 // small, fast, and well understood; no external dependencies.
 package rng
 
-import "math"
-
 // Stream is a deterministic pseudo-random number stream. It is NOT safe for
 // concurrent use; derive one stream per goroutine with Split.
 type Stream struct {
@@ -109,11 +107,6 @@ func (r *Stream) Intn(n int) int {
 	return int(r.boundedUint64(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Stream) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Int64n returns a uniform int64 in [0, n). It panics if n <= 0.
 func (r *Stream) Int64n(n int64) int64 {
 	if n <= 0 {
@@ -157,46 +150,6 @@ func (r *Stream) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *Stream) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Stream) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle randomizes the order of n elements using swap (Fisher–Yates).
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Sample returns k distinct values drawn uniformly from [0, n) in random

@@ -124,21 +124,6 @@ type Targets struct {
 	KeptLocal bool
 }
 
-// Transmissions returns the number of radio sends the node performs in the
-// slicing step: m·l normally, m·l-1 when one share stays local — with two
-// trees, the paper's "each node takes 2l-1 transmissions" counts the local
-// share as saved.
-func (t Targets) Transmissions() int {
-	n := 0
-	for _, ts := range t.Trees {
-		n += len(ts)
-	}
-	if t.KeptLocal {
-		n--
-	}
-	return n
-}
-
 // Choose selects l slice targets per tree for node id from the aggregator
 // neighborhoods discovered in Phase I (cands[t] lists the tree-t
 // aggregators id heard; they must not contain id itself), per Section
@@ -209,27 +194,16 @@ func pickAppend(dst []topology.NodeID, xs []topology.NodeID, k int, r *rng.Strea
 
 // Assembler accumulates the slices received by one aggregator during Phase
 // II. After the slicing step the assembled total r(j) = Σ_i d_ij is the
-// value the aggregator treats as its own reading (Section III-C.2).
+// value the aggregator treats as its own reading (Section III-C.2). The
+// zero value is empty.
 type Assembler struct {
-	total    int64
-	received int
+	total int64
 }
-
-// NewAssembler returns an empty assembler.
-func NewAssembler() *Assembler { return &Assembler{} }
-
-// Reset clears the assembler in place so it can be reused for another
-// round.
-func (a *Assembler) Reset() { *a = Assembler{} }
 
 // Add folds in one received (already decrypted) slice.
 func (a *Assembler) Add(share int64) {
 	a.total += share // wrapping
-	a.received++
 }
 
 // Total returns the assembled value r(j).
 func (a *Assembler) Total() int64 { return a.total }
-
-// Received returns the number of slices folded in.
-func (a *Assembler) Received() int { return a.received }

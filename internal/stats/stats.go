@@ -1,12 +1,11 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses to summarize repeated simulation trials: running moments,
-// confidence intervals, histograms, and labeled series.
+// harness uses to summarize repeated simulation trials: running moments
+// and confidence intervals.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates observations and reports their moments. The zero value
@@ -15,35 +14,18 @@ type Sample struct {
 	n    int
 	mean float64
 	m2   float64 // sum of squared deviations (Welford)
-	sum  float64
-	min  float64
 	max  float64
 }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
 	s.n++
-	s.sum += x
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	if s.n == 1 || x > s.max {
+		s.max = x
 	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// AddAll records every observation in xs.
-func (s *Sample) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
 }
 
 // N returns the number of observations.
@@ -51,12 +33,6 @@ func (s *Sample) N() int { return s.n }
 
 // Mean returns the sample mean (0 for an empty sample).
 func (s *Sample) Mean() float64 { return s.mean }
-
-// Sum returns the running sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 for an empty sample).
 func (s *Sample) Max() float64 { return s.max }
@@ -103,110 +79,8 @@ func (s *Sample) Merge(other *Sample) {
 	delta := other.mean - s.mean
 	mean := s.mean + delta*float64(other.n)/float64(n)
 	m2 := s.m2 + other.m2 + delta*delta*float64(s.n)*float64(other.n)/float64(n)
-	if other.min < s.min {
-		s.min = other.min
-	}
 	if other.max > s.max {
 		s.max = other.max
 	}
 	s.n, s.mean, s.m2 = n, mean, m2
-	s.sum += other.sum
 }
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation. It sorts a copy; xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Histogram counts observations into uniform-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	under    int
-	over     int
-}
-
-// NewHistogram creates a histogram with the given bin count over [min, max].
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins <= 0 || max <= min {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-}
-
-// Add records one observation. Out-of-range observations are counted in
-// underflow/overflow tallies rather than dropped silently.
-func (h *Histogram) Add(x float64) {
-	if x < h.Min {
-		h.under++
-		return
-	}
-	if x >= h.Max {
-		if x == h.Max {
-			h.Counts[len(h.Counts)-1]++
-			return
-		}
-		h.over++
-		return
-	}
-	bin := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-	if bin == len(h.Counts) {
-		bin--
-	}
-	h.Counts[bin]++
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// Series is an ordered list of (x, sample) points — one experiment curve.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []*Sample
-}
-
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
-
-// At returns the sample for x, creating the point if needed. Points are
-// kept in insertion order; experiments sweep x monotonically.
-func (s *Series) At(x float64) *Sample {
-	for i, xv := range s.X {
-		if xv == x {
-			return s.Y[i]
-		}
-	}
-	sm := &Sample{}
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, sm)
-	return sm
-}
-
-// Len returns the number of points in the series.
-func (s *Series) Len() int { return len(s.X) }

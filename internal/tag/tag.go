@@ -121,9 +121,6 @@ func (in *Instance) isDead(id topology.NodeID) bool {
 	return in.dead != nil && in.dead[id]
 }
 
-// Rounds returns the cumulative aggregation rounds run since Reset.
-func (in *Instance) Rounds() uint64 { return in.round }
-
 var _ fault.Target = (*Instance)(nil)
 
 // New deploys a TAG instance and builds its spanning tree.
@@ -181,18 +178,6 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 		}
 	}
 	return nil
-}
-
-// Participants returns the nodes on the spanning tree (excluding the base
-// station), i.e. the nodes whose readings a query reaches.
-func (in *Instance) Participants() []topology.NodeID {
-	var out []topology.NodeID
-	for i := 1; i < in.Net.N(); i++ {
-		if in.Tree.Reached[i] {
-			out = append(out, topology.NodeID(i))
-		}
-	}
-	return out
 }
 
 // Outcome reports one TAG aggregation round.
@@ -269,11 +254,6 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 	}
 	res.Value = v
 	return res, nil
-}
-
-// RunSum is shorthand for a plain SUM query.
-func (in *Instance) RunSum(readings []int64) (*Result, error) {
-	return in.Run(aggregate.SpecFor(aggregate.Sum), readings)
 }
 
 // RunCount is shorthand for a COUNT query.

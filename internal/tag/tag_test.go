@@ -22,6 +22,18 @@ func deploy(t *testing.T, nodes int, seed uint64) *Instance {
 	return inst
 }
 
+// participants lists the nodes on the spanning tree (excluding the base
+// station), i.e. the nodes whose readings a query reaches.
+func participants(in *Instance) []topology.NodeID {
+	var out []topology.NodeID
+	for i := 1; i < in.Net.N(); i++ {
+		if in.Tree.Reached[i] {
+			out = append(out, topology.NodeID(i))
+		}
+	}
+	return out
+}
+
 func TestCountNearNetworkSize(t *testing.T) {
 	inst := deploy(t, 400, 1)
 	res, err := inst.RunCount()
@@ -29,7 +41,7 @@ func TestCountNearNetworkSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := res.Outcomes[0].Sum
-	want := int64(len(inst.Participants()))
+	want := int64(len(participants(inst)))
 	if got < want*9/10 || got > want {
 		t.Fatalf("count %d, participants %d", got, want)
 	}
@@ -42,12 +54,12 @@ func TestSumAccuracy(t *testing.T) {
 	for i := 1; i < len(readings); i++ {
 		readings[i] = int64(r.Intn(50) + 1)
 	}
-	res, err := inst.RunSum(readings)
+	res, err := inst.Run(aggregate.SpecFor(aggregate.Sum), readings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var expect int64
-	for _, id := range inst.Participants() {
+	for _, id := range participants(inst) {
 		expect += readings[id]
 	}
 	got := float64(res.Outcomes[0].Sum)
@@ -69,12 +81,12 @@ func TestLossFreeGridIsExact(t *testing.T) {
 	for i := range readings {
 		readings[i] = int64(i)
 	}
-	res, err := inst.RunSum(readings)
+	res, err := inst.Run(aggregate.SpecFor(aggregate.Sum), readings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var expect int64
-	for _, id := range inst.Participants() {
+	for _, id := range participants(inst) {
 		expect += readings[id]
 	}
 	if inst.Medium.Stats().FramesCollided == 0 && res.Outcomes[0].Sum != expect {
@@ -136,7 +148,7 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.RunSum(make([]int64, 3)); err == nil {
+	if _, err := inst.Run(aggregate.SpecFor(aggregate.Sum), make([]int64, 3)); err == nil {
 		t.Fatal("wrong-length readings accepted")
 	}
 }

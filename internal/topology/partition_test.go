@@ -29,7 +29,7 @@ func TestPartitionGridCoversAllNodes(t *testing.T) {
 			if int(p.Owner[id]) != reg.Index {
 				t.Fatalf("Owner[%d] = %d, region says %d", id, p.Owner[id], reg.Index)
 			}
-			if !reg.Bounds.Contains(net.Positions[id]) {
+			if !inside(reg.Bounds, net.Positions[id]) {
 				t.Fatalf("node %d at %v outside its region bounds %+v", id, net.Positions[id], reg.Bounds)
 			}
 		}

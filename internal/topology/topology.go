@@ -63,47 +63,11 @@ func (n *Network) InRange(a, b NodeID) bool {
 	return n.Positions[a].Dist2(n.Positions[b]) <= n.Range*n.Range
 }
 
-// Connected reports whether every node is reachable from node 0.
-func (n *Network) Connected() bool {
-	return len(n.ReachableFrom(0)) == n.N()
-}
-
-// ReachableFrom returns the set of nodes reachable from start by BFS,
-// including start itself. The visit order doubles as the BFS queue (a head
-// index walks it while newly discovered nodes append to the tail), so the
-// whole traversal costs exactly two allocations — the visited bitmap and
-// the returned slice — instead of re-slicing a separate queue per pop.
-func (n *Network) ReachableFrom(start NodeID) []NodeID {
-	if n.N() == 0 {
-		return nil
-	}
-	visited := make([]bool, n.N())
-	order := make([]NodeID, 0, n.N())
-	order = append(order, start)
-	visited[start] = true
-	for head := 0; head < len(order); head++ {
-		v := order[head]
-		for _, w := range n.adj[v] {
-			if !visited[w] {
-				visited[w] = true
-				order = append(order, w)
-			}
-		}
-	}
-	return order
-}
-
-// HopDistances returns the BFS hop count from start to every node;
-// unreachable nodes get -1. Like ReachableFrom, the queue is walked by head
-// index over one full-capacity backing array (two allocations total).
-func (n *Network) HopDistances(start NodeID) []int {
-	dist, _ := n.HopDistancesInto(start, nil, nil)
-	return dist
-}
-
-// HopDistancesInto is HopDistances over caller-provided scratch: dist and
-// queue are reused when they have capacity and returned (possibly regrown)
-// so a caller that resets per run amortizes both allocations to zero.
+// HopDistancesInto returns the BFS hop count from start to every node;
+// unreachable nodes get -1. The queue is walked by head index over one
+// full-capacity backing array, never re-sliced per pop. dist and queue are
+// reused when they have capacity and returned (possibly regrown), so a
+// caller that resets per run amortizes both allocations to zero.
 func (n *Network) HopDistancesInto(start NodeID, dist []int, queue []NodeID) ([]int, []NodeID) {
 	if cap(dist) < n.N() {
 		dist = make([]int, n.N())
@@ -214,53 +178,6 @@ func Grid(side int, spacing, radius float64) (*Network, error) {
 		Bounds:    bounds,
 		adj:       buildAdjacency(positions, bounds, radius),
 	}, nil
-}
-
-// Regular builds an abstract d-regular graph on n nodes (a circulant graph:
-// node i adjacent to i±1, ..., i±d/2 modulo n). Positions are laid out on a
-// circle purely for visualization; Range is set so that InRange is NOT
-// meaningful for circulants — use Neighbors. The analysis of Section IV-A
-// uses d-regular graphs for its closed-form examples.
-func Regular(n, d int) (*Network, error) {
-	if n <= 0 || d <= 0 || d%2 != 0 || d >= n {
-		return nil, fmt.Errorf("topology: Regular requires even 0 < d < n, got n=%d d=%d", n, d)
-	}
-	positions := make([]geom.Point, n)
-	radius := float64(n)
-	for i := range positions {
-		angle := 2 * math.Pi * float64(i) / float64(n)
-		positions[i] = geom.Point{X: radius * (1 + math.Cos(angle)), Y: radius * (1 + math.Sin(angle))}
-	}
-	adj := make([][]NodeID, n)
-	half := d / 2
-	for i := 0; i < n; i++ {
-		row := make([]NodeID, 0, d)
-		for k := 1; k <= half; k++ {
-			row = append(row, NodeID((i+k)%n), NodeID((i-k+n)%n))
-		}
-		adj[i] = row
-	}
-	return &Network{
-		Positions: positions,
-		Range:     0,
-		Bounds:    geom.Square(2 * radius),
-		adj:       adj,
-	}, nil
-}
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func (n *Network) DegreeHistogram() []int {
-	maxDeg := 0
-	for _, a := range n.adj {
-		if len(a) > maxDeg {
-			maxDeg = len(a)
-		}
-	}
-	counts := make([]int, maxDeg+1)
-	for _, a := range n.adj {
-		counts[len(a)]++
-	}
-	return counts
 }
 
 // ExpectedAvgDegree returns the analytic mean degree of a uniform random

@@ -73,7 +73,7 @@ func TestCoverageParticipationDegenerate(t *testing.T) {
 	// An extra base station counts as covered and able to slice, whatever
 	// it heard.
 	f.Tree[4] = Root
-	if !f.Covered(4) || !f.CanSlice(4, 5) {
+	if !f.CanSlice(4, 1) || !f.CanSlice(4, 5) {
 		t.Fatal("extra base station not covered")
 	}
 	if got := f.CoverageFraction(); got != 0.5 {
@@ -128,7 +128,7 @@ func TestRoleCountsSumToSensors(t *testing.T) {
 			}
 			uncovered := 0
 			for i := range f.Tree {
-				if !f.Covered(topology.NodeID(i)) {
+				if !f.CanSlice(topology.NodeID(i), 1) {
 					uncovered++
 				}
 			}

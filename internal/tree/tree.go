@@ -192,13 +192,11 @@ func (f *Forest) CanSlice(id topology.NodeID, l int) bool {
 	return true
 }
 
-// Covered reports whether node id heard HELLOs from every tree — the
-// participation precondition of the protocol (factor (a) of Sec. IV-B.3).
-// An aggregator counts itself on its own tree; a base station is covered.
-func (f *Forest) Covered(id topology.NodeID) bool { return f.CanSlice(id, 1) }
-
 // CoverageFraction returns the fraction of sensors (every node but node 0)
-// covered by every tree — Figure 8(a).
+// covered by every tree — Figure 8(a). A node is covered when it heard
+// HELLOs from every tree (CanSlice with l = 1), the participation
+// precondition of the protocol (factor (a) of Sec. IV-B.3); an aggregator
+// counts itself on its own tree and a base station is covered.
 func (f *Forest) CoverageFraction() float64 { return f.ParticipationFraction(1) }
 
 // ParticipationFraction returns the fraction of sensors (every node but
@@ -578,14 +576,9 @@ type TAGBuilder struct {
 	m         *mac.MAC
 }
 
-// BuildTAG floods a single-tree HELLO from the base station (node 0): each
+// Build floods a single-tree HELLO from the base station (node 0): each
 // node adopts the first heard sender as parent and rebroadcasts once. This
 // is the tree TAG aggregates over.
-func BuildTAG(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net *topology.Network, deadline eventsim.Time) *TAGResult {
-	return new(TAGBuilder).Build(sim, medium, m, net, deadline)
-}
-
-// Build is BuildTAG over the TAGBuilder's reusable storage.
 func (tb *TAGBuilder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net *topology.Network, deadline eventsim.Time) *TAGResult {
 	n := net.N()
 	res := &tb.res

@@ -172,11 +172,9 @@ func TestCanSliceImpliesCovered(t *testing.T) {
 	res, net := build(t, 400, 23, DefaultConfig())
 	for i := 0; i < net.N(); i++ {
 		id := topology.NodeID(i)
-		if res.CanSlice(id, 2) && !res.Covered(id) {
+		// Covered means able to slice with l = 1.
+		if res.CanSlice(id, 2) && !res.CanSlice(id, 1) {
 			t.Fatalf("node %d can slice but is not covered", i)
-		}
-		if res.Covered(id) && !res.CanSlice(id, 1) {
-			t.Fatalf("node %d covered but cannot slice l=1", i)
 		}
 	}
 }
@@ -217,7 +215,7 @@ func TestBuildTAGSpansNetwork(t *testing.T) {
 	sim := eventsim.New()
 	medium := radio.New(sim, net, radio.PaperRate)
 	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
-	res := BuildTAG(sim, medium, m, net, 10)
+	res := new(TAGBuilder).Build(sim, medium, m, net, 10)
 	reached := 0
 	for i := 0; i < net.N(); i++ {
 		if res.Reached[i] {
@@ -259,15 +257,25 @@ func TestDisabledNodesStaySilent(t *testing.T) {
 	sim := eventsim.New()
 	medium := radio.New(sim, net, radio.PaperRate)
 	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
+	// Every frame is heard by some neighbour: a tap counts them by sender.
+	sent := make([]int, net.N())
+	medium.AddTap(func(observer, src, dst topology.NodeID, frame []byte, collided bool) {
+		if observer == net.Neighbors(src)[0] {
+			sent[src]++
+		}
+	})
 	res, err := new(Builder).Build(sim, m, net, cfg, 2, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sent[0] == 0 {
+		t.Fatal("the tap heard no HELLO from the base station")
+	}
 	for i := 1; i <= 120; i++ {
-		if res.Tree[i] != NoTree || res.Covered(topology.NodeID(i)) {
+		if res.Tree[i] != NoTree || res.CanSlice(topology.NodeID(i), 1) {
 			t.Fatalf("disabled node %d joined tree %d or heard a HELLO", i, res.Tree[i])
 		}
-		if medium.NodeFramesSent(topology.NodeID(i)) != 0 {
+		if sent[i] != 0 {
 			t.Fatalf("disabled node %d transmitted", i)
 		}
 	}
@@ -277,7 +285,7 @@ func TestDisabledNodesStaySilent(t *testing.T) {
 	}
 	live := 0
 	for i := 121; i < net.N(); i++ {
-		if res.Covered(topology.NodeID(i)) {
+		if res.CanSlice(topology.NodeID(i), 1) {
 			live++
 		}
 	}
@@ -486,7 +494,7 @@ func TestFixedRuleAtThreeTrees(t *testing.T) {
 	}
 	agg := 0
 	for i := 1; i < net.N(); i++ {
-		covered := f.Covered(topology.NodeID(i))
+		covered := f.CanSlice(topology.NodeID(i), 1)
 		if covered != (f.Tree[i] >= 0) {
 			t.Fatalf("node %d: covered %v but on tree %d", i, covered, f.Tree[i])
 		}

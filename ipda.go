@@ -388,18 +388,19 @@ func (n *Network) Coalescing() (frames, slices uint64) {
 func (n *Network) Aggregators() []int {
 	var out []int
 	for t := range n.inst.Trees.Heard {
-		out = n.appendAggregators(out, t)
+		out = append(out, n.TreeAggregators(t)...)
 	}
 	return out
 }
 
-// RedAggregators returns the nodes aggregating on the red tree (tree 0).
-func (n *Network) RedAggregators() []int { return n.appendAggregators(nil, 0) }
-
-// BlueAggregators returns the nodes aggregating on the blue tree (tree 1).
-func (n *Network) BlueAggregators() []int { return n.appendAggregators(nil, 1) }
-
-func (n *Network) appendAggregators(out []int, t int) []int {
+// TreeAggregators returns the node IDs aggregating on tree t in ID order
+// (with m = 2, tree 0 is red and tree 1 blue). It returns nil for t
+// outside [0, m).
+func (n *Network) TreeAggregators(t int) []int {
+	if t < 0 || t >= len(n.inst.Trees.Heard) {
+		return nil
+	}
+	var out []int
 	for _, id := range n.inst.Trees.Aggregators(t) {
 		out = append(out, int(id))
 	}

@@ -3,6 +3,7 @@ package ipda
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -312,7 +313,7 @@ func TestMultiTreePublicAPI(t *testing.T) {
 	}
 	covered := 0
 	for id := 1; id < fixedNet.Size(); id++ {
-		if fixedNet.inst.Trees.Covered(topology.NodeID(id)) {
+		if fixedNet.inst.Trees.CanSlice(topology.NodeID(id), 1) {
 			covered++
 		}
 	}
@@ -438,9 +439,9 @@ func TestTDMAAckCollidesWithCoalescedBatch(t *testing.T) {
 	type batch struct{ src, anchor topology.NodeID }
 	lostAt := map[topology.NodeID]batch{} // non-anchor targets whose copy collided
 	ackAt := map[topology.NodeID]bool{}   // nodes where an ACK collided
+	var p packet.Packet
 	net.inst.Medium.AddTap(func(at, src, dst topology.NodeID, frame []byte, collided bool) {
-		p, err := packet.Unmarshal(frame)
-		if err != nil || !collided {
+		if !collided || packet.DecodeFrame(&p, frame) != nil {
 			return
 		}
 		switch p.Kind {
@@ -519,24 +520,47 @@ func TestQueryExtremum(t *testing.T) {
 	}
 }
 
+// TestRedBlueAggregatorsPartition checks TreeAggregators at m = 2 and 3:
+// the trees are disjoint, their union is Aggregators(), every node listed
+// for tree t has TreeOf t, and a tree index outside [0, m) yields nil.
 func TestRedBlueAggregatorsPartition(t *testing.T) {
-	net, err := Deploy(DefaultConfig(300))
-	if err != nil {
-		t.Fatal(err)
+	deploy := map[int]func() (*Network, error){
+		2: func() (*Network, error) { return Deploy(DefaultConfig(300)) },
+		3: func() (*Network, error) { return DeployMultiTree(DefaultConfig(600), 3) },
 	}
-	reds, blues := net.RedAggregators(), net.BlueAggregators()
-	if len(reds) == 0 || len(blues) == 0 {
-		t.Fatal("degenerate trees")
-	}
-	seen := map[int]bool{}
-	for _, id := range append(append([]int{}, reds...), blues...) {
-		if seen[id] {
-			t.Fatalf("node %d on both trees", id)
-		}
-		seen[id] = true
-	}
-	if len(net.Aggregators()) != len(reds)+len(blues) {
-		t.Fatal("Aggregators() not the union")
+	for _, m := range []int{2, 3} {
+		t.Run(fmt.Sprintf("m%d", m), func(t *testing.T) {
+			net, err := deploy[m]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[int]bool{}
+			var union []int
+			for tr := 0; tr < m; tr++ {
+				ids := net.TreeAggregators(tr)
+				if len(ids) == 0 {
+					t.Fatalf("tree %d has no aggregator", tr)
+				}
+				for _, id := range ids {
+					if seen[id] {
+						t.Fatalf("node %d on two trees", id)
+					}
+					seen[id] = true
+					if got := net.TreeOf(id); got != tr {
+						t.Fatalf("node %d listed on tree %d has TreeOf %d", id, tr, got)
+					}
+				}
+				union = append(union, ids...)
+			}
+			if !slices.Equal(net.Aggregators(), union) {
+				t.Fatal("Aggregators() is not the union of the trees")
+			}
+			for _, tr := range []int{-2, -1, m} {
+				if ids := net.TreeAggregators(tr); ids != nil {
+					t.Fatalf("TreeAggregators(%d) = %v, want nil", tr, ids)
+				}
+			}
+		})
 	}
 }
 

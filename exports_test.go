@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,43 +23,28 @@ var exportAllowlist = map[string]string{
 	"linksec.ThirdPartyDecryptProbability": "closed-form oracle: TestHoldsRate and TestQCompositeHoldsHarder hold measured Holds rates to it",
 	"obs.ParseProm":                        "reference reader: the WriteProm tests parse the exporter's output with it to prove it well-formed",
 	"radio.Medium.AddTap":                  "capture point of the planned wire-level eavesdropper; tests in 5 packages observe the air through it",
+	"radio.Medium.SetLoss":                 "fading fixture: the radio, MAC and core tests add per-reception loss on top of the collision model through it",
 	"topology.Grid":                        "deterministic lattice fixture used by tests in 7 packages; a _test.go file cannot share it across packages",
 	"topology.Network.InRange":             "reference oracle: the adjacency, radio, MAC and tree tests check neighbour rows and receptions against the geometric range test",
 }
 
+// fieldAllowlist names the internal/ struct fields that no non-test file
+// reads, or, for exported fields, sets, each with the reason it stays. Keys
+// are "pkg.Type.Field".
+var fieldAllowlist = map[string]string{
+	"core.Config.Keys":                "the only way to run the engine over RandomPredist or QComposite rings: the three key-scheme end-to-end tests in core set it, and ROADMAP item 7 (capture under key predistribution) needs it",
+	"experiments.Options.FreshWorlds": "fresh-world reference: the arena byte-identity tests compare reused-arena tables against runs that build every world anew",
+}
+
 const modulePath = "github.com/ipda-sim/ipda"
 
-// TestEveryExportHasACaller type-checks every non-test package of the module
-// and of bench/ (its own module, nested under the root) and fails on an
-// exported internal/ function, type or method that none of them uses, unless
+// TestEveryExportHasACaller fails on an exported internal/ function, type
+// or method that no non-test package of the module or of bench/ uses, unless
 // exportAllowlist says why it stays. Test files do not count as callers: a
 // name only tests reach is API surface that nothing needs.
 func TestEveryExportHasACaller(t *testing.T) {
-	imp := &moduleImporter{
-		fset: token.NewFileSet(),
-		std:  importer.Default(),
-		pkgs: map[string]*types.Package{},
-		used: map[types.Object]bool{},
-	}
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if base := d.Name(); path != "." && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
-			return filepath.SkipDir
-		}
-		files, err := goFiles(path)
-		if err != nil || len(files) == 0 {
-			return err
-		}
-		_, err = imp.Import(importPath(path))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var unused []string
+	imp := loadModule(t)
+	unused := map[string]string{}
 	for _, pkg := range imp.pkgs {
 		rel, ok := strings.CutPrefix(pkg.Path(), modulePath+"/internal/")
 		if !ok {
@@ -70,7 +56,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 			_, isFunc := obj.(*types.Func)
 			tn, isType := obj.(*types.TypeName)
 			if (isFunc || isType) && obj.Exported() && !imp.isUsed(obj) {
-				unused = append(unused, rel+"."+name)
+				unused[rel+"."+name] = "exported but only tests use it"
 			}
 			if !isType {
 				continue
@@ -81,28 +67,103 @@ func TestEveryExportHasACaller(t *testing.T) {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() && !imp.isUsed(m) {
-					unused = append(unused, rel+"."+name+"."+m.Name())
+					unused[rel+"."+name+"."+m.Name()] = "exported but only tests use it"
 				}
 			}
 		}
 	}
-	sort.Strings(unused)
+	checkAllowlist(t, unused, exportAllowlist, "has a production caller")
+}
 
-	listed := map[string]bool{}
-	for _, key := range unused {
-		listed[key] = true
-		if _, ok := exportAllowlist[key]; !ok {
-			t.Errorf("%s: exported but only tests use it; delete it or allowlist it with a reason", key)
+// TestEveryFieldIsUsed fails on a struct field declared under internal/ that
+// no non-test package of the module or of bench/ reads, or, for an exported
+// field, sets, unless fieldAllowlist says why it stays. Setting is a keyed or
+// positional composite literal, an assignment, ++ or --, &x.F, slicing an
+// array field, or a pointer-method call through the field. A promoted
+// selection reads every embedded field on its path; a struct used as a map
+// key or compared with == or != reads all its fields; a tagged field counts
+// as read and set.
+func TestEveryFieldIsUsed(t *testing.T) {
+	imp := loadModule(t)
+	unused := map[string]string{}
+	for v, key := range imp.fields {
+		read, set := imp.fieldRead[v], imp.fieldSet[v] || !v.Exported()
+		switch {
+		case !read && !set:
+			unused[key] = "exported field no non-test code reads or sets"
+		case !read:
+			unused[key] = "field no non-test code reads"
+		case !set:
+			unused[key] = "exported field no non-test code sets"
 		}
 	}
-	for key, reason := range exportAllowlist {
-		switch {
+	checkAllowlist(t, unused, fieldAllowlist, "is used")
+}
+
+// checkAllowlist fails on every key of found (mapped to what is wrong with
+// it) that allow does not list, and on every allow entry that gives no
+// reason or names nothing found.
+func checkAllowlist(t *testing.T, found, allow map[string]string, fixed string) {
+	t.Helper()
+	keys := make([]string, 0, len(found))
+	for key := range found {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if _, ok := allow[key]; !ok {
+			t.Errorf("%s: %s; delete it or allowlist it with a reason", key, found[key])
+		}
+	}
+	for key, reason := range allow {
+		switch _, ok := found[key]; {
 		case strings.TrimSpace(reason) == "":
 			t.Errorf("allowlist entry %s gives no reason", key)
-		case !listed[key]:
-			t.Errorf("allowlist entry %s is stale: the name is gone or has a production caller", key)
+		case !ok:
+			t.Errorf("allowlist entry %s is stale: the name is gone or %s", key, fixed)
 		}
 	}
+}
+
+var module struct {
+	once sync.Once
+	imp  *moduleImporter
+	err  error
+}
+
+// loadModule type-checks every non-test package of the module and of bench/
+// (its own module, nested under the root) once per test binary.
+func loadModule(t *testing.T) *moduleImporter {
+	module.once.Do(func() {
+		imp := &moduleImporter{
+			fset:      token.NewFileSet(),
+			std:       importer.Default(),
+			pkgs:      map[string]*types.Package{},
+			used:      map[types.Object]bool{},
+			fields:    map[*types.Var]string{},
+			fieldRead: map[*types.Var]bool{},
+			fieldSet:  map[*types.Var]bool{},
+		}
+		module.imp = imp
+		module.err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if base := d.Name(); path != "." && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+				return filepath.SkipDir
+			}
+			files, err := goFiles(path)
+			if err != nil || len(files) == 0 {
+				return err
+			}
+			_, err = imp.Import(importPath(path))
+			return err
+		})
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.imp
 }
 
 // moduleImporter type-checks the module's packages from their non-test
@@ -116,6 +177,11 @@ type moduleImporter struct {
 	used map[types.Object]bool
 	// ifaceMethods are the interface methods some non-test file calls.
 	ifaceMethods []*types.Func
+	// fields names every struct field declared under internal/ as
+	// "pkg.Type.Field"; fieldRead and fieldSet record the non-test reads
+	// and sets of any field.
+	fields              map[*types.Var]string
+	fieldRead, fieldSet map[*types.Var]bool
 }
 
 func importPath(dir string) string {
@@ -158,6 +224,8 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
@@ -188,7 +256,197 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	for _, sel := range info.Selections {
 		m.markUsed(sel.Obj())
 	}
+	if rel, ok := strings.CutPrefix(path, modulePath+"/internal/"); ok {
+		for _, f := range files {
+			m.nameFields(rel, f, info)
+		}
+	}
+	for _, f := range files {
+		m.noteFieldUses(f, info)
+	}
+	for _, tv := range info.Types {
+		if mt, ok := tv.Type.Underlying().(*types.Map); ok {
+			m.readAll(mt.Key())
+		}
+	}
 	return pkg, nil
+}
+
+// nameFields records the fields of every struct type f declares, named
+// "pkg.Type.Field". A tagged field counts as read and set, since encoders
+// reach it by reflection.
+func (m *moduleImporter) nameFields(rel string, f *ast.File, info *types.Info) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		st, ok := spec.Type.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, field := range st.Fields.List {
+			idents := field.Names
+			if len(idents) == 0 {
+				idents = []*ast.Ident{embeddedName(field.Type)}
+			}
+			for _, id := range idents {
+				v, ok := info.Defs[id].(*types.Var)
+				if !ok || id.Name == "_" {
+					continue
+				}
+				m.fields[v] = rel + "." + spec.Name.Name + "." + id.Name
+				if field.Tag != nil {
+					m.fieldRead[v], m.fieldSet[v] = true, true
+				}
+			}
+		}
+		return true
+	})
+}
+
+// embeddedName returns the identifier an embedded field is named by.
+func embeddedName(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.Sel
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// noteFieldUses records the field reads and sets in f.
+func (m *moduleImporter) noteFieldUses(f *ast.File, info *types.Info) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				m.setTarget(lhs, info)
+			}
+		case *ast.IncDecStmt:
+			m.setTarget(n.X, info)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				m.setTarget(n.X, info)
+			}
+		case *ast.SliceExpr:
+			if _, ok := info.TypeOf(n.X).Underlying().(*types.Array); ok {
+				m.setTarget(n.X, info)
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				m.readAll(info.TypeOf(n.X))
+			}
+		case *ast.CompositeLit:
+			st, ok := deref(info.TypeOf(n)).Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						m.fieldSet[v.Origin()] = true
+					}
+				} else {
+					m.fieldSet[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil {
+				return true
+			}
+			// Walk the embedded fields the selection passes through.
+			typ, path := sel.Recv(), sel.Index()
+			var embedded []*types.Var
+			for _, i := range path[:len(path)-1] {
+				v := deref(typ).Underlying().(*types.Struct).Field(i)
+				m.fieldRead[v.Origin()] = true
+				embedded = append(embedded, v)
+				typ = v.Type()
+			}
+			switch sel.Kind() {
+			case types.FieldVal:
+				m.fieldRead[sel.Obj().(*types.Var).Origin()] = true
+			case types.MethodVal:
+				// A pointer method called on an addressable value sets it,
+				// and every value it is embedded in up to a pointer.
+				recv := sel.Obj().(*types.Func).Type().(*types.Signature).Recv().Type()
+				if _, ptr := recv.(*types.Pointer); !ptr {
+					break
+				}
+				k := len(embedded)
+				for ; k > 0; k-- {
+					if _, ptr := embedded[k-1].Type().(*types.Pointer); ptr {
+						break
+					}
+					m.fieldSet[embedded[k-1].Origin()] = true
+				}
+				if _, ptr := info.TypeOf(n.X).(*types.Pointer); k == 0 && !ptr {
+					m.setTarget(n.X, info)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// setTarget records that e is stored to. A field of a struct or array value
+// is part of that value, so the store sets the enclosing fields too.
+func (m *moduleImporter) setTarget(e ast.Expr, info *types.Info) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			sel := info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			m.fieldSet[sel.Obj().(*types.Var).Origin()] = true
+			if _, ptr := info.TypeOf(x.X).(*types.Pointer); ptr {
+				return
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			if _, ok := info.TypeOf(x.X).Underlying().(*types.Array); !ok {
+				return
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// readAll records a read of every field of a struct (or array of structs)
+// value, as a comparison or a map lookup reads them.
+func (m *moduleImporter) readAll(typ types.Type) {
+	switch u := typ.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			m.fieldRead[f.Origin()] = true
+			m.readAll(f.Type())
+		}
+	case *types.Array:
+		m.readAll(u.Elem())
+	}
+}
+
+func deref(typ types.Type) types.Type {
+	if p, ok := typ.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return typ
 }
 
 // markUsed records a use of obj. A use of a generic function or method

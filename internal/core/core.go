@@ -20,12 +20,16 @@
 // decides the verdict for every m with one majority vote: a round is
 // accepted when a strict majority of the trees agree pairwise within Th,
 // which at m = 2 is exactly |S_b − S_r| ≤ Th (see majority). Every query
-// kind, repair, coalescing, faults, query dissemination, instrumentation
-// and tracing work for every m. More trees address the paper's stated
-// future work (Section VI, collusive attacks): with m = 2, two colluding
-// aggregators on different trees that apply the same delta fool the
-// check; with m = 3 the honest third tree outvotes one polluter, the base
-// station keeps the true total, and it names the polluted tree.
+// kind, repair, coalescing, faults, instrumentation and tracing work for
+// every m. More trees address the paper's stated future work (Section VI,
+// collusive attacks): with m = 2, two colluding aggregators on different
+// trees that apply the same delta fool the check; with m = 3 the honest
+// third tree outvotes one polluter, the base station keeps the true total,
+// and it names the polluted tree.
+//
+// Rounds run over pre-scheduled epochs, the common TAG-style deployment:
+// every node knows when a round starts, so no query is flooded down the
+// trees.
 //
 // The engine also exposes the hooks the evaluation needs: pollution
 // attackers (Section II-C), node disablement for DoS-attacker localization
@@ -80,22 +84,12 @@ type Config struct {
 	// uniform shares — perfect hiding, but a single lost slice randomizes
 	// the round total, so use it only on effectively loss-free channels.
 	ShareSpread int64
-	// DisseminateQuery makes each round start with a base-station QUERY
-	// flood (aggregators rebroadcast once); nodes open their slicing
-	// window on reception, and nodes the flood misses skip the round. The
-	// default (false) models pre-scheduled epochs, the common TAG-style
-	// deployment; enabling it adds the flood's traffic to the round.
-	DisseminateQuery bool
 	// Disabled marks nodes excluded from the protocol (see tree.Config).
 	Disabled []bool
 	// ExtraRoots lists additional base stations beyond node 0 (Section
 	// II-A). Each roots both trees and collects partial results; the
 	// final totals fuse all roots' collections. Roots hold no readings.
 	ExtraRoots []topology.NodeID
-	// LossRate adds independent per-reception fading loss in [0, 1) on
-	// top of the collision model; the ARQ recovers unicast losses, so
-	// moderate fading costs retries rather than data.
-	LossRate float64
 	// Faults optionally replays a deterministic crash/recover schedule
 	// against this instance: the schedule advances once per additive
 	// round, just before the round starts, driving Kill/Revive (see
@@ -162,9 +156,6 @@ func (c Config) Validate() error {
 	}
 	if c.ShareSpread < 0 {
 		return fmt.Errorf("core: ShareSpread must be >= 0, got %d", c.ShareSpread)
-	}
-	if c.LossRate < 0 || c.LossRate >= 1 {
-		return fmt.Errorf("core: LossRate must be in [0, 1), got %v", c.LossRate)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -238,7 +229,6 @@ type Instance struct {
 	planned   []uint16
 	delivered []uint16
 	bsSum     []int64 // Phase III arrivals at the base stations, per tree
-	onQuery   func(self topology.NodeID, p *packet.Packet)
 
 	// Steady-state reuse machinery: the per-node slicing plans, the
 	// candidate-filter scratch, the pooled Phase II/III send events, and
@@ -248,7 +238,6 @@ type Instance struct {
 	cands      [][]topology.NodeID
 	sliceFree  []*sliceEvent
 	aggFree    []*aggEvent
-	heard      []bool
 	dispatchFn mac.Handler
 	// Per-node Phase II seal staging: every tree's remote shares are
 	// collected here and sealed in one SealBatch call, so paired nonces on
@@ -258,15 +247,13 @@ type Instance struct {
 	sealColors []packet.Color
 
 	// Query-tracing state (nil qt disables every site). roundSpan is the
-	// current round's root span; queryParent carries the received QUERY
-	// frame's span across the onQuery → start handoff; pendingAgg holds,
-	// per node, the child aggregate spans awaiting re-parenting to the
-	// node's own aggregate span (or, at a base station, to the verify
-	// instant). lastBSArrival is tracked unconditionally — it feeds
-	// RoundOutcome.Latency, which must not depend on tracing.
+	// current round's root span; pendingAgg holds, per node, the child
+	// aggregate spans awaiting re-parenting to the node's own aggregate
+	// span (or, at a base station, to the verify instant). lastBSArrival
+	// is tracked unconditionally — it feeds RoundOutcome.Latency, which
+	// must not depend on tracing.
 	qt            *qtrace.Tracer
 	roundSpan     qtrace.Ref
-	queryParent   qtrace.Ref
 	pendingAgg    [][]qtrace.Ref
 	lastBSArrival eventsim.Time
 }
@@ -274,8 +261,7 @@ type Instance struct {
 // slicePlan is one node's Phase II plan for the current round: tree t's
 // shares are shares[t·l : (t+1)·l], one per target in targets.Trees[t].
 // The targets and shares are reused across rounds; active marks plans
-// built this round and flips off when the node's slicing window opens
-// (start at most once).
+// built this round.
 type slicePlan struct {
 	targets slicing.Targets
 	shares  []int64
@@ -392,9 +378,6 @@ func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int
 		in.Sim.Reset()
 		in.Medium.Reset(net)
 	}
-	if cfg.LossRate > 0 {
-		in.Medium.SetLoss(cfg.LossRate, root.Split(4))
-	}
 	macCfg := cfg.MAC
 	if cfg.Coalesce && macCfg.MaxFrameSize == 0 {
 		// A coalesced frame can carry every remote share of one node in
@@ -425,11 +408,10 @@ func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int
 	in.Medium.SetQTrace(cfg.QTrace, energy.DefaultModel())
 	in.MAC.SetQTrace(cfg.QTrace)
 	in.roundSpan = qtrace.None
-	in.queryParent = qtrace.None
 	in.Net = net
 	in.Cfg = cfg
 	// Phase I is one network-wide span (query 0). The flood draws from
-	// root's label 2; the engine owns labels 1, 3 and 4.
+	// root's label 2; the engine owns labels 1 and 3.
 	phase1 := in.qt.Start(0, qtrace.None, -1, "phase1:tree-construction", float64(in.Sim.Now()))
 	if forest == nil {
 		treeCfg := cfg.Tree
@@ -470,7 +452,6 @@ func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int
 	}
 	in.OnSlice = nil
 	in.OnLocalShare = nil
-	in.onQuery = nil
 	if in.dead != nil {
 		if len(in.dead) == n {
 			clear(in.dead)
@@ -796,9 +777,9 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 
 	in.installReceivers(round)
 
-	// Phase II: participants slice at random offsets inside the window.
-	// The window opens either immediately (scheduled epochs, the default)
-	// or, with DisseminateQuery, when the node hears the QUERY flood.
+	// Phase II: participants slice at random offsets inside the window,
+	// which opens for every node at the round's start. Every plan is drawn
+	// before any slice is sealed or scheduled, which fixes the rng order.
 	participants := 0
 	t0 := in.Sim.Now()
 	in.roundSpan = qtrace.None
@@ -837,51 +818,36 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 		}
 		p.active = true
 	}
-	start := func(id topology.NodeID, at eventsim.Time) {
-		p := &in.plans[id]
+	l := in.Cfg.Slices
+	for i := 1; i < n; i++ {
+		id := topology.NodeID(i)
+		p := &in.plans[i]
 		if !p.active {
-			return
+			continue
 		}
-		p.active = false // start at most once
 		participants++
 		for t, targets := range p.targets.Trees {
-			in.planned[int(id)*m+t] = uint16(len(targets))
+			in.planned[i*m+t] = uint16(len(targets))
 		}
 		slSpan := qtrace.None
 		if in.qt != nil {
 			// The node's slicing window has a statically known extent, so
 			// the span is closed up front instead of via an end event that
-			// would perturb the simulation's event sequence. With a query
-			// flood the span parents to the received QUERY frame's span
-			// (causal); scheduled epochs parent to the round root.
-			parent := in.queryParent
-			if parent == qtrace.None {
-				parent = in.roundSpan
-			}
-			slSpan = in.qt.Start(uint32(round), parent, int32(id), "slicing", float64(at))
-			in.qt.End(slSpan, float64(at+in.Cfg.SliceWindow))
+			// would perturb the simulation's event sequence.
+			slSpan = in.qt.Start(uint32(round), in.roundSpan, int32(id), "slicing", float64(t0))
+			in.qt.End(slSpan, float64(t0+in.Cfg.SliceWindow))
 		}
 		in.sealReqs = in.sealReqs[:0]
 		in.sealColors = in.sealColors[:0]
-		l := in.Cfg.Slices
 		for t, targets := range p.targets.Trees {
 			in.collectSlices(round, id, t, targets, p.shares[t*l:(t+1)*l])
 		}
 		in.ciphers.SealBatch(in.sealReqs)
-		in.scheduleSealed(at, round, id, slSpan)
-	}
-	var floodBudget eventsim.Time
-	if in.Cfg.DisseminateQuery {
-		floodBudget = 1.0
-		in.floodQuery(round, start)
-	} else {
-		for i := 1; i < n; i++ {
-			start(topology.NodeID(i), t0)
-		}
+		in.scheduleSealed(t0, round, id, slSpan)
 	}
 
 	// Phase III: deepest aggregators first.
-	t1 := t0 + floodBudget + in.Cfg.SliceWindow + 0.5 // drain margin for queued slices
+	t1 := t0 + in.Cfg.SliceWindow + 0.5 // drain margin for queued slices
 	maxHop := uint16(0)
 	for i := 1; i < n; i++ {
 		if in.Trees.Tree[i] >= 0 && in.Trees.Hop[i] > maxHop {
@@ -903,10 +869,7 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 	deadline := t1 + eventsim.Time(maxHop+2)*in.Cfg.AggSlot + 1.0
 	if in.qt != nil {
 		in.qt.End(in.roundSpan, float64(deadline))
-		if in.Cfg.DisseminateQuery {
-			in.phaseSpan(round, "phase2:query-dissemination", t0, t0+floodBudget)
-		}
-		in.phaseSpan(round, "phase2:report-and-assemble", t0+floodBudget, t1)
+		in.phaseSpan(round, "phase2:report-and-assemble", t0, t1)
 		in.phaseSpan(round, "phase3:tree-aggregation", t1, deadline)
 	}
 	in.Sim.Run(deadline)
@@ -1104,39 +1067,6 @@ func (in *Instance) phaseSpan(round uint16, name string, begin, end eventsim.Tim
 	in.qt.End(s, float64(end))
 }
 
-// floodQuery broadcasts a QUERY from the base station and lets every
-// aggregator rebroadcast it once; each node's onStart fires on first
-// reception.
-func (in *Instance) floodQuery(round uint16, onStart func(id topology.NodeID, at eventsim.Time)) {
-	heard := resizeCleared(in.heard, in.Net.N())
-	in.heard = heard
-	q := uint32(round)
-	in.onQuery = func(self topology.NodeID, p *packet.Packet) {
-		if heard[self] || in.disabled(self) {
-			return
-		}
-		heard[self] = true
-		// The received frame's span is the causal parent of everything
-		// this reception triggers: the rebroadcast and, via queryParent,
-		// the node's slicing span.
-		in.queryParent = qtrace.Ref(p.TraceSpan)
-		if in.Trees.Tree[self] >= 0 {
-			fwd := in.qt.Start(q, in.queryParent, int32(self), "query:forward", float64(in.Sim.Now()))
-			in.MAC.Send(self, &packet.Packet{
-				Header: packet.Header{Kind: packet.KindQuery, Src: int32(self), Dst: packet.Broadcast, Round: round,
-					TraceQ: round, TraceSpan: uint32(fwd)},
-			})
-		}
-		onStart(self, in.Sim.Now())
-		in.queryParent = qtrace.None
-	}
-	diss := in.qt.Start(q, in.roundSpan, 0, "query:disseminate", float64(in.Sim.Now()))
-	in.MAC.Send(0, &packet.Packet{
-		Header: packet.Header{Kind: packet.KindQuery, Src: 0, Dst: packet.Broadcast, Round: round,
-			TraceQ: round, TraceSpan: uint32(diss)},
-	})
-}
-
 // split appends one tree's worth of additive shares for a contribution.
 func (in *Instance) split(dst []int64, value int64) []int64 {
 	if in.Cfg.ShareSpread > 0 {
@@ -1328,10 +1258,6 @@ func (in *Instance) installReceivers(round uint16) {
 				in.onSliceBatch(self, p)
 			case packet.KindAggregate:
 				in.onAggregate(self, p)
-			case packet.KindQuery:
-				if in.onQuery != nil {
-					in.onQuery(self, p)
-				}
 			}
 		}
 	}

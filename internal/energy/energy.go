@@ -23,25 +23,21 @@ type Model struct {
 	TxPerByte  float64 // energy to transmit one byte (incl. amplifier)
 	RxPerByte  float64 // energy to receive one byte
 	IdlePerSec float64 // duty-cycled listening cost per simulated second
-	Battery    float64 // initial charge per node
 }
 
 // DefaultModel returns textbook first-order-radio constants: 1 µJ/byte
-// transmit at 50 m, 0.4 µJ/byte receive, 30 µW duty-cycled idle, and a
-// 2 J battery — small enough that lifetime experiments finish in
-// simulated hours.
+// transmit at 50 m, 0.4 µJ/byte receive and 30 µW duty-cycled idle.
 func DefaultModel() Model {
 	return Model{
 		TxPerByte:  1.0e-6,
 		RxPerByte:  0.4e-6,
 		IdlePerSec: 30e-6,
-		Battery:    2.0,
 	}
 }
 
 // Validate reports parameter errors.
 func (m Model) Validate() error {
-	if m.TxPerByte <= 0 || m.RxPerByte <= 0 || m.IdlePerSec < 0 || m.Battery <= 0 {
+	if m.TxPerByte <= 0 || m.RxPerByte <= 0 || m.IdlePerSec < 0 {
 		return fmt.Errorf("energy: parameters must be positive (idle may be zero)")
 	}
 	return nil

@@ -60,11 +60,6 @@ func TestModelValidation(t *testing.T) {
 	if _, err := NewMeter(2, bad); err == nil {
 		t.Fatal("zero TxPerByte accepted")
 	}
-	bad = DefaultModel()
-	bad.Battery = 0
-	if _, err := NewMeter(2, bad); err == nil {
-		t.Fatal("zero battery accepted")
-	}
 	ok := DefaultModel()
 	ok.IdlePerSec = 0
 	if _, err := NewMeter(2, ok); err != nil {

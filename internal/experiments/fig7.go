@@ -5,16 +5,8 @@ import (
 
 	"github.com/ipda-sim/ipda/internal/analysis"
 	"github.com/ipda-sim/ipda/internal/harness"
-	"github.com/ipda-sim/ipda/internal/packet"
 	"github.com/ipda-sim/ipda/internal/world"
 )
-
-// trafficOut is one trial's byte/frame accounting for one protocol.
-type trafficOut struct {
-	bytes         float64 // total on-air bytes, tree construction + round
-	protocolBytes float64 // excluding MAC ACK frames
-	dataFrames    float64 // protocol frames put on the air (excl. ACKs)
-}
 
 // Fig7 reproduces Figure 7: total bandwidth consumption of one COUNT
 // query (tree construction + aggregation round) as a function of network
@@ -44,7 +36,6 @@ func Fig7(o Options) (*Table, error) {
 		t.Notes = append(t.Notes,
 			"l=2C columns re-run iPDA l=2 with -coalesce: one multi-slice frame per sender per round (anchored ACK, promiscuous pickup)")
 	}
-	ackSize := uint64((&packet.Packet{Header: packet.Header{Kind: packet.KindAck}}).Size())
 	sizes := o.sizes()
 	s := o.sweep("fig7", len(sizes), 10)
 	tagBytes := harness.NewAcc(s)
@@ -73,9 +64,11 @@ func Fig7(o Options) (*Table, error) {
 			return err
 		}
 		tr.RecordLatency(tres.Outcomes[0].Latency)
-		out := accounting(tg.Medium.TotalBytes(), tg.MAC.Stats().AcksSent, tg.MAC.Stats().Sent, ackSize)
-		tagBytes.Add(tr, out.bytes)
-		tagFrames.Add(tr, out.dataFrames)
+		// Bytes are every frame on the air, tree construction and round
+		// included; frames are the protocol's own (the MAC's Sent excludes
+		// ACKs).
+		tagBytes.Add(tr, float64(tg.Medium.TotalBytes()))
+		tagFrames.Add(tr, float64(tg.MAC.Stats().Sent))
 		// iPDA l=1 and l=2.
 		for _, l := range []int{1, 2} {
 			cfg := o.coreConfig()
@@ -96,14 +89,12 @@ func Fig7(o Options) (*Table, error) {
 				return err
 			}
 			tr.RecordLatency(res.Outcomes[0].Latency)
-			out := accounting(in.Medium.TotalBytes(), in.MAC.Stats().AcksSent, in.MAC.Stats().Sent, ackSize)
-			if l == 1 {
-				l1Bytes.Add(tr, out.bytes)
-				l1Frames.Add(tr, out.dataFrames)
-			} else {
-				l2Bytes.Add(tr, out.bytes)
-				l2Frames.Add(tr, out.dataFrames)
+			bytes, frames := l1Bytes, l1Frames
+			if l == 2 {
+				bytes, frames = l2Bytes, l2Frames
 			}
+			bytes.Add(tr, float64(in.Medium.TotalBytes()))
+			frames.Add(tr, float64(in.MAC.Stats().Sent))
 		}
 		if o.Coalesce {
 			cfg := o.coreConfig()
@@ -119,9 +110,8 @@ func Fig7(o Options) (*Table, error) {
 				return err
 			}
 			tr.RecordLatency(res.Outcomes[0].Latency)
-			out := accounting(in.Medium.TotalBytes(), in.MAC.Stats().AcksSent, in.MAC.Stats().Sent, ackSize)
-			l2cBytes.Add(tr, out.bytes)
-			l2cFrames.Add(tr, out.dataFrames)
+			l2cBytes.Add(tr, float64(in.Medium.TotalBytes()))
+			l2cFrames.Add(tr, float64(in.MAC.Stats().Sent))
 		}
 		return nil
 	})
@@ -147,12 +137,4 @@ func Fig7(o Options) (*Table, error) {
 		t.AddRow(cells...)
 	}
 	return t, nil
-}
-
-func accounting(totalBytes, acks, sent uint64, ackSize uint64) trafficOut {
-	return trafficOut{
-		bytes:         float64(totalBytes),
-		protocolBytes: float64(totalBytes - acks*ackSize),
-		dataFrames:    float64(sent),
-	}
 }

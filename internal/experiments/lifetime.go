@@ -6,6 +6,10 @@ import (
 	"github.com/ipda-sim/ipda/internal/world"
 )
 
+// battery is a sensor's initial charge in joules, small enough that
+// lifetimes come out in simulated hours.
+const battery = 2.0
+
 // Lifetime quantifies the energy cost of iPDA's protections — the paper's
 // introduction motivates aggregation by network lifetime, and iPDA's
 // (2l+1)/2 message overhead translates directly into shorter life. Each
@@ -82,7 +86,6 @@ func Lifetime(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	battery := energy.DefaultModel().Battery
 	for pi, n := range sizes {
 		tagMean := tagDrain.Point(pi).Mean()
 		ipdaMean := ipdaDrain.Point(pi).Mean()

@@ -19,20 +19,20 @@
 // collected through Acc accumulators (acc.go), which fold per-trial
 // observations in trial order regardless of completion order.
 //
-// Errors are first-class: the first failing trial cancels the sweep via
-// context.Context (queued trials are dropped, running ones may observe
-// T.Ctx done) and Run returns the error annotated with its grid cell.
+// Errors are first-class: the first failing trial cancels the sweep
+// (queued trials are dropped, running ones finish) and Run returns the
+// error annotated with its grid cell.
 // Panics inside a trial are recovered into errors, so a worker never
 // takes the whole process down with a cross-goroutine panic.
 package harness
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ipda-sim/ipda/internal/obs"
@@ -95,9 +95,6 @@ type T struct {
 	// Rng is the trial's private random stream, derived from the sweep
 	// seed path; no other trial shares it.
 	Rng *rng.Stream
-	// Ctx is done once the sweep is cancelled by another trial's
-	// failure; long trials may poll it to stop early.
-	Ctx context.Context
 	// State is this worker's long-lived state from Sweep.WorkerState
 	// (nil when the sweep has none). Trials on the same worker see the
 	// same value; trials on different workers never share one.
@@ -137,8 +134,6 @@ func (s Sweep) Run(trial func(t *T) error) error {
 	if workers > total {
 		workers = total
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	root := rng.New(s.Seed).SplitString(s.ID)
 
 	// Resolve per-point instrument handles before the workers start; the
@@ -163,11 +158,12 @@ func (s Sweep) Run(trial func(t *T) error) error {
 	}
 
 	var (
-		mu      sync.Mutex
-		done    int
-		failIdx int
-		failErr error
-		wg      sync.WaitGroup
+		mu        sync.Mutex
+		cancelled atomic.Bool
+		done      int
+		failIdx   int
+		failErr   error
+		wg        sync.WaitGroup
 	)
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -179,7 +175,7 @@ func (s Sweep) Run(trial func(t *T) error) error {
 				state = s.WorkerState()
 			}
 			for idx := range next {
-				if ctx.Err() != nil {
+				if cancelled.Load() {
 					continue // cancelled: drain the queue
 				}
 				point, tr := idx/s.Trials, idx%s.Trials
@@ -187,7 +183,6 @@ func (s Sweep) Run(trial func(t *T) error) error {
 					Point:  point,
 					Trial:  tr,
 					Rng:    root.SplitPath(uint64(point)+1, uint64(tr)+1),
-					Ctx:    ctx,
 					State:  state,
 					QTrace: s.QTrace.Trial(s.ID, point, tr),
 				}
@@ -199,7 +194,7 @@ func (s Sweep) Run(trial func(t *T) error) error {
 						failErr = fmt.Errorf("harness: %s point %d trial %d: %w", s.ID, point, tr, err)
 					}
 					mu.Unlock()
-					cancel()
+					cancelled.Store(true)
 					continue
 				}
 				done++

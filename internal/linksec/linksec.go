@@ -158,9 +158,8 @@ func (s EraScheme) SharedKey(a, b topology.NodeID) (Key, bool) {
 // scheme: a pool of PoolSize keys, RingSize random distinct key IDs per
 // node. Two nodes use the smallest common key ID.
 type RandomPredist struct {
-	master   uint64
-	poolSize int
-	rings    [][]int32 // sorted ring of key IDs per node
+	master uint64
+	rings  [][]int32 // sorted ring of key IDs per node
 }
 
 // NewRandomPredist draws a key ring for each of n nodes. RingSize must not
@@ -169,7 +168,7 @@ func NewRandomPredist(n, poolSize, ringSize int, master uint64, r *rng.Stream) (
 	if poolSize <= 0 || ringSize <= 0 || ringSize > poolSize {
 		return nil, fmt.Errorf("linksec: invalid pool/ring sizes %d/%d", poolSize, ringSize)
 	}
-	s := &RandomPredist{master: master, poolSize: poolSize, rings: make([][]int32, n)}
+	s := &RandomPredist{master: master, rings: make([][]int32, n)}
 	for i := range s.rings {
 		ids := r.Sample(poolSize, ringSize)
 		ring := make([]int32, len(ids))

@@ -69,7 +69,6 @@ type Registry struct {
 
 // family is one named metric with a fixed type and label-name set.
 type family struct {
-	name       string
 	help       string
 	typ        Type
 	labelNames []string
@@ -123,7 +122,6 @@ func (r *Registry) register(typ Type, name, help string, bounds []float64, label
 			names[i] = l.Name
 		}
 		fam = &family{
-			name:       name,
 			help:       help,
 			typ:        typ,
 			labelNames: names,

@@ -1,9 +1,9 @@
 // Package qtrace is the simulator's one span recorder: where obs (the
 // metrics layer) answers "how much", qtrace answers "why". Phase I and
 // each round's protocol phases are network-wide spans, and every query
-// round yields a causally linked span tree covering dissemination down
-// the aggregation trees, slice exchange, per-node aggregation, MAC
-// retries and backoffs, and verification at the base station, with
+// round yields a causally linked span tree covering the slicing window,
+// slice exchange, per-node aggregation up the trees, MAC retries and
+// backoffs, and verification at the base station, with
 // per-span attribution of simulated latency, airtime, retransmissions,
 // and joules.
 //

@@ -17,7 +17,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/eventsim"
 	"github.com/ipda-sim/ipda/internal/fault"
 	"github.com/ipda-sim/ipda/internal/mac"
-	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/packet"
 	"github.com/ipda-sim/ipda/internal/qtrace"
 	"github.com/ipda-sim/ipda/internal/radio"
@@ -37,8 +36,6 @@ type Config struct {
 	TreeDeadline eventsim.Time
 	// AggSlot is the per-hop transmission slot of the aggregation epoch.
 	AggSlot eventsim.Time
-	// Obs is the optional instrumentation sink (see core.Config.Obs).
-	Obs *obs.Sink
 	// QTrace is the optional causal per-query tracer (see
 	// core.Config.QTrace); nil disables tracing and never changes a run.
 	QTrace *qtrace.Tracer
@@ -154,10 +151,6 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 	} else {
 		in.MAC.Reset(n, cfg.MAC, root.Split(1))
 	}
-	if cfg.Obs != nil {
-		in.Medium.SetObs(cfg.Obs)
-		in.MAC.SetObs(cfg.Obs)
-	}
 	in.qt = cfg.QTrace
 	in.Medium.SetQTrace(cfg.QTrace, energy.DefaultModel())
 	in.MAC.SetQTrace(cfg.QTrace)
@@ -183,10 +176,8 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 // Outcome reports one TAG aggregation round.
 type Outcome struct {
 	Sum          int64
-	Count        uint32 // partial-aggregate messages folded at the BS side
 	Participants int
 	Bytes        uint64
-	Frames       uint64
 	// Latency is the round's completion latency: the last partial
 	// aggregate folded at the base station, measured from the epoch's
 	// start (0 if nothing arrived). Tracked unconditionally.
@@ -195,7 +186,6 @@ type Outcome struct {
 
 // Result reports one full TAG query.
 type Result struct {
-	Spec     aggregate.Spec
 	Outcomes []Outcome
 	Value    float64
 	Count    uint32
@@ -212,7 +202,7 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 	if needsCount {
 		total++
 	}
-	res := &Result{Spec: spec}
+	res := &Result{}
 	sums := make([]int64, valueRounds)
 	var count uint32
 	countSpec := aggregate.SpecFor(aggregate.Count)
@@ -268,7 +258,6 @@ func (in *Instance) runRound(contribs []int64) Outcome {
 	in.round++
 	round := uint16(in.round)
 	startBytes := in.Medium.TotalBytes()
-	startFrames := in.Medium.Stats().FramesSent
 
 	in.childSum = resizeCleared(in.childSum, n)
 	in.childCount = resizeCleared(in.childCount, n)
@@ -343,10 +332,8 @@ func (in *Instance) runRound(contribs []int64) Outcome {
 
 	return Outcome{
 		Sum:          in.childSum[0],
-		Count:        in.childCount[0],
 		Participants: participants,
 		Bytes:        in.Medium.TotalBytes() - startBytes,
-		Frames:       in.Medium.Stats().FramesSent - startFrames,
 		Latency:      float64(in.lastBSArrival - t0),
 	}
 }

@@ -10,7 +10,6 @@ import (
 // Region is one rectangular cell of a spatial partition: the nodes whose
 // positions fall inside its bounds, in ascending ID order.
 type Region struct {
-	Index  int
 	Bounds geom.Rect
 	Owned  []NodeID
 }
@@ -22,8 +21,6 @@ type Region struct {
 // depends on how many workers later execute the regions.
 type Partition struct {
 	Net     *Network
-	Cols    int
-	Rows    int
 	Regions []Region
 	Owner   []int32 // node -> owning region index
 }
@@ -34,7 +31,7 @@ func (p *Partition) R() int { return len(p.Regions) }
 // PartitionGrid splits net's bounding rectangle into a near-square grid of
 // at least 1 and approximately want regions and assigns every node to the
 // region containing its position. want is a request, not a contract: the
-// actual region count is Cols×Rows for the chosen grid shape (query R()).
+// actual region count is cols×rows for the chosen grid shape (query R()).
 func PartitionGrid(net *Network, want int) *Partition {
 	if want < 1 {
 		want = 1
@@ -57,8 +54,6 @@ func PartitionGrid(net *Network, want int) *Partition {
 
 	p := &Partition{
 		Net:     net,
-		Cols:    cols,
-		Rows:    rows,
 		Regions: make([]Region, cols*rows),
 		Owner:   make([]int32, net.N()),
 	}
@@ -67,7 +62,6 @@ func PartitionGrid(net *Network, want int) *Partition {
 		for rx := 0; rx < cols; rx++ {
 			i := ry*cols + rx
 			p.Regions[i] = Region{
-				Index: i,
 				Bounds: geom.Rect{
 					MinX: net.Bounds.MinX + float64(rx)*cellW,
 					MinY: net.Bounds.MinY + float64(ry)*cellH,

@@ -19,15 +19,15 @@ func TestPartitionGridCoversAllNodes(t *testing.T) {
 	}
 	seen := make([]bool, net.N())
 	total := 0
-	for _, reg := range p.Regions {
+	for r, reg := range p.Regions {
 		for _, id := range reg.Owned {
 			if seen[id] {
 				t.Fatalf("node %d owned by two regions", id)
 			}
 			seen[id] = true
 			total++
-			if int(p.Owner[id]) != reg.Index {
-				t.Fatalf("Owner[%d] = %d, region says %d", id, p.Owner[id], reg.Index)
+			if int(p.Owner[id]) != r {
+				t.Fatalf("Owner[%d] = %d, region says %d", id, p.Owner[id], r)
 			}
 			if !inside(reg.Bounds, net.Positions[id]) {
 				t.Fatalf("node %d at %v outside its region bounds %+v", id, net.Positions[id], reg.Bounds)
@@ -60,33 +60,33 @@ func TestInducedMatchesParentEdges(t *testing.T) {
 	}
 	p := PartitionGrid(net, 4)
 	var pool Pool
-	for _, reg := range p.Regions {
+	for r, reg := range p.Regions {
 		if len(reg.Owned) == 0 {
 			continue
 		}
 		sub := pool.Induced(net, reg.Owned)
 		if sub.N() != len(reg.Owned) {
-			t.Fatalf("region %d: induced N = %d, want %d", reg.Index, sub.N(), len(reg.Owned))
+			t.Fatalf("region %d: induced N = %d, want %d", r, sub.N(), len(reg.Owned))
 		}
 		for l, g := range reg.Owned {
 			if sub.Positions[l] != net.Positions[g] {
-				t.Fatalf("region %d: local %d position mismatch", reg.Index, l)
+				t.Fatalf("region %d: local %d position mismatch", r, l)
 			}
 			// The induced neighbor list must be exactly the parent's list
 			// filtered to members, in parent order.
 			want := 0
 			for _, nb := range net.Neighbors(g) {
-				if p.Owner[nb] == int32(reg.Index) {
+				if p.Owner[nb] == int32(r) {
 					want++
 				}
 			}
 			if sub.Degree(NodeID(l)) != want {
-				t.Fatalf("region %d: local %d degree %d, want %d", reg.Index, l, sub.Degree(NodeID(l)), want)
+				t.Fatalf("region %d: local %d degree %d, want %d", r, l, sub.Degree(NodeID(l)), want)
 			}
 			for _, lnb := range sub.Neighbors(NodeID(l)) {
 				gnb := reg.Owned[lnb]
 				if !net.InRange(g, gnb) {
-					t.Fatalf("region %d: induced edge %d-%d not a parent edge", reg.Index, l, lnb)
+					t.Fatalf("region %d: induced edge %d-%d not a parent edge", r, l, lnb)
 				}
 			}
 		}
@@ -104,7 +104,7 @@ func TestInducedReuseAcrossRegions(t *testing.T) {
 		}
 		for _, want := range []int{8, 2} {
 			p := PartitionGrid(net, want)
-			for _, reg := range p.Regions {
+			for r, reg := range p.Regions {
 				if len(reg.Owned) == 0 {
 					continue
 				}
@@ -116,14 +116,14 @@ func TestInducedReuseAcrossRegions(t *testing.T) {
 				wantEdges := 0
 				for _, g := range reg.Owned {
 					for _, nb := range net.Neighbors(g) {
-						if p.Owner[nb] == int32(reg.Index) {
+						if p.Owner[nb] == int32(r) {
 							wantEdges++
 						}
 					}
 				}
 				if edges != wantEdges {
 					t.Fatalf("seed=%d want=%d region=%d: %d induced edge-ends, want %d",
-						seed, want, reg.Index, edges, wantEdges)
+						seed, want, r, edges, wantEdges)
 				}
 			}
 		}

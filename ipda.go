@@ -102,7 +102,7 @@ type Config struct {
 	Observe bool
 	// TraceQueries attaches the causal per-query tracer: Phase I and
 	// every query's protocol phases are spans, and each query yields a
-	// span tree linking dissemination, slice exchange, per-node
+	// span tree linking the slicing window, slice exchange, per-node
 	// aggregation, MAC retries, and base-station verification, with
 	// per-span latency/airtime/energy attribution. Like Observe it never
 	// alters protocol behavior or results; read the trace through

@@ -32,8 +32,10 @@ var exportAllowlist = map[string]string{
 // reads, or, for exported fields, sets, each with the reason it stays. Keys
 // are "pkg.Type.Field".
 var fieldAllowlist = map[string]string{
-	"core.Config.Keys":                "the only way to run the engine over RandomPredist or QComposite rings: the three key-scheme end-to-end tests in core set it, and ROADMAP item 7 (capture under key predistribution) needs it",
-	"experiments.Options.FreshWorlds": "fresh-world reference: the arena byte-identity tests compare reused-arena tables against runs that build every world anew",
+	"core.Config.Keys":                    "the only way to run the engine over RandomPredist or QComposite rings: the three key-scheme end-to-end tests in core set it, and ROADMAP item 7 (capture under key predistribution) needs it",
+	"experiments.Options.FreshWorlds":     "fresh-world reference: the arena byte-identity tests compare reused-arena tables against runs that build every world anew",
+	"stream.QueryOutcome.RedContributed":  "delivery filter: the stream value-oracle tests check only firings whose every participant reached both trees",
+	"stream.QueryOutcome.BlueContributed": "delivery filter: the stream value-oracle tests check only firings whose every participant reached both trees",
 }
 
 const modulePath = "github.com/ipda-sim/ipda"
@@ -79,10 +81,12 @@ func TestEveryExportHasACaller(t *testing.T) {
 // no non-test package of the module or of bench/ reads, or, for an exported
 // field, sets, unless fieldAllowlist says why it stays. Setting is a keyed or
 // positional composite literal, an assignment, ++ or --, &x.F, slicing an
-// array field, or a pointer-method call through the field. A promoted
-// selection reads every embedded field on its path; a struct used as a map
-// key or compared with == or != reads all its fields; a tagged field counts
-// as read and set.
+// array field, or a pointer-method call through the field. Any other
+// selection reads: the target of a plain = or := assignment is not a read,
+// nor is a struct field it is stored through, while a pointer it is stored
+// through is (x.F op= v, ++ and -- read x.F). A promoted selection reads
+// every embedded field on its path; a struct used as a map key or compared
+// with == or != reads all its fields; a tagged field counts as read and set.
 func TestEveryFieldIsUsed(t *testing.T) {
 	imp := loadModule(t)
 	unused := map[string]string{}
@@ -327,21 +331,28 @@ func embeddedName(e ast.Expr) *ast.Ident {
 
 // noteFieldUses records the field reads and sets in f.
 func (m *moduleImporter) noteFieldUses(f *ast.File, info *types.Info) {
+	// stored holds the selections that are assignment targets, which
+	// Inspect reaches after their statement.
+	stored := map[*ast.SelectorExpr]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
+			plain := stored
+			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+				plain = nil // x.F op= v reads x.F
+			}
 			for _, lhs := range n.Lhs {
-				m.setTarget(lhs, info)
+				m.setTarget(lhs, info, plain)
 			}
 		case *ast.IncDecStmt:
-			m.setTarget(n.X, info)
+			m.setTarget(n.X, info, nil)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				m.setTarget(n.X, info)
+				m.setTarget(n.X, info, nil)
 			}
 		case *ast.SliceExpr:
 			if _, ok := info.TypeOf(n.X).Underlying().(*types.Array); ok {
-				m.setTarget(n.X, info)
+				m.setTarget(n.X, info, nil)
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.EQL || n.Op == token.NEQ {
@@ -377,7 +388,9 @@ func (m *moduleImporter) noteFieldUses(f *ast.File, info *types.Info) {
 			}
 			switch sel.Kind() {
 			case types.FieldVal:
-				m.fieldRead[sel.Obj().(*types.Var).Origin()] = true
+				if !stored[n] {
+					m.fieldRead[sel.Obj().(*types.Var).Origin()] = true
+				}
 			case types.MethodVal:
 				// A pointer method called on an addressable value sets it,
 				// and every value it is embedded in up to a pointer.
@@ -393,7 +406,7 @@ func (m *moduleImporter) noteFieldUses(f *ast.File, info *types.Info) {
 					m.fieldSet[embedded[k-1].Origin()] = true
 				}
 				if _, ptr := info.TypeOf(n.X).(*types.Pointer); k == 0 && !ptr {
-					m.setTarget(n.X, info)
+					m.setTarget(n.X, info, nil)
 				}
 			}
 		}
@@ -402,8 +415,10 @@ func (m *moduleImporter) noteFieldUses(f *ast.File, info *types.Info) {
 }
 
 // setTarget records that e is stored to. A field of a struct or array value
-// is part of that value, so the store sets the enclosing fields too.
-func (m *moduleImporter) setTarget(e ast.Expr, info *types.Info) {
+// is part of that value, so the store sets the enclosing fields too. A
+// non-nil stored collects the field selections the store passes through,
+// which an assignment stores to without reading.
+func (m *moduleImporter) setTarget(e ast.Expr, info *types.Info, stored map[*ast.SelectorExpr]bool) {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
@@ -412,6 +427,9 @@ func (m *moduleImporter) setTarget(e ast.Expr, info *types.Info) {
 				return
 			}
 			m.fieldSet[sel.Obj().(*types.Var).Origin()] = true
+			if stored != nil {
+				stored[x] = true
+			}
 			if _, ptr := info.TypeOf(x.X).(*types.Pointer); ptr {
 				return
 			}

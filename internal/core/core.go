@@ -190,7 +190,7 @@ type Instance struct {
 
 	m int // the tree count of Trees
 
-	rand *rng.Stream
+	rand rng.Stream
 	// round counts additive rounds over the deployment's whole lifetime
 	// (an epoch pipeline runs tens of thousands per instance). Only its
 	// low 16 bits go on the air — packet.Header.Round — and feed the
@@ -202,6 +202,7 @@ type Instance struct {
 	polluters map[topology.NodeID]int64
 	dead      []bool
 	ciphers   *linksec.CipherCache // per-link sealing state over Keys
+	pairwise  linksec.Pairwise     // Keys when Config.Keys is nil
 	obs       *coreObs
 	builder   tree.Builder // reusable Phase I machinery (see Reset)
 
@@ -229,6 +230,7 @@ type Instance struct {
 	planned   []uint16
 	delivered []uint16
 	bsSum     []int64 // Phase III arrivals at the base stations, per tree
+	zeros     []int64 // RunCount's readings: never written, so all zero
 
 	// Steady-state reuse machinery: the per-node slicing plans, the
 	// candidate-filter scratch, the pooled Phase II/III send events, and
@@ -350,7 +352,7 @@ func New(net *topology.Network, cfg Config, seed uint64) (*Instance, error) {
 // per-round buffer the previous deployment grew. A trial loop that holds
 // one Instance per worker and Resets it per trial runs the steady state
 // almost entirely off the allocator. Callers must not use results (Trees,
-// Run outputs' aliased state) from before the Reset afterwards.
+// Keys, Run outputs' aliased state) from before the Reset afterwards.
 func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error {
 	return in.Deploy(net, cfg, seed, 2)
 }
@@ -385,10 +387,11 @@ func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int
 		// budget for it (CSMA ignores the hint).
 		macCfg.MaxFrameSize = packet.SliceBatchSize(m * cfg.Slices)
 	}
+	macRand := root.Derive(1)
 	if in.MAC == nil {
-		in.MAC = mac.New(in.Sim, in.Medium, n, macCfg, root.Split(1))
+		in.MAC = mac.New(in.Sim, in.Medium, n, macCfg, &macRand)
 	} else {
-		in.MAC.Reset(n, macCfg, root.Split(1))
+		in.MAC.Reset(n, macCfg, &macRand)
 	}
 	if cfg.Obs != nil {
 		// Attach instrumentation before Phase I so tree construction is
@@ -419,7 +422,8 @@ func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int
 		treeCfg.ExtraRoots = cfg.ExtraRoots
 		treeCfg.Obs = cfg.Obs
 		var err error
-		if forest, err = in.builder.Build(in.Sim, in.MAC, net, treeCfg, m, root.Split(2)); err != nil {
+		flood := root.Derive(2)
+		if forest, err = in.builder.Build(in.Sim, in.MAC, net, treeCfg, m, &flood); err != nil {
 			return err
 		}
 	}
@@ -434,10 +438,11 @@ func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int
 	in.m = m
 	keys := cfg.Keys
 	if keys == nil {
-		keys = linksec.NewPairwise(seed ^ 0x69706461) // "ipda"
+		in.pairwise = *linksec.NewPairwise(seed ^ 0x69706461) // "ipda"
+		keys = &in.pairwise
 	}
 	in.Keys = keys
-	in.rand = root.Split(3)
+	in.rand = root.Derive(3)
 	in.round = 0
 	in.era = 0
 	if in.polluters == nil {
@@ -535,17 +540,24 @@ func (in *Instance) disabled(id topology.NodeID) bool {
 // the node itself on its own tree. Base stations are not participants
 // (they hold no reading).
 func (in *Instance) Participants() []topology.NodeID {
-	var out []topology.NodeID
+	k := 0
 	for i := 1; i < in.Net.N(); i++ {
-		id := topology.NodeID(i)
-		if in.disabled(id) || in.Trees.Tree[id] == tree.Root {
-			continue
+		if in.participates(topology.NodeID(i)) {
+			k++
 		}
-		if in.CanSlice(id) {
+	}
+	out := make([]topology.NodeID, 0, k)
+	for i := 1; i < in.Net.N(); i++ {
+		if id := topology.NodeID(i); in.participates(id) {
 			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// participates is Participants' membership test.
+func (in *Instance) participates(id topology.NodeID) bool {
+	return !in.disabled(id) && in.Trees.Tree[id] != tree.Root && in.CanSlice(id)
 }
 
 // CanSlice reports whether node id has l slice targets on every tree,
@@ -601,7 +613,10 @@ type Result struct {
 	Outcomes []RoundOutcome // one per additive round (value rounds, then count round if any)
 	Accepted bool           // every round's majority verdict accepted
 	Value    float64        // the finalized statistic over the rounds' values; valid when Accepted
-	Count    uint32         // participant count used by Finalize
+
+	// rounds backs Outcomes, so a query of up to len(rounds) rounds (every
+	// aggregate.Spec needs at most 3) allocates nothing but its Result.
+	rounds [4]RoundOutcome
 }
 
 // needsCount reports whether the spec's Finalize consumes a count that must
@@ -623,7 +638,9 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 		total++
 	}
 	res := &Result{Spec: spec, Accepted: true}
-	sums := make([]int64, valueRounds)
+	res.Outcomes = res.rounds[:0]
+	var sumBuf [2]int64 // aggregate.Spec.Rounds is 1 or 2
+	sums := sumBuf[:valueRounds]
 	var count uint32
 	countSpec := aggregate.SpecFor(aggregate.Count)
 	in.contribs = resizeCleared(in.contribs, in.Net.N())
@@ -658,7 +675,6 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 	if !needsCount(spec) && len(res.Outcomes) > 0 {
 		count = uint32(res.Outcomes[0].Participants)
 	}
-	res.Count = count
 	if res.Accepted {
 		v, err := spec.Finalize(sums, count)
 		if err != nil {
@@ -709,7 +725,11 @@ func (in *Instance) RunSum(readings []int64) (*Result, error) {
 
 // RunCount is shorthand for a COUNT query (every reading contributes 1).
 func (in *Instance) RunCount() (*Result, error) {
-	return in.Run(aggregate.SpecFor(aggregate.Count), make([]int64, in.Net.N()))
+	n := in.Net.N()
+	if cap(in.zeros) < n {
+		in.zeros = make([]int64, n)
+	}
+	return in.Run(aggregate.SpecFor(aggregate.Count), in.zeros[:n])
 }
 
 // sliceNonce builds a unique nonce per (key era, round, direction, tree,
@@ -809,7 +829,7 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 		for t := range in.cands {
 			in.cands[t] = in.keyedTargets(in.cands[t][:0], id, in.Trees.Heard[t][id])
 		}
-		if !p.targets.Choose(id, in.Trees.Tree[id], in.cands, in.Cfg.Slices, in.rand) {
+		if !p.targets.Choose(id, in.Trees.Tree[id], in.cands, in.Cfg.Slices, &in.rand) {
 			continue
 		}
 		p.shares = p.shares[:0]
@@ -1070,9 +1090,9 @@ func (in *Instance) phaseSpan(round uint16, name string, begin, end eventsim.Tim
 // split appends one tree's worth of additive shares for a contribution.
 func (in *Instance) split(dst []int64, value int64) []int64 {
 	if in.Cfg.ShareSpread > 0 {
-		return slicing.SplitBoundedAppend(dst, value, in.Cfg.Slices, in.Cfg.ShareSpread, in.rand)
+		return slicing.SplitBoundedAppend(dst, value, in.Cfg.Slices, in.Cfg.ShareSpread, &in.rand)
 	}
-	return slicing.SplitAppend(dst, value, in.Cfg.Slices, in.rand)
+	return slicing.SplitAppend(dst, value, in.Cfg.Slices, &in.rand)
 }
 
 // keyedTargets appends the aggregator candidates the node shares a link

@@ -106,7 +106,7 @@ type Target interface {
 // (Config, n, protected set) and never depends on protocol state.
 type Injector struct {
 	cfg       Config
-	root      *rng.Stream
+	root      rng.Stream
 	down      []bool
 	protected []bool
 	// touched[i] is 1 + the last round a scripted event changed node i;
@@ -139,7 +139,7 @@ func NewInjector(n int, cfg Config, protect []topology.NodeID) (*Injector, error
 	}
 	inj := &Injector{
 		cfg:       cfg,
-		root:      rng.New(cfg.Seed).SplitString("fault"),
+		root:      *rng.New(cfg.Seed).SplitString("fault"),
 		down:      make([]bool, n),
 		protected: make([]bool, n),
 		touched:   make([]int, n),
@@ -198,7 +198,7 @@ func (inj *Injector) Advance(round int, at float64, tgt Target) {
 	}
 	// One private stream per round: the trace for round r is independent
 	// of how many draws earlier rounds consumed.
-	r := inj.root.Split(uint64(round) + 1)
+	r := inj.root.Derive(uint64(round) + 1)
 	for i := range inj.down {
 		id := topology.NodeID(i)
 		if inj.touched[i] == round+1 {

@@ -84,6 +84,37 @@ type frameState struct {
 	pkt     packet.Packet
 	entries []packet.SliceEntry // backing storage for pkt.Entries
 	retries int
+	next    *frameState // the frame behind this one in its queue or the free list
+}
+
+// frameQueue is one node's send queue, a FIFO linked through
+// frameState.next: enqueueing and retiring a frame move no other frame and
+// grow no per-node array.
+type frameQueue struct {
+	head, tail *frameState
+	len        int
+}
+
+func (q *frameQueue) push(f *frameState) {
+	f.next = nil
+	if q.tail == nil {
+		q.head = f
+	} else {
+		q.tail.next = f
+	}
+	q.tail = f
+	q.len++
+}
+
+// pop unlinks and returns the head; the queue must not be empty.
+func (q *frameQueue) pop() *frameState {
+	f := q.head
+	q.head = f.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	q.len--
+	return f
 }
 
 // MAC schedules transmissions for every node of one network. It is driven
@@ -92,10 +123,10 @@ type MAC struct {
 	sim      *eventsim.Sim
 	medium   *radio.Medium
 	cfg      Config
-	rand     *rng.Stream
+	rand     rng.Stream
 	handlers []Handler
-	queues   [][]*frameState
-	fsFree   []*frameState // recycled frame records
+	queues   []frameQueue
+	fsFree   *frameState // recycled frame records, linked through next
 	busy     []bool
 	seq      []uint16
 	// awaiting[i] is the seq the pending unicast of node i waits an ACK
@@ -162,6 +193,7 @@ type MAC struct {
 // New creates a MAC over medium for a network of n nodes and installs
 // itself as the medium receiver for every node. Protocol layers must
 // register their upcalls with SetHandler, not with the medium directly.
+// The MAC draws its backoffs from its own copy of rand.
 func New(sim *eventsim.Sim, medium *radio.Medium, n int, cfg Config, rand *rng.Stream) *MAC {
 	m := &MAC{sim: sim, medium: medium}
 	m.batchFn = func(frame []byte, to []topology.NodeID) { m.onBatch(frame, to) }
@@ -184,12 +216,11 @@ func (m *MAC) Reset(n int, cfg Config, rand *rng.Stream) {
 		panic("mac: invalid config")
 	}
 	m.cfg = cfg
-	m.rand = rand
+	m.rand = *rand
 	for i := range m.queues {
-		for _, f := range m.queues[i] {
-			m.putFrame(f)
+		for m.queues[i].head != nil {
+			m.putFrame(m.queues[i].pop())
 		}
-		m.queues[i] = m.queues[i][:0]
 	}
 	m.queues = resizeQueues(m.queues, n)
 	m.handlers = resizeHandlers(m.handlers, n)
@@ -232,17 +263,16 @@ func (m *MAC) Reset(n int, cfg Config, rand *rng.Stream) {
 
 // getFrame pops a recycled frame record or allocates one.
 func (m *MAC) getFrame() *frameState {
-	if n := len(m.fsFree); n > 0 {
-		f := m.fsFree[n-1]
-		m.fsFree[n-1] = nil
-		m.fsFree = m.fsFree[:n-1]
+	if f := m.fsFree; f != nil {
+		m.fsFree = f.next
 		return f
 	}
 	return &frameState{}
 }
 
 func (m *MAC) putFrame(f *frameState) {
-	m.fsFree = append(m.fsFree, f)
+	f.next = m.fsFree
+	m.fsFree = f
 }
 
 // The resize helpers reslice in place when capacity allows (clearing the
@@ -251,9 +281,9 @@ func (m *MAC) putFrame(f *frameState) {
 // buffer tables deliberately keep their old entries on regrowth: closures
 // stay valid across runs and buffers are overwritten before use.
 
-func resizeQueues(s [][]*frameState, n int) [][]*frameState {
+func resizeQueues(s []frameQueue, n int) []frameQueue {
 	if cap(s) < n {
-		s = append(s[:cap(s)], make([][]*frameState, n-cap(s))...)
+		return make([]frameQueue, n)
 	}
 	return s[:n]
 }
@@ -428,10 +458,10 @@ func (m *MAC) Send(src topology.NodeID, pkt *packet.Packet) {
 	f.pkt.Entries = f.entries
 	f.pkt.Seq = m.seq[src]
 	f.retries = 0
-	m.queues[src] = append(m.queues[src], f)
+	m.queues[src].push(f)
 	if m.obs != nil {
 		m.obs.enqueued.Inc()
-		m.obs.queueLen.Observe(float64(len(m.queues[src])))
+		m.obs.queueLen.Observe(float64(m.queues[src].len))
 	}
 	if !m.busy[src] {
 		m.busy[src] = true
@@ -477,8 +507,8 @@ func (m *MAC) fireAttempt(src topology.NodeID) {
 }
 
 func (m *MAC) attempt(src topology.NodeID, sense, window int) {
-	q := m.queues[src]
-	if len(q) == 0 {
+	f := m.queues[src].head
+	if f == nil {
 		m.busy[src] = false
 		return
 	}
@@ -488,7 +518,7 @@ func (m *MAC) attempt(src topology.NodeID, sense, window int) {
 			m.obs.backoffs.Inc()
 		}
 		if m.qt != nil {
-			m.qt.AddBackoff(qtrace.Ref(q[0].pkt.TraceSpan))
+			m.qt.AddBackoff(qtrace.Ref(f.pkt.TraceSpan))
 		}
 		if sense+1 >= m.cfg.MaxAttempts {
 			m.stats.Dropped++
@@ -496,7 +526,7 @@ func (m *MAC) attempt(src topology.NodeID, sense, window int) {
 				m.obs.dropped.Inc()
 			}
 			if m.qt != nil {
-				m.qt.AddDrop(qtrace.Ref(q[0].pkt.TraceSpan))
+				m.qt.AddDrop(qtrace.Ref(f.pkt.TraceSpan))
 			}
 			m.dequeue(src)
 			return
@@ -504,7 +534,6 @@ func (m *MAC) attempt(src topology.NodeID, sense, window int) {
 		m.scheduleAttempt(src, sense+1, window+1)
 		return
 	}
-	f := q[0]
 	m.txbuf[src] = f.pkt.AppendEncode(m.txbuf[src][:0])
 	size := f.pkt.Size()
 	m.medium.Transmit(src, f.pkt.Dst, m.txbuf[src], size)
@@ -536,12 +565,11 @@ func (m *MAC) checkAck(src topology.NodeID) {
 		m.dequeue(src)
 		return
 	}
-	q := m.queues[src]
-	if len(q) == 0 {
+	f := m.queues[src].head
+	if f == nil {
 		m.busy[src] = false
 		return
 	}
-	f := q[0]
 	f.retries++
 	if f.retries > m.cfg.RetryLimit {
 		m.stats.Dropped++
@@ -576,17 +604,15 @@ func (m *MAC) checkAck(src topology.NodeID) {
 // and both drop paths — so this is the single point that closes the
 // frame's causal span at the retirement time.
 func (m *MAC) dequeue(src topology.NodeID) {
-	q := m.queues[src]
-	if len(q) > 0 {
+	q := &m.queues[src]
+	if q.head != nil {
+		f := q.pop()
 		if m.qt != nil {
-			m.qt.End(qtrace.Ref(q[0].pkt.TraceSpan), float64(m.sim.Now()))
+			m.qt.End(qtrace.Ref(f.pkt.TraceSpan), float64(m.sim.Now()))
 		}
-		m.putFrame(q[0])
-		copy(q, q[1:])
-		q[len(q)-1] = nil
-		m.queues[src] = q[:len(q)-1]
+		m.putFrame(f)
 	}
-	if len(m.queues[src]) > 0 {
+	if q.head != nil {
 		m.scheduleAttempt(src, 0, 0)
 	} else {
 		m.busy[src] = false

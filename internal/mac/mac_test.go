@@ -158,7 +158,7 @@ func TestDropAfterRetryLimit(t *testing.T) {
 	if m.Stats().Dropped == 0 {
 		t.Fatalf("no drop after retry limit: %+v", m.Stats())
 	}
-	if len(m.queues[0]) != 0 {
+	if m.queues[0].len != 0 {
 		t.Fatal("queue not drained after drop")
 	}
 }
@@ -292,7 +292,7 @@ func TestRetransmissionKeepsFullSenseBudget(t *testing.T) {
 		pkt := dataPacket(0, dst, 1)
 		m.seq[0]++
 		pkt.Seq = m.seq[0]
-		m.queues[0] = append(m.queues[0], &frameState{pkt: *pkt, retries: 5})
+		m.queues[0].push(&frameState{pkt: *pkt, retries: 5})
 		m.busy[0] = true
 		m.scheduleAttempt(0, 0, 5) // what checkAck schedules after retry 5
 		jam()

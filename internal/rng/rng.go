@@ -28,6 +28,12 @@ func splitmix64(state *uint64) uint64 {
 // New returns a stream seeded from seed. Streams with distinct seeds are
 // statistically independent.
 func New(seed uint64) *Stream {
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is New by value.
+func seeded(seed uint64) Stream {
 	st := seed
 	var r Stream
 	for i := range r.s {
@@ -37,17 +43,24 @@ func New(seed uint64) *Stream {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
+	return r
 }
 
 // Split derives an independent child stream identified by label. Splitting
 // does not advance the parent, so the set of children is stable regardless
 // of how much randomness the parent itself consumes.
 func (r *Stream) Split(label uint64) *Stream {
+	c := r.Derive(label)
+	return &c
+}
+
+// Derive is Split by value: r.Derive(label) == *r.Split(label). A caller
+// that holds the child in a struct field or a local keeps it off the heap.
+func (r *Stream) Derive(label uint64) Stream {
 	// Mix the current state with the label through SplitMix64 so that
 	// (stream, label) pairs map to well-separated seeds.
 	seed := r.s[0] ^ rotl(r.s[2], 17) ^ (label * 0xd1342543de82ef95)
-	return New(splitmix64(&seed))
+	return seeded(splitmix64(&seed))
 }
 
 // SplitPath derives a child stream by splitting along each label in turn:

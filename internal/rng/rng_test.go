@@ -66,6 +66,40 @@ func TestSplitDoesNotAdvanceParent(t *testing.T) {
 	}
 }
 
+// TestDeriveIsSplitByValue pins Derive to Split over many labels, and
+// pins it off the heap: a derived child held in a local allocates nothing.
+func TestDeriveIsSplitByValue(t *testing.T) {
+	r := New(2024)
+	labels := []uint64{0, 1, 2, 3, 1 << 32, 1<<64 - 1}
+	for l := uint64(4); l < 2000; l += 7 {
+		labels = append(labels, l)
+	}
+	for _, l := range labels {
+		d, s := r.Derive(l), r.Split(l)
+		if d != *s {
+			t.Fatalf("Derive(%d) = %v, *Split(%d) = %v", l, d, l, *s)
+		}
+		r.Uint64() // a different parent state for the next label
+	}
+	// The first draw of a few children of New(2024), as derived before
+	// Derive existed: every seeded experiment depends on them.
+	golden := map[uint64]uint64{1: 0x2eb1e6913f663e91, 2: 0xdbc359186b618fa, 3: 0x7e54eb94592484bf, 1<<64 - 1: 0x2ff1098f2326ac74}
+	root := New(2024)
+	for l, want := range golden {
+		c := root.Derive(l)
+		if got := c.Uint64(); got != want {
+			t.Fatalf("New(2024).Derive(%d) drew %#x first, want %#x", l, got, want)
+		}
+	}
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() {
+		c := r.Derive(sink)
+		sink ^= c.Uint64()
+	}); n != 0 {
+		t.Fatalf("Derive allocates %v times, want 0", n)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

@@ -64,6 +64,8 @@ func NewPlan(net *topology.Network, regions int) *Plan {
 		Heads:   make([]topology.NodeID, part.R()),
 		Members: make([][]topology.NodeID, part.R()),
 	}
+	// Every region's member list is a window of one flat array.
+	flat := make([]topology.NodeID, net.N())
 	for r := range part.Regions {
 		reg := &part.Regions[r]
 		if len(reg.Owned) == 0 {
@@ -83,8 +85,8 @@ func NewPlan(net *topology.Network, regions int) *Plan {
 				}
 			}
 		}
-		members := make([]topology.NodeID, 0, len(reg.Owned))
-		members = append(members, head)
+		members := append(flat[:0:len(reg.Owned)], head)
+		flat = flat[len(reg.Owned):]
 		for _, id := range reg.Owned {
 			if id != head {
 				members = append(members, id)
@@ -145,7 +147,8 @@ func RunHier(plan *Plan, cfg core.Config, root *rng.Stream, shards int, arena *w
 	}
 	seeds := make([]uint64, R)
 	for r := 0; r < R; r++ {
-		seeds[r] = root.Split(uint64(r) + 1).Uint64()
+		child := root.Derive(uint64(r) + 1)
+		seeds[r] = child.Uint64()
 	}
 
 	type regionOut struct {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/core"
@@ -93,5 +94,34 @@ func TestHierSanity(t *testing.T) {
 	}
 	if out.Red <= 0 || out.Bytes == 0 || out.Frames == 0 {
 		t.Fatalf("degenerate outcome: %+v", out)
+	}
+}
+
+// TestHierAllocsPerRegion pins a warm arena's hierarchical trial at a
+// constant number of heap allocations per region: a region costs its
+// query's Result, and planning and the backbone cost a fixed handful per
+// trial, however many nodes each region owns.
+func TestHierAllocsPerRegion(t *testing.T) {
+	const perRegion = 2
+	net, err := topology.Random(topology.Config{Nodes: 2000, FieldSide: 400 * math.Sqrt(2001.0/401), Range: 50}, rng.New(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := world.New()
+	regions := 0
+	trial := func() {
+		plan := NewPlan(net, 40)
+		out, err := RunHier(plan, core.DefaultConfig(), rng.New(2024).Split(2), 1, arena, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions = out.Regions
+	}
+	allocs := testing.AllocsPerRun(1, trial) // the first trial warms the arena
+	if regions < 20 {
+		t.Fatalf("%d regions ran, want at least 20", regions)
+	}
+	if allocs > float64(perRegion*regions) {
+		t.Fatalf("warm trial allocates %v times over %d regions, want at most %d per region", allocs, regions, perRegion)
 	}
 }

@@ -116,12 +116,10 @@ func Combine(shares []int64) int64 {
 
 // Targets is the outcome of slice-target selection for one node: the
 // aggregators that will receive its shares, per tree (Trees[t] lists tree
-// t's targets). KeptLocal reports whether the first entry of the node's own
-// tree is the node itself (that share is kept locally and never
-// transmitted).
+// t's targets). An aggregator's first target on its own tree is itself:
+// that share is kept locally and never transmitted.
 type Targets struct {
-	Trees     [][]topology.NodeID
-	KeptLocal bool
+	Trees [][]topology.NodeID
 }
 
 // Choose selects l slice targets per tree for node id from the aggregator
@@ -158,7 +156,6 @@ func (t *Targets) Choose(id topology.NodeID, own int, cands [][]topology.NodeID,
 	for tr := range t.Trees {
 		t.Trees[tr] = t.Trees[tr][:0]
 	}
-	t.KeptLocal = hasOwn
 	if hasOwn {
 		t.Trees[own] = append(t.Trees[own], id)
 		t.Trees[own] = pickAppend(t.Trees[own], cands[own], l-1, r)

@@ -171,13 +171,14 @@ func choose(id topology.NodeID, own int, red, blue []topology.NodeID, l int, r *
 // transmissions counts the radio sends a node performs in the slicing
 // step: m·l, less the share an aggregator keeps local. With two trees that
 // is the paper's "each node takes 2l-1 transmissions".
-func transmissions(tg Targets) int {
+func transmissions(tg Targets, id topology.NodeID) int {
 	n := 0
 	for _, ts := range tg.Trees {
-		n += len(ts)
-	}
-	if tg.KeptLocal {
-		n--
+		for _, x := range ts {
+			if x != id {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -191,10 +192,7 @@ func TestChooseTargetsLeaf(t *testing.T) {
 	if len(tg.Trees[0]) != 2 || len(tg.Trees[1]) != 2 {
 		t.Fatalf("targets %+v", tg)
 	}
-	if tg.KeptLocal {
-		t.Fatal("leaf kept a share local")
-	}
-	if n := transmissions(tg); n != 4 {
+	if n := transmissions(tg, 5); n != 4 {
 		t.Fatalf("leaf transmissions = %d, want 2l = 4", n)
 	}
 }
@@ -208,11 +206,8 @@ func TestChooseTargetsRedAggregator(t *testing.T) {
 	if tg.Trees[0][0] != 5 {
 		t.Fatalf("aggregator must select itself first: %v", tg.Trees[0])
 	}
-	if !tg.KeptLocal {
-		t.Fatal("KeptLocal false for aggregator")
-	}
 	// Paper: 2l-1 transmissions for l=2 -> 3.
-	if n := transmissions(tg); n != 3 {
+	if n := transmissions(tg, 5); n != 3 {
 		t.Fatalf("transmissions = %d, want 3", n)
 	}
 }

@@ -135,9 +135,8 @@ type Result struct {
 	Queries  []QueryOutcome
 	Accepted int
 	Rejected int
-	// Bytes and Frames cover the whole run including Phase I.
-	Bytes  uint64
-	Frames uint64
+	// Bytes covers the whole run including Phase I.
+	Bytes uint64
 	// SimSeconds is the run's simulated span (Epochs × Interval); Joules
 	// is the network-wide energy bill when a Meter was attached (radio
 	// tx/rx plus idle listening over the span).
@@ -178,8 +177,10 @@ type Pipeline struct {
 	windowed []int64   // per-firing fold scratch
 	filled   int       // epochs recorded so far (ring validity)
 
-	startBytes  uint64
-	startFrames uint64
+	startBytes uint64
+	// lat backs every firing's Latencies: each firing's is a capped window
+	// of it, so firings share amortized growth instead of a slice each.
+	lat []float64
 
 	res Result
 }
@@ -203,13 +204,12 @@ func New(in *core.Instance, cfg Config) (*Pipeline, error) {
 	maxWin = min(maxWin, cfg.Epochs)
 	n := in.Net.N()
 	p := &Pipeline{
-		in:          in,
-		cfg:         cfg,
-		t0:          in.Sim.Now(),
-		maxWin:      maxWin,
-		windowed:    make([]int64, n),
-		startBytes:  in.Medium.TotalBytes(),
-		startFrames: in.Medium.Stats().FramesSent,
+		in:         in,
+		cfg:        cfg,
+		t0:         in.Sim.Now(),
+		maxWin:     maxWin,
+		windowed:   make([]int64, n),
+		startBytes: in.Medium.TotalBytes(),
 	}
 	p.hist = make([][]int64, maxWin)
 	for i := range p.hist {
@@ -263,13 +263,15 @@ func (p *Pipeline) Step() error {
 			return fmt.Errorf("stream: epoch %d query %s: %w", e, q.Name, err)
 		}
 		out := QueryOutcome{Epoch: e, Query: qi, Accepted: res.Accepted, Value: res.Value}
+		first := len(p.lat)
 		for _, ro := range res.Outcomes {
 			out.Bytes += ro.Bytes
 			out.Participants = ro.Participants
 			out.RedContributed, out.BlueContributed = ro.RedContributed, ro.BlueContributed
 			out.Dead, out.Skipped, out.Repaired = ro.Dead, ro.Skipped, ro.Repaired
-			out.Latencies = append(out.Latencies, ro.Latency)
+			p.lat = append(p.lat, ro.Latency)
 		}
+		out.Latencies = p.lat[first:len(p.lat):len(p.lat)]
 		p.res.Queries = append(p.res.Queries, out)
 		if res.Accepted {
 			p.res.Accepted++
@@ -321,7 +323,6 @@ func (p *Pipeline) Finish() *Result {
 	}
 	p.res.SimSeconds = float64(p.cfg.Epochs) * p.cfg.Interval
 	p.res.Bytes = p.in.Medium.TotalBytes() - p.startBytes
-	p.res.Frames = p.in.Medium.Stats().FramesSent - p.startFrames
 	if p.cfg.Meter != nil {
 		p.cfg.Meter.ChargeIdle(float64(end - p.t0))
 		p.res.Joules = p.cfg.Meter.TotalSpent()

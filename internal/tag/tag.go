@@ -56,7 +56,7 @@ type Instance struct {
 	MAC    *mac.MAC
 	Tree   *tree.TAGResult
 
-	rand *rng.Stream
+	rand rng.Stream
 	// round is the cumulative lifetime round counter; only its low 16
 	// bits go on the air (TAG sends plaintext partials, so unlike core
 	// there is no nonce to protect — the wide counter exists for
@@ -73,6 +73,7 @@ type Instance struct {
 	// partial-aggregate send events.
 	builder   tree.TAGBuilder
 	contribs  []int64
+	zeros     []int64 // RunCount's readings: never written, so all zero
 	handlerFn mac.Handler
 	sendFree  []*sendEvent
 
@@ -146,22 +147,23 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 		in.Sim.Reset()
 		in.Medium.Reset(net)
 	}
+	macRand := root.Derive(1)
 	if in.MAC == nil {
-		in.MAC = mac.New(in.Sim, in.Medium, n, cfg.MAC, root.Split(1))
+		in.MAC = mac.New(in.Sim, in.Medium, n, cfg.MAC, &macRand)
 	} else {
-		in.MAC.Reset(n, cfg.MAC, root.Split(1))
+		in.MAC.Reset(n, cfg.MAC, &macRand)
 	}
 	in.qt = cfg.QTrace
 	in.Medium.SetQTrace(cfg.QTrace, energy.DefaultModel())
 	in.MAC.SetQTrace(cfg.QTrace)
 	in.roundSpan = qtrace.None
 	phase1 := in.qt.Start(0, qtrace.None, -1, "phase1:tree-construction", float64(in.Sim.Now()))
-	tr := in.builder.Build(in.Sim, in.Medium, in.MAC, net, cfg.TreeDeadline)
+	tr := in.builder.Build(in.Sim, in.MAC, net, cfg.TreeDeadline)
 	in.qt.End(phase1, float64(in.Sim.Now()))
 	in.Net = net
 	in.Cfg = cfg
 	in.Tree = tr
-	in.rand = root.Split(2)
+	in.rand = root.Derive(2)
 	in.round = 0
 	if in.dead != nil {
 		if len(in.dead) == n {
@@ -188,7 +190,8 @@ type Outcome struct {
 type Result struct {
 	Outcomes []Outcome
 	Value    float64
-	Count    uint32
+
+	rounds [4]Outcome // backs Outcomes (see core.Result)
 }
 
 // Run answers one aggregation query; readings[0] is ignored.
@@ -203,7 +206,9 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 		total++
 	}
 	res := &Result{}
-	sums := make([]int64, valueRounds)
+	res.Outcomes = res.rounds[:0]
+	var sumBuf [2]int64 // aggregate.Spec.Rounds is 1 or 2
+	sums := sumBuf[:valueRounds]
 	var count uint32
 	countSpec := aggregate.SpecFor(aggregate.Count)
 	if cap(in.contribs) < in.Net.N() {
@@ -237,7 +242,6 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 	if !needsCount && len(res.Outcomes) > 0 {
 		count = uint32(res.Outcomes[0].Participants)
 	}
-	res.Count = count
 	v, err := spec.Finalize(sums, count)
 	if err != nil {
 		return nil, fmt.Errorf("tag: finalize: %w", err)
@@ -248,7 +252,11 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 
 // RunCount is shorthand for a COUNT query.
 func (in *Instance) RunCount() (*Result, error) {
-	return in.Run(aggregate.SpecFor(aggregate.Count), make([]int64, in.Net.N()))
+	n := in.Net.N()
+	if cap(in.zeros) < n {
+		in.zeros = make([]int64, n)
+	}
+	return in.Run(aggregate.SpecFor(aggregate.Count), in.zeros[:n])
 }
 
 // runRound executes one TAG epoch: every tree node sends (own contribution

@@ -118,7 +118,7 @@ func TestTwoMessagesPerNode(t *testing.T) {
 	// HELLO frames ≈ N (each reached node broadcasts once), aggregate
 	// data frames ≈ participants (+ retransmissions).
 	inst := deploy(t, 300, 5)
-	helloFrames := inst.Tree.HelloFrames
+	helloFrames := inst.Medium.Stats().FramesSent // Phase I is the only traffic so far
 	n := uint64(inst.Net.N())
 	if helloFrames < n*9/10 || helloFrames > n*11/10 {
 		t.Fatalf("HELLO frames %d for %d nodes", helloFrames, n)

@@ -86,9 +86,21 @@ func PartitionGrid(net *Network, want int) *Partition {
 		}
 		return cy*cols + cx
 	}
+	// Count each region's nodes, then carve its Owned list as a capped
+	// window of one array: one allocation for every region.
+	count := make([]int, len(p.Regions))
 	for id, pt := range net.Positions {
 		r := cellIdx(pt)
 		p.Owner[id] = int32(r)
+		count[r]++
+	}
+	owned := make([]NodeID, net.N())
+	for r, c := range count {
+		if c > 0 {
+			p.Regions[r].Owned, owned = owned[:0:c], owned[c:]
+		}
+	}
+	for id, r := range p.Owner {
 		p.Regions[r].Owned = append(p.Regions[r].Owned, NodeID(id))
 	}
 	return p

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/ipda-sim/ipda/internal/geom"
 	"github.com/ipda-sim/ipda/internal/rng"
 )
 
@@ -184,6 +185,21 @@ func TestInducedAllocFreeSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Induced allocated %v per run after warmup, want 0", allocs)
+	}
+}
+
+// TestPartitionGridAllocsIndependentOfN pins PartitionGrid at a fixed
+// number of allocations, however many nodes its regions own: the Owned
+// lists are windows of one array, not per-region appends.
+func TestPartitionGridAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int) float64 {
+		side := 400 * math.Sqrt(float64(n+1)/401)
+		net := &Network{Positions: make([]geom.Point, n), Bounds: geom.Rect{MaxX: side, MaxY: side}}
+		place(net.Positions, net.Bounds, rng.New(uint64(n)))
+		return testing.AllocsPerRun(10, func() { PartitionGrid(net, 40) })
+	}
+	if small, large := allocs(2000), allocs(10000); small != large {
+		t.Fatalf("PartitionGrid allocates %v times at 2,000 nodes and %v at 10,000, want equal", small, large)
 	}
 }
 

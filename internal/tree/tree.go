@@ -39,7 +39,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/packet"
-	"github.com/ipda-sim/ipda/internal/radio"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 )
@@ -124,6 +123,11 @@ type Forest struct {
 	// Phase I: its slice-target candidates on tree t. A base station
 	// appears on every tree of its neighbors.
 	Heard [][][]topology.NodeID
+
+	// RepairDead's scratch, reused across passes: per-node availability
+	// and the backing array of RepairOutcome.Skipped.
+	avail   []bool
+	skipped []topology.NodeID
 }
 
 // Check reports the first way f is malformed for an n-node deployment: a
@@ -221,7 +225,8 @@ type RepairOutcome struct {
 	// Reattached counts parent re-assignments applied.
 	Reattached int
 	// Skipped lists live aggregators left with no usable parent; they must
-	// sit the round out (and are unavailable to their own children).
+	// sit the round out (and are unavailable to their own children). It
+	// is valid until the forest's next RepairDead.
 	Skipped []topology.NodeID
 }
 
@@ -240,9 +245,10 @@ type RepairOutcome struct {
 // Parents are modified in place; callers that repair per round should
 // restore the pristine Phase I parents before the next pass.
 func (f *Forest) RepairDead(down func(topology.NodeID) bool) (RepairOutcome, error) {
-	var out RepairOutcome
+	out := RepairOutcome{Skipped: f.skipped[:0]}
 	n := len(f.Tree)
-	avail := make([]bool, n)
+	f.avail = resize(f.avail, n)
+	avail := f.avail
 	for i := range avail {
 		avail[i] = !down(topology.NodeID(i))
 	}
@@ -286,6 +292,7 @@ func (f *Forest) RepairDead(down func(topology.NodeID) bool) (RepairOutcome, err
 			break
 		}
 	}
+	f.skipped = out.Skipped
 	if err := f.Check(n); err != nil {
 		return out, fmt.Errorf("tree: repair broke the forest: %w", err)
 	}
@@ -326,7 +333,7 @@ type Builder struct {
 	link     *mac.MAC
 	cfg      Config
 	n, m     int
-	roleRand *rng.Stream
+	roleRand rng.Stream
 	counts   [MaxTrees]int // decide's scratch: HELLO counts per tree
 	// ipda_tree_roles_total handles; aggs is indexed by tree.
 	undecided, leaf obs.Counter
@@ -385,7 +392,7 @@ func (b *Builder) Build(sim *eventsim.Sim, link *mac.MAC, net *topology.Network,
 	b.link = link
 	b.cfg = cfg
 	b.n, b.m = n, m
-	b.roleRand = rand.Split(1)
+	b.roleRand = rand.Derive(1)
 
 	b.undecided, b.leaf, b.aggs = obs.Counter{}, obs.Counter{}, [MaxTrees]obs.Counter{}
 	if cfg.Obs != nil && cfg.Obs.Reg != nil {
@@ -558,11 +565,9 @@ func resize[E any](s []E, n int) []E {
 // TAGResult is the outcome of TAG spanning-tree construction: a single
 // aggregation tree over all reachable nodes.
 type TAGResult struct {
-	Parent      []topology.NodeID // topology.None for the root and unreached nodes
-	Hop         []uint16
-	Reached     []bool
-	HelloBytes  uint64
-	HelloFrames uint64
+	Parent  []topology.NodeID // topology.None for the root and unreached nodes
+	Hop     []uint16
+	Reached []bool
 }
 
 // TAGBuilder runs TAG tree construction repeatedly, reusing the TAGResult
@@ -579,7 +584,7 @@ type TAGBuilder struct {
 // Build floods a single-tree HELLO from the base station (node 0): each
 // node adopts the first heard sender as parent and rebroadcasts once. This
 // is the tree TAG aggregates over.
-func (tb *TAGBuilder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net *topology.Network, deadline eventsim.Time) *TAGResult {
+func (tb *TAGBuilder) Build(sim *eventsim.Sim, m *mac.MAC, net *topology.Network, deadline eventsim.Time) *TAGResult {
 	n := net.N()
 	res := &tb.res
 	res.Parent = resize(res.Parent, n)
@@ -594,9 +599,6 @@ func (tb *TAGBuilder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC,
 		res.Reached[i] = false
 	}
 	res.Reached[0] = true
-	startBytes := medium.TotalBytes()
-	startFrames := medium.Stats().FramesSent
-
 	tb.m = m
 	if tb.handlerFn == nil {
 		tb.handlerFn = func(self topology.NodeID, p *packet.Packet) {
@@ -616,8 +618,6 @@ func (tb *TAGBuilder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC,
 	}
 	sim.After(0, tb.kickoffFn)
 	sim.Run(sim.Now() + deadline)
-	res.HelloBytes = medium.TotalBytes() - startBytes
-	res.HelloFrames = medium.Stats().FramesSent - startFrames
 	return res
 }
 

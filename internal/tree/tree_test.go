@@ -215,7 +215,7 @@ func TestBuildTAGSpansNetwork(t *testing.T) {
 	sim := eventsim.New()
 	medium := radio.New(sim, net, radio.PaperRate)
 	m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
-	res := new(TAGBuilder).Build(sim, medium, m, net, 10)
+	res := new(TAGBuilder).Build(sim, m, net, 10)
 	reached := 0
 	for i := 0; i < net.N(); i++ {
 		if res.Reached[i] {
@@ -542,5 +542,32 @@ func TestParentIsLowestHopHeard(t *testing.T) {
 		if aggs == 0 {
 			t.Fatalf("m=%d: no aggregators", m)
 		}
+	}
+}
+
+// TestRepairDeadAllocFree pins per-round repair at zero heap allocations
+// after its first pass: availability and the skipped list live in the
+// forest's own scratch.
+func TestRepairDeadAllocFree(t *testing.T) {
+	f, net := build(t, 400, 4, DefaultConfig())
+	down := make([]bool, net.N())
+	for i := 1; i < net.N(); i += 5 {
+		down[i] = true
+	}
+	basis := slices.Clone(f.Parent)
+	var out RepairOutcome
+	repair := func() {
+		copy(f.Parent, basis)
+		var err error
+		if out, err = f.RepairDead(func(id topology.NodeID) bool { return down[id] }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repair()
+	if out.Reattached == 0 || len(out.Skipped) == 0 {
+		t.Fatalf("down set exercises too little: %d reattached, %d skipped", out.Reattached, len(out.Skipped))
+	}
+	if n := testing.AllocsPerRun(20, repair); n != 0 {
+		t.Fatalf("RepairDead allocates %v per pass after the first, want 0", n)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -1132,5 +1133,101 @@ func TestCoalesceOffUnchanged(t *testing.T) {
 	}
 	if st := inst.Medium.Stats(); st.FramesCoalesced != 0 || st.SlicesCoalesced != 0 {
 		t.Fatalf("coalescing stats nonzero with Coalesce off: %+v", st)
+	}
+}
+
+// TestSharedSinkAccumulates pins what a metrics sink shared across
+// deployments reads: one sink attached to two Deploy+RunCount cycles of
+// one reused instance must hold, for every series, the sum of what two
+// fresh sinks record for the same cycles one each (gauges hold the second
+// cycle's value). A Reset must neither drop the first cycle's counts nor
+// count them twice.
+func TestSharedSinkAccumulates(t *testing.T) {
+	type cycle struct {
+		nodes int
+		seed  uint64
+	}
+	cycles := []cycle{{200, 3}, {240, 9}}
+	cfgFor := func(sink *obs.Sink) Config {
+		cfg := DefaultConfig()
+		cfg.Obs = sink
+		cfg.Coalesce = true
+		cfg.Repair = true
+		cfg.Faults = &fault.Config{CrashRate: 0.1, RecoverRate: 0.2, Seed: 5}
+		return cfg
+	}
+	runCycle := func(inst *Instance, c cycle, sink *obs.Sink) {
+		net, err := topology.Random(topology.PaperConfig(c.nodes), rng.New(c.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Deploy(net, cfgFor(sink), c.seed, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.RunCount(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(s obs.Sample) string { return fmt.Sprint(s.Name, s.Labels) }
+
+	shared := obs.NewSink()
+	reused := &Instance{}
+	for _, c := range cycles {
+		runCycle(reused, c, shared)
+	}
+	want := map[string]obs.Sample{}
+	for _, c := range cycles {
+		single := obs.NewSink()
+		runCycle(&Instance{}, c, single)
+		for _, s := range single.Reg.Snapshot() {
+			w, ok := want[key(s)]
+			if !ok {
+				want[key(s)] = s
+				continue
+			}
+			if s.Bounds == nil && strings.HasSuffix(s.Name, "_total") {
+				w.Value += s.Value
+			} else if s.Bounds != nil {
+				w.Value += s.Value
+				w.Count += s.Count
+				counts := append([]uint64(nil), w.BucketCounts...)
+				for i := range counts {
+					counts[i] += s.BucketCounts[i]
+				}
+				w.BucketCounts = counts
+			} else {
+				w.Value = s.Value // a gauge reads the latest cycle
+			}
+			want[key(s)] = w
+		}
+	}
+	got := shared.Reg.Snapshot()
+	for _, name := range []string{"ipda_fault_crashes_total", "ipda_core_repairs_total", "ipda_radio_frames_coalesced_total"} {
+		if v := shared.Reg.Counter(name, "").Value(); v == 0 {
+			t.Fatalf("%s = 0: the cycles do not exercise that layer", name)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("shared sink has %d series, the single-cycle sinks %d", len(got), len(want))
+	}
+	for _, g := range got {
+		w, ok := want[key(g)]
+		if !ok {
+			t.Fatalf("series %s only in the shared sink", key(g))
+		}
+		// The energy meter adds every charge's joules into its counter, so
+		// a float sum accumulated across cycles may differ from the sum of
+		// two per-cycle totals in the last bits; every other series is an
+		// integer count and must match exactly.
+		if strings.HasPrefix(g.Name, "ipda_energy_") {
+			if math.Abs(g.Value-w.Value) > 1e-12*math.Abs(w.Value) {
+				t.Errorf("%s = %v, want %v", key(g), g.Value, w.Value)
+			}
+			continue
+		}
+		if g.Value != w.Value || g.Count != w.Count || !reflect.DeepEqual(g.BucketCounts, w.BucketCounts) {
+			t.Errorf("%s = %v (count %d, buckets %v), want %v (count %d, buckets %v)",
+				key(g), g.Value, g.Count, g.BucketCounts, w.Value, w.Count, w.BucketCounts)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/rng"
@@ -94,6 +95,38 @@ func TestPDisclosePaperExample(t *testing.T) {
 	p := PDiscloseRegular(0.1, 3)
 	if math.Abs(p-0.001) > 2e-4 {
 		t.Fatalf("P_disclose(0.1) = %v, paper says ~0.001", p)
+	}
+}
+
+// TestPDiscloseEnumerationOracle checks Equation (11) against brute
+// force. A reading is disclosed when the adversary holds every one of the
+// l links of the node's own slicing, or every one of the l−1+nl links of
+// the second event (the node's other-tree shares plus its nl incoming
+// slices). Enumerating every compromise pattern of those disjoint links,
+// each weighted px^k·(1−px)^(n−k), must give PDisclose exactly: a wrong
+// exponent in either factor moves the sum by far more than 1e-12 at these
+// px.
+func TestPDiscloseEnumerationOracle(t *testing.T) {
+	for _, l := range []int{2, 3} {
+		for nl := 0; nl <= 3; nl++ {
+			for _, px := range []float64{0.3, 0.5} {
+				own, second := l, l-1+nl
+				n := own + second
+				want := 0.0
+				for pattern := 0; pattern < 1<<n; pattern++ {
+					allOwn := pattern&(1<<own-1) == 1<<own-1
+					allSecond := pattern>>own == 1<<second-1
+					if !allOwn && !allSecond {
+						continue
+					}
+					k := bits.OnesCount(uint(pattern))
+					want += math.Pow(px, float64(k)) * math.Pow(1-px, float64(n-k))
+				}
+				if got := PDisclose(px, l, float64(nl)); math.Abs(got-want) > 1e-12 {
+					t.Errorf("l=%d nl=%d px=%v: PDisclose = %.15f, enumeration %.15f", l, nl, px, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ type Config struct {
 	// transmit (maxHop − h) slots into the phase, children before parents.
 	AggSlot eventsim.Time
 	// ShareSpread controls slice magnitudes: shares are uniform over
-	// [−s·|v|, s·|v|] (see slicing.SplitBounded). Zero selects full-ring
+	// [−s·|v|, s·|v|] (see slicing.SplitBoundedAppend). Zero selects full-ring
 	// uniform shares — perfect hiding, but a single lost slice randomizes
 	// the round total, so use it only on effectively loss-free channels.
 	ShareSpread int64
@@ -114,10 +114,9 @@ type Config struct {
 	// skipping targets. Without it the trees are used as built and a dead
 	// aggregator silently severs its whole subtree.
 	Repair bool
-	// Obs is the optional instrumentation sink, threaded through the
-	// whole stack (radio, MAC, trees, energy, and the protocol phases).
-	// Nil disables instrumentation; observing never alters a run's
-	// protocol behavior or its results.
+	// Obs is the optional metrics sink, filled from every layer's Stats at
+	// the end of Phase I and of every round (see publish). Nil disables
+	// it; observing never alters a run's protocol behavior or its results.
 	Obs *obs.Sink
 	// QTrace is the optional causal per-query tracer (see
 	// internal/qtrace). Every traced frame carries its causing span in
@@ -203,8 +202,9 @@ type Instance struct {
 	dead      []bool
 	ciphers   *linksec.CipherCache // per-link sealing state over Keys
 	pairwise  linksec.Pairwise     // Keys when Config.Keys is nil
-	obs       *coreObs
-	builder   tree.Builder // reusable Phase I machinery (see Reset)
+	builder   tree.Builder         // reusable Phase I machinery (see Reset)
+	stats     Stats                // the engine's event counts since Deploy
+	metrics   metrics              // fills Config.Obs from the layers' Stats
 
 	// Fault-injection and repair state. basisParent is the pristine
 	// Phase I parent vector; repair mutates Trees.Parent per round and the
@@ -292,39 +292,6 @@ type aggEvent struct {
 	fire  func()
 }
 
-// coreObs holds the protocol engine's pre-resolved instrument handles;
-// nil disables instrumentation for one pointer check per site.
-type coreObs struct {
-	slicesSent      obs.Counter
-	slicesLocal     obs.Counter
-	slicesAssembled obs.Counter
-	slicesRejected  obs.Counter
-	aggregatesSent  obs.Counter
-	roundsAccepted  obs.Counter
-	roundsRejected  obs.Counter
-	outlierTrees    obs.Counter
-	repairs         obs.Counter
-	roundSkips      obs.Counter
-}
-
-func newCoreObs(reg *obs.Registry) *coreObs {
-	return &coreObs{
-		slicesSent:      reg.Counter("ipda_core_slices_sent_total", "encrypted Phase II slices put on the air"),
-		slicesLocal:     reg.Counter("ipda_core_slices_local_total", "Phase II shares an aggregator kept for itself"),
-		slicesAssembled: reg.Counter("ipda_core_slices_assembled_total", "slices decrypted and folded by assemblers"),
-		slicesRejected:  reg.Counter("ipda_core_slices_rejected_total", "slices dropped by authentication failure"),
-		aggregatesSent:  reg.Counter("ipda_core_aggregates_sent_total", "Phase III partial sums sent to tree parents"),
-		roundsAccepted: reg.Counter("ipda_core_rounds_total", "base-station verification outcomes",
-			obs.Label{Name: "verdict", Value: "accepted"}),
-		roundsRejected: reg.Counter("ipda_core_rounds_total", "base-station verification outcomes",
-			obs.Label{Name: "verdict", Value: "rejected"}),
-		outlierTrees: reg.Counter("ipda_mtree_outlier_trees_total",
-			"trees voted outside the majority cluster"),
-		repairs:    reg.Counter("ipda_core_repairs_total", "tree re-attachments applied by localized repair"),
-		roundSkips: reg.Counter("ipda_core_round_skips_total", "aggregator round-skips for lack of a disjoint re-attachment"),
-	}
-}
-
 // aggSpanNames names each tree's Phase III aggregate spans without a
 // per-send string concatenation.
 var aggSpanNames = func() (s [tree.MaxTrees]string) {
@@ -394,11 +361,8 @@ func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int
 		in.MAC.Reset(n, macCfg, &macRand)
 	}
 	if cfg.Obs != nil {
-		// Attach instrumentation before Phase I so tree construction is
-		// observed too. A default energy meter feeds the per-component
-		// joule counters; meters only read traffic, never shape it.
-		in.Medium.SetObs(cfg.Obs)
-		in.MAC.SetObs(cfg.Obs)
+		// A default energy meter feeds the per-component joule counters
+		// from Phase I on; meters only read traffic, never shape it.
 		if meter, err := energy.NewMeter(n, energy.DefaultModel()); err == nil {
 			meter.SetObs(cfg.Obs)
 			in.Medium.SetMeter(meter)
@@ -416,11 +380,11 @@ func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int
 	// Phase I is one network-wide span (query 0). The flood draws from
 	// root's label 2; the engine owns labels 1 and 3.
 	phase1 := in.qt.Start(0, qtrace.None, -1, "phase1:tree-construction", float64(in.Sim.Now()))
-	if forest == nil {
+	built := forest == nil
+	if built {
 		treeCfg := cfg.Tree
 		treeCfg.Disabled = cfg.Disabled
 		treeCfg.ExtraRoots = cfg.ExtraRoots
-		treeCfg.Obs = cfg.Obs
 		var err error
 		flood := root.Derive(2)
 		if forest, err = in.builder.Build(in.Sim, in.MAC, net, treeCfg, m, &flood); err != nil {
@@ -480,16 +444,14 @@ func (in *Instance) deploy(net *topology.Network, cfg Config, seed uint64, m int
 		if err != nil {
 			return err
 		}
-		if cfg.Obs != nil {
-			inj.SetObs(cfg.Obs)
-		}
 		inj.SetQTrace(cfg.QTrace)
 		in.faults = inj
 	}
-	in.obs = nil
-	if cfg.Obs != nil && cfg.Obs.Reg != nil {
-		in.obs = newCoreObs(cfg.Obs.Reg)
-	}
+	// A caller-supplied forest stands in for a flood that never ran, so it
+	// publishes no roles.
+	in.stats = Stats{}
+	in.attachMetrics(cfg.Obs, built)
+	in.publish()
 	return nil
 }
 
@@ -686,17 +648,15 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 }
 
 // recordVerdict records the base station's verdict on the round RunRound
-// just ran: the verdict and outlier counters and, with tracing, the verify
+// just ran: the verdict and outlier counts and, with tracing, the verify
 // instant every base station's pending aggregate spans re-parent under.
 func (in *Instance) recordVerdict(out *RoundOutcome) {
-	if in.obs != nil {
-		if out.Accepted {
-			in.obs.roundsAccepted.Inc()
-		} else {
-			in.obs.roundsRejected.Inc()
-		}
-		in.obs.outlierTrees.Add(float64(out.Outliers.Len()))
+	if out.Accepted {
+		in.stats.RoundsAccepted++
+	} else {
+		in.stats.RoundsRejected++
 	}
+	in.stats.OutlierTrees += uint64(out.Outliers.Len())
 	if in.qt != nil {
 		// The verify instant is the apex of the round's causal tree: the
 		// base stations' pending child aggregate spans re-parent under it,
@@ -776,7 +736,8 @@ func (in *Instance) advanceRound() uint16 {
 
 // RunRound executes Phases II and III once for the given per-node additive
 // contributions (index 0 and other base stations are ignored), decides the
-// base station's majority verdict over the tree totals and records it.
+// base station's majority verdict over the tree totals and records it,
+// publishing the round's counts to the metrics registry.
 func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 	n, m := in.Net.N(), in.m
 	round := in.advanceRound()
@@ -788,6 +749,7 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 	}
 	dead, repaired, skipped, err := in.prepareTrees()
 	if err != nil {
+		in.publish()
 		return RoundOutcome{}, err
 	}
 	startBytes := in.Medium.TotalBytes()
@@ -932,6 +894,7 @@ func (in *Instance) RunRound(contribs []int64) (RoundOutcome, error) {
 	}
 	out.Accepted, out.Value, out.Outliers = majority(totals[:m], in.Cfg.Threshold)
 	in.recordVerdict(&out)
+	in.publish()
 	return out, nil
 }
 
@@ -984,10 +947,8 @@ func (in *Instance) prepareTrees() (dead, repaired, skipped int, err error) {
 	for _, id := range out.Skipped {
 		in.skip[id] = true
 	}
-	if in.obs != nil {
-		in.obs.repairs.Add(float64(out.Reattached))
-		in.obs.roundSkips.Add(float64(len(out.Skipped)))
-	}
+	in.stats.Repairs += uint64(out.Reattached)
+	in.stats.RoundSkips += uint64(len(out.Skipped))
 	return dead, out.Reattached, len(out.Skipped), nil
 }
 
@@ -1075,9 +1036,7 @@ func (in *Instance) fireSlice(ev *sliceEvent) {
 		slices = len(ev.pkt.Entries)
 	}
 	in.sliceFree = append(in.sliceFree, ev)
-	if in.obs != nil {
-		in.obs.slicesSent.Add(float64(slices))
-	}
+	in.stats.SlicesSent += uint64(slices)
 }
 
 // phaseSpan records one network-wide protocol phase of round under the
@@ -1119,9 +1078,7 @@ func (in *Instance) collectSlices(round uint16, src topology.NodeID, t int, targ
 	for idx, dst := range targets {
 		if dst == src {
 			in.addShare(src, color, src, shares[idx])
-			if in.obs != nil {
-				in.obs.slicesLocal.Inc()
-			}
+			in.stats.SlicesLocal++
 			if in.OnLocalShare != nil {
 				in.OnLocalShare(src, color, shares[idx])
 			}
@@ -1296,18 +1253,14 @@ func (in *Instance) onSlice(self topology.NodeID, p *packet.Packet) {
 	}
 	share, err := cipher.Open(linksec.Sealed{Cipher: p.Cipher, Nonce: p.Nonce, Tag: p.Tag})
 	if err != nil {
-		if in.obs != nil {
-			in.obs.slicesRejected.Inc()
-		}
+		in.stats.SlicesRejected++
 		if in.qt != nil {
 			in.qt.Instant(uint32(p.Round), qtrace.Ref(p.TraceSpan), int32(self), "slice:rejected", float64(in.Sim.Now()))
 		}
 		return // forged or corrupted; drop
 	}
 	in.addShare(self, p.Color, topology.NodeID(p.Src), share)
-	if in.obs != nil {
-		in.obs.slicesAssembled.Inc()
-	}
+	in.stats.SlicesAssembled++
 	if in.qt != nil {
 		in.qt.Instant(uint32(p.Round), qtrace.Ref(p.TraceSpan), int32(self), "slice:assembled", float64(in.Sim.Now()))
 	}
@@ -1333,18 +1286,14 @@ func (in *Instance) onSliceBatch(self topology.NodeID, p *packet.Packet) {
 		}
 		share, err := cipher.Open(linksec.Sealed{Cipher: e.Cipher, Nonce: e.Nonce, Tag: e.Tag})
 		if err != nil {
-			if in.obs != nil {
-				in.obs.slicesRejected.Inc()
-			}
+			in.stats.SlicesRejected++
 			if in.qt != nil {
 				in.qt.Instant(uint32(p.Round), qtrace.Ref(p.TraceSpan), int32(self), "slice:rejected", float64(in.Sim.Now()))
 			}
 			continue // forged or corrupted; drop
 		}
 		in.addShare(self, e.Color, topology.NodeID(p.Src), share)
-		if in.obs != nil {
-			in.obs.slicesAssembled.Inc()
-		}
+		in.stats.SlicesAssembled++
 		if in.qt != nil {
 			in.qt.Instant(uint32(p.Round), qtrace.Ref(p.TraceSpan), int32(self), "slice:assembled", float64(in.Sim.Now()))
 		}
@@ -1426,7 +1375,5 @@ func (in *Instance) sendAggregate(round uint16, id topology.NodeID) {
 		pkt.TraceSpan = uint32(agg)
 	}
 	in.MAC.Send(id, &pkt)
-	if in.obs != nil {
-		in.obs.aggregatesSent.Inc()
-	}
+	in.stats.AggregatesSent++
 }

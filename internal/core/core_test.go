@@ -441,6 +441,25 @@ func TestRunRoundAllocFree(t *testing.T) {
 	}
 }
 
+// TestPublishAllocFree pins the cost of filling a metrics sink: publish
+// runs at the end of every round and must not allocate, with a sink
+// attached or without one.
+func TestPublishAllocFree(t *testing.T) {
+	for _, sink := range []*obs.Sink{nil, obs.NewSink()} {
+		cfg := DefaultConfig()
+		cfg.Obs = sink
+		cfg.Coalesce = true
+		cfg.Faults = &fault.Config{CrashRate: 0.05, RecoverRate: 0.2, Seed: 1}
+		inst := deploy(t, 200, 7, cfg)
+		if _, err := inst.RunCount(); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, inst.publish); n != 0 {
+			t.Fatalf("publish with sink %v allocates %v times, want 0", sink != nil, n)
+		}
+	}
+}
+
 // TestRunCountAllocatesOnlyItsResult pins a warm query at one heap
 // allocation, its Result: the outcomes live in the Result, the round sums
 // on the stack and COUNT's readings in the instance.
@@ -1229,5 +1248,64 @@ func TestSharedSinkAccumulates(t *testing.T) {
 			t.Errorf("%s = %v (count %d, buckets %v), want %v (count %d, buckets %v)",
 				key(g), g.Value, g.Count, g.BucketCounts, w.Value, w.Count, w.BucketCounts)
 		}
+	}
+}
+
+// TestRegistryMatchesStats pins the publish points: right after a query
+// returns, every metric reads what the layers' Stats hold, with no event
+// still waiting for a later publish.
+func TestRegistryMatchesStats(t *testing.T) {
+	sink := obs.NewSink()
+	cfg := DefaultConfig()
+	cfg.Obs = sink
+	cfg.Coalesce = true
+	cfg.Repair = true
+	cfg.Faults = &fault.Config{CrashRate: 0.1, RecoverRate: 0.2, Seed: 5}
+	inst := deploy(t, 200, 3, cfg)
+	for range 2 {
+		if _, err := inst.RunCount(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, m, c, f := inst.Medium.Stats(), inst.MAC.Stats(), inst.stats, inst.faults.Stats()
+	want := map[string]float64{
+		"ipda_radio_frames_coalesced_total": float64(r.FramesCoalesced),
+		"ipda_radio_coalesced_slices":       float64(r.SlicesCoalesced),
+		"ipda_mac_enqueued_total":           float64(m.Enqueued),
+		"ipda_mac_sent_total":               float64(m.Sent),
+		"ipda_mac_dropped_total":            float64(m.Dropped),
+		"ipda_mac_backoffs_total":           float64(m.Deferred),
+		"ipda_mac_retries_total":            float64(m.Retries),
+		"ipda_mac_acks_sent_total":          float64(m.AcksSent),
+		"ipda_mac_duplicates_total":         float64(m.Duplicates),
+		"ipda_mac_queue_depth":              float64(m.QueueDepthSum),
+		"ipda_core_slices_sent_total":       float64(c.SlicesSent),
+		"ipda_core_slices_local_total":      float64(c.SlicesLocal),
+		"ipda_core_slices_assembled_total":  float64(c.SlicesAssembled),
+		"ipda_core_slices_rejected_total":   float64(c.SlicesRejected),
+		"ipda_core_aggregates_sent_total":   float64(c.AggregatesSent),
+		"ipda_core_rounds_total":            float64(c.RoundsAccepted + c.RoundsRejected),
+		"ipda_mtree_outlier_trees_total":    float64(c.OutlierTrees),
+		"ipda_core_repairs_total":           float64(c.Repairs),
+		"ipda_core_round_skips_total":       float64(c.RoundSkips),
+		"ipda_fault_crashes_total":          float64(f.Crashes),
+		"ipda_fault_recoveries_total":       float64(f.Recoveries),
+		"ipda_fault_dead_nodes":             float64(inst.faults.DeadCount()),
+		"ipda_radio_tx_frames_total":        float64(r.FramesSent),
+		"ipda_radio_tx_bytes_total":         float64(r.BytesSent),
+		"ipda_radio_rx_frames_total":        float64(r.FramesDelivered),
+		"ipda_radio_collision_frames_total": float64(r.FramesCollided),
+	}
+	got := map[string]float64{}
+	for _, s := range sink.Reg.Snapshot() {
+		got[s.Name] += s.Value // summed over labels; a histogram's Value is its sum
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s = %v, Stats say %v", name, got[name], w)
+		}
+	}
+	if c.SlicesSent == 0 || m.Retries+m.Deferred == 0 || f.Crashes == 0 || c.Repairs == 0 || r.FramesCoalesced == 0 {
+		t.Fatalf("the run does not exercise every layer: core %+v, mac %+v, fault %+v", c, m, f)
 	}
 }

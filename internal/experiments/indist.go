@@ -23,7 +23,7 @@ func Indistinguishability(o Options) (*Table, error) {
 		},
 		Notes: []string{
 			"ring = full-ring shares; advantage only from complete reconstructions",
-			"bounded = SplitBounded spread 4 with candidates 1 vs 100000: magnitude leaks",
+			"bounded = SplitBoundedAppend spread 4 with candidates 1 vs 100000: magnitude leaks",
 		},
 	}
 	pxs := []float64{0.05, 0.1, 0.2, 0.3, 0.5}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/qtrace"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
@@ -115,14 +114,14 @@ type Injector struct {
 	events  []Event // sorted by round, stable
 	next    int     // first event not yet applied
 	round   int     // next round Advance expects
-	o       *injObs
+	stats   Stats
 	qt      *qtrace.Tracer
 }
 
-type injObs struct {
-	crashes  obs.Counter
-	recovers obs.Counter
-	dead     obs.Gauge
+// Stats are the injector's cumulative counts, churn and scripts alike.
+type Stats struct {
+	Crashes    uint64
+	Recoveries uint64
 }
 
 // NewInjector builds an injector for n nodes. Nodes in protect (the base
@@ -155,18 +154,8 @@ func NewInjector(n int, cfg Config, protect []topology.NodeID) (*Injector, error
 	return inj, nil
 }
 
-// SetObs attaches an instrumentation sink; instruments resolve once here.
-func (inj *Injector) SetObs(sink *obs.Sink) {
-	if sink == nil || sink.Reg == nil {
-		inj.o = nil
-		return
-	}
-	inj.o = &injObs{
-		crashes:  sink.Reg.Counter("ipda_fault_crashes_total", "node crashes injected (churn and scripted)"),
-		recovers: sink.Reg.Counter("ipda_fault_recoveries_total", "node recoveries injected (churn and scripted)"),
-		dead:     sink.Reg.Gauge("ipda_fault_dead_nodes", "nodes currently down"),
-	}
-}
+// Stats returns the crashes and recoveries injected so far.
+func (inj *Injector) Stats() Stats { return inj.stats }
 
 // SetQTrace attaches a causal tracer: every injected crash and recovery
 // is recorded as a root-level instant, so round-health reports can line
@@ -220,10 +209,7 @@ func (inj *Injector) crash(id topology.NodeID, at float64, tgt Target) {
 	}
 	inj.down[id] = true
 	tgt.Kill(id)
-	if inj.o != nil {
-		inj.o.crashes.Inc()
-		inj.o.dead.Set(float64(inj.DeadCount()))
-	}
+	inj.stats.Crashes++
 	if inj.qt != nil {
 		inj.qt.Instant(uint32(inj.round), qtrace.None, int32(id), "fault:crash", at)
 	}
@@ -235,10 +221,7 @@ func (inj *Injector) recover(id topology.NodeID, at float64, tgt Target) {
 	}
 	inj.down[id] = false
 	tgt.Revive(id)
-	if inj.o != nil {
-		inj.o.recovers.Inc()
-		inj.o.dead.Set(float64(inj.DeadCount()))
-	}
+	inj.stats.Recoveries++
 	if inj.qt != nil {
 		inj.qt.Instant(uint32(inj.round), qtrace.None, int32(id), "fault:recover", at)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/topology"
 )
 
@@ -176,28 +175,24 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestObsCountsFaults(t *testing.T) {
-	sink := obs.NewSink()
+func TestStatsCountFaults(t *testing.T) {
 	cfg := Config{Events: []Event{
 		{Round: 0, Kind: Crash, Node: 1},
 		{Round: 1, Kind: Recover, Node: 1},
+		{Round: 1, Kind: Crash, Node: 2},
+		{Round: 1, Kind: Crash, Node: 2}, // already down: not counted
 	}}
 	inj, err := NewInjector(4, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.SetObs(sink)
 	rec := &recorder{}
 	inj.Advance(0, 0.5, rec)
 	inj.Advance(1, 1.5, rec)
-	got := map[string]float64{}
-	for _, s := range sink.Reg.Snapshot() {
-		got[s.Name] = s.Value
+	if got := inj.Stats(); got != (Stats{Crashes: 2, Recoveries: 1}) {
+		t.Fatalf("fault counters %+v, want 2 crashes and 1 recovery", got)
 	}
-	if got["ipda_fault_crashes_total"] != 1 || got["ipda_fault_recoveries_total"] != 1 {
-		t.Fatalf("fault counters wrong: %v", got)
-	}
-	if got["ipda_fault_dead_nodes"] != 0 {
-		t.Fatalf("dead gauge = %v after recovery, want 0", got["ipda_fault_dead_nodes"])
+	if d := inj.DeadCount(); d != 1 {
+		t.Fatalf("DeadCount = %d after the recovery, want 1", d)
 	}
 }

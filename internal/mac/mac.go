@@ -64,9 +64,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// QueueDepthBounds are the upper bounds of the Stats.QueueDepth histogram.
+var QueueDepthBounds = [...]float64{0, 1, 2, 4, 8, 16, 32}
+
 // Stats are cumulative MAC counters.
 type Stats struct {
-	Enqueued   uint64
+	Enqueued uint64 // frames handed to the MAC: QueueDepth's count, filled in by MAC.Stats
+	// QueueDepth[i] counts enqueues that left the queue at most
+	// QueueDepthBounds[i] deep, the new frame included (the last bucket is
+	// the overflow); QueueDepthSum adds up the depths.
+	QueueDepth    [len(QueueDepthBounds) + 1]uint64
+	QueueDepthSum uint64
+
 	Sent       uint64 // data transmissions put on the air (incl. retransmissions)
 	Dropped    uint64 // frames abandoned after MaxAttempts or RetryLimit
 	Deferred   uint64 // busy senses that led to backoff
@@ -141,7 +150,6 @@ type MAC struct {
 	lastSeq []uint32
 	rxOff   []int32
 	stats   Stats
-	obs     *macObs
 	qt      *qtrace.Tracer
 
 	// Reusable frame buffers: one data buffer and one ACK buffer per node.
@@ -207,7 +215,7 @@ func New(sim *eventsim.Sim, medium *radio.Medium, n int, cfg Config, rand *rng.S
 // the duplicate-suppression table are cleared (keeping their storage), and
 // the shared receiver closure is reinstalled on the medium (which a
 // medium Reset detaches). The table is laid out over the medium's current
-// network, so the medium must be Reset first. Handlers and the obs sink
+// network, so the medium must be Reset first. Handlers and the tracer
 // are dropped — the owning protocol stack rewires them, exactly as after
 // New.
 func (m *MAC) Reset(n int, cfg Config, rand *rng.Stream) {
@@ -233,7 +241,6 @@ func (m *MAC) Reset(n int, cfg Config, rand *rng.Stream) {
 	m.ackbuf = resizeBufs(m.ackbuf, n)
 	m.resetSeqTable()
 	m.stats = Stats{}
-	m.obs = nil
 	m.qt = nil
 
 	m.attemptFn = resizeFns(m.attemptFn, n)
@@ -391,9 +398,6 @@ func (m *MAC) duplicate(self topology.NodeID, p *packet.Packet) bool {
 	v := seqSeen | uint32(p.Seq)
 	if m.lastSeq[slot] == v {
 		m.stats.Duplicates++
-		if m.obs != nil {
-			m.obs.duplicates.Inc()
-		}
 		return true
 	}
 	m.lastSeq[slot] = v
@@ -403,38 +407,6 @@ func (m *MAC) duplicate(self topology.NodeID, p *packet.Packet) bool {
 // SetHandler installs the upward delivery callback for a node.
 func (m *MAC) SetHandler(id topology.NodeID, h Handler) { m.handlers[id] = h }
 
-// macObs holds the MAC's pre-resolved instrument handles; nil disables
-// instrumentation for one pointer check per event.
-type macObs struct {
-	enqueued   obs.Counter
-	sent       obs.Counter
-	dropped    obs.Counter
-	backoffs   obs.Counter
-	retries    obs.Counter
-	acksSent   obs.Counter
-	duplicates obs.Counter
-	queueLen   obs.Histogram
-}
-
-// SetObs attaches an instrumentation sink; instruments resolve once here.
-func (m *MAC) SetObs(sink *obs.Sink) {
-	if sink == nil || sink.Reg == nil {
-		m.obs = nil
-		return
-	}
-	m.obs = &macObs{
-		enqueued:   sink.Reg.Counter("ipda_mac_enqueued_total", "frames handed to the MAC"),
-		sent:       sink.Reg.Counter("ipda_mac_sent_total", "data transmissions put on the air (incl. retransmissions)"),
-		dropped:    sink.Reg.Counter("ipda_mac_dropped_total", "frames abandoned after MaxAttempts or RetryLimit"),
-		backoffs:   sink.Reg.Counter("ipda_mac_backoffs_total", "busy senses that led to backoff"),
-		retries:    sink.Reg.Counter("ipda_mac_retries_total", "unicast retransmissions"),
-		acksSent:   sink.Reg.Counter("ipda_mac_acks_sent_total", "link-layer acknowledgements transmitted"),
-		duplicates: sink.Reg.Counter("ipda_mac_duplicates_total", "retransmissions suppressed at receivers"),
-		queueLen: sink.Reg.Histogram("ipda_mac_queue_depth", "per-node queue depth observed at enqueue, including the frame just queued",
-			[]float64{0, 1, 2, 4, 8, 16, 32}),
-	}
-}
-
 // SetQTrace attaches a query tracer: backoffs, retransmissions, and
 // drops are attributed to the span each queued frame carries in its
 // trace context, and a traced frame's span is extended to the moment
@@ -442,15 +414,20 @@ func (m *MAC) SetObs(sink *obs.Sink) {
 // per-hop latency a causal trace reports. Reset detaches the tracer.
 func (m *MAC) SetQTrace(t *qtrace.Tracer) { m.qt = t }
 
-// Stats returns cumulative counters.
-func (m *MAC) Stats() Stats { return m.stats }
+// Stats returns cumulative counters, Enqueued filled in.
+func (m *MAC) Stats() Stats {
+	s := m.stats
+	for _, c := range s.QueueDepth {
+		s.Enqueued += c
+	}
+	return s
+}
 
 // Send enqueues a frame for transmission from src; pkt.Dst selects unicast
 // (reliable, ARQ) or packet.Broadcast (fire-and-forget). The frame is
 // copied at enqueue — the caller keeps pkt and may reuse it immediately —
 // and the MAC assigns the copy's Seq.
 func (m *MAC) Send(src topology.NodeID, pkt *packet.Packet) {
-	m.stats.Enqueued++
 	m.seq[src]++
 	f := m.getFrame()
 	f.pkt = *pkt
@@ -458,11 +435,10 @@ func (m *MAC) Send(src topology.NodeID, pkt *packet.Packet) {
 	f.pkt.Entries = f.entries
 	f.pkt.Seq = m.seq[src]
 	f.retries = 0
-	m.queues[src].push(f)
-	if m.obs != nil {
-		m.obs.enqueued.Inc()
-		m.obs.queueLen.Observe(float64(m.queues[src].len))
-	}
+	q := &m.queues[src]
+	q.push(f)
+	m.stats.QueueDepth[obs.Bucket(QueueDepthBounds[:], float64(q.len))]++
+	m.stats.QueueDepthSum += uint64(q.len)
 	if !m.busy[src] {
 		m.busy[src] = true
 		m.scheduleAttempt(src, 0, 0)
@@ -514,17 +490,11 @@ func (m *MAC) attempt(src topology.NodeID, sense, window int) {
 	}
 	if m.medium.Busy(src) {
 		m.stats.Deferred++
-		if m.obs != nil {
-			m.obs.backoffs.Inc()
-		}
 		if m.qt != nil {
 			m.qt.AddBackoff(qtrace.Ref(f.pkt.TraceSpan))
 		}
 		if sense+1 >= m.cfg.MaxAttempts {
 			m.stats.Dropped++
-			if m.obs != nil {
-				m.obs.dropped.Inc()
-			}
 			if m.qt != nil {
 				m.qt.AddDrop(qtrace.Ref(f.pkt.TraceSpan))
 			}
@@ -538,9 +508,6 @@ func (m *MAC) attempt(src topology.NodeID, sense, window int) {
 	size := f.pkt.Size()
 	m.medium.Transmit(src, f.pkt.Dst, m.txbuf[src], size)
 	m.stats.Sent++
-	if m.obs != nil {
-		m.obs.sent.Inc()
-	}
 	air := m.medium.Duration(size)
 	if f.pkt.Dst == packet.Broadcast {
 		m.sim.After(air, m.deqFn[src])
@@ -573,9 +540,6 @@ func (m *MAC) checkAck(src topology.NodeID) {
 	f.retries++
 	if f.retries > m.cfg.RetryLimit {
 		m.stats.Dropped++
-		if m.obs != nil {
-			m.obs.dropped.Inc()
-		}
 		if m.qt != nil {
 			m.qt.AddDrop(qtrace.Ref(f.pkt.TraceSpan))
 		}
@@ -583,9 +547,6 @@ func (m *MAC) checkAck(src topology.NodeID) {
 		return
 	}
 	m.stats.Retries++
-	if m.obs != nil {
-		m.obs.retries.Inc()
-	}
 	if m.qt != nil {
 		m.qt.AddRetry(qtrace.Ref(f.pkt.TraceSpan))
 	}
@@ -723,7 +684,4 @@ func (m *MAC) sendAck(self topology.NodeID, ackDst int32, ackSeq uint16) {
 	m.ackbuf[self] = ack.AppendEncode(m.ackbuf[self][:0])
 	m.medium.Transmit(self, ack.Dst, m.ackbuf[self], ack.Size())
 	m.stats.AcksSent++
-	if m.obs != nil {
-		m.obs.acksSent.Inc()
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/eventsim"
-	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/packet"
 	"github.com/ipda-sim/ipda/internal/radio"
 	"github.com/ipda-sim/ipda/internal/rng"
@@ -137,10 +136,19 @@ func TestDuplicateSuppression(t *testing.T) {
 	}
 }
 
+// TestDropAfterRetryLimit drives a unicast into ARQ exhaustion. The jam
+// comes from a hidden terminal: node 1 is in range of the destination but
+// not of the sender, so the sender always senses an idle channel, sends,
+// and never hears an ACK. It must give up after exactly RetryLimit
+// retransmissions, never deferring.
 func TestDropAfterRetryLimit(t *testing.T) {
-	net, err := topology.Grid(2, 30, 50)
+	net, err := topology.Grid(3, 40, 50)
 	if err != nil {
 		t.Fatal(err)
+	}
+	const src, dst, jammer = 0, 2, 1 // the grid's centre, (40, 0), (0, 0)
+	if !net.InRange(src, dst) || !net.InRange(jammer, dst) || net.InRange(jammer, src) {
+		t.Fatal("the jammer is not hidden from the sender")
 	}
 	sim := eventsim.New()
 	medium := radio.New(sim, net, radio.PaperRate)
@@ -148,17 +156,17 @@ func TestDropAfterRetryLimit(t *testing.T) {
 	cfg.RetryLimit = 2
 	cfg.MaxAttempts = 4
 	m := New(sim, medium, net.N(), cfg, rng.New(2))
-	dst := net.Neighbors(0)[0]
-	// Make the destination deaf by keeping it transmitting forever-ish.
 	sim.At(0, func() {
-		medium.Transmit(dst, packet.Broadcast, []byte{0}, 125000) // 1 s
-		m.Send(0, dataPacket(0, dst, 1))
+		medium.Transmit(jammer, packet.Broadcast, []byte{0}, 125000) // 1 s
+		m.Send(src, dataPacket(src, dst, 1))
 	})
 	sim.RunAll()
-	if m.Stats().Dropped == 0 {
-		t.Fatalf("no drop after retry limit: %+v", m.Stats())
+	st := m.Stats()
+	if st.Sent != uint64(cfg.RetryLimit)+1 || st.Retries != uint64(cfg.RetryLimit) || st.Deferred != 0 || st.Dropped != 1 {
+		t.Fatalf("stats %+v, want Sent %d, Retries %d, Deferred 0, Dropped 1",
+			st, cfg.RetryLimit+1, cfg.RetryLimit)
 	}
-	if m.queues[0].len != 0 {
+	if m.queues[src].len != 0 {
 		t.Fatal("queue not drained after drop")
 	}
 }
@@ -309,12 +317,10 @@ func TestRetransmissionKeepsFullSenseBudget(t *testing.T) {
 	}
 }
 
-func TestQueueDepthObservedAfterEnqueue(t *testing.T) {
+func TestQueueDepthCountedAtEnqueue(t *testing.T) {
 	// The queue-depth histogram must include the frame being enqueued:
-	// three back-to-back sends from one node observe depths 1, 2, 3.
+	// three back-to-back sends from one node count depths 1, 2, 3.
 	sim, _, m, net := setup(t, 2, 30)
-	sink := obs.NewSink()
-	m.SetObs(sink)
 	dst := net.Neighbors(0)[0]
 	sim.At(0, func() {
 		for i := uint16(1); i <= 3; i++ {
@@ -322,16 +328,13 @@ func TestQueueDepthObservedAfterEnqueue(t *testing.T) {
 		}
 	})
 	sim.RunAll()
-	for _, s := range sink.Reg.Snapshot() {
-		if s.Name != "ipda_mac_queue_depth" {
-			continue
-		}
-		if s.Count != 3 || s.Value != 1+2+3 {
-			t.Fatalf("queue depth histogram count=%d sum=%g, want count=3 sum=6", s.Count, s.Value)
-		}
-		return
+	st := m.Stats()
+	// Bounds {0, 1, 2, 4, …}: depth 1 falls in bucket 1, 2 in 2, 3 in 3.
+	want := [len(QueueDepthBounds) + 1]uint64{0, 1, 1, 1}
+	if st.Enqueued != 3 || st.QueueDepthSum != 1+2+3 || st.QueueDepth != want {
+		t.Fatalf("queue depth histogram count=%d sum=%d buckets=%v, want count=3 sum=6 buckets=%v",
+			st.Enqueued, st.QueueDepthSum, st.QueueDepth, want)
 	}
-	t.Fatal("queue depth histogram not found in snapshot")
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {

@@ -1,18 +1,17 @@
-// Package obs is the protocol-wide instrumentation layer: a registry of
-// labeled counters, gauges and histograms (spans live in qtrace). Every
-// layer of the stack (radio, mac, tree, core, tag, energy,
-// harness) exposes a SetObs-style hook that resolves its instruments once
-// at attach time and then updates them from the hot path with plain
-// field stores.
+// Package obs is the protocol-wide metrics layer: a registry of labeled
+// counters, gauges and histograms (spans live in qtrace). The protocol
+// layers count every event once, in their own always-on Stats, and the
+// core engine adds what they counted to a registry at the end of Phase I
+// and of every round. The energy meter (its joules are float sums, not
+// event counts) and the harness update their handles directly.
 //
 // Two design rules keep the layer compatible with the simulator's
 // performance and determinism contracts:
 //
 //   - Allocation-conscious: label sets are fixed and resolved to dense
-//     series handles at registration time, so a hot-path update is one
+//     series handles at registration time, so an update is one
 //     pointer-chased add — no map lookups, no label formatting, no
-//     allocation. Uninstrumented runs pay a single nil check per
-//     instrumentation point (the layers guard on their Sink pointer).
+//     allocation.
 //   - Deterministic and side-effect free: instruments only *read*
 //     protocol state; they never schedule events, draw randomness, or
 //     otherwise perturb a run. Exports iterate families and series in
@@ -189,8 +188,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 }
 
 // Counter is a handle to one counter series. The zero value is a no-op,
-// so layers may keep unconditional handles; increments on a resolved
-// handle are a nil check and an add.
+// so callers may keep unconditional handles.
 type Counter struct{ s *series }
 
 // Inc adds 1.
@@ -238,13 +236,33 @@ func (h Histogram) Observe(v float64) {
 	if h.s == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.s.buckets[i]++
+	h.s.buckets[Bucket(h.bounds, v)]++
 	h.s.sum += v
 	h.s.count++
+}
+
+// Merge records the observations a caller bucketed itself (with Bucket)
+// between two readings of its cumulative bucket counts, before and now,
+// each len(bounds)+1 long; sum is what those observations add up to.
+func (h Histogram) Merge(now, before []uint64, sum float64) {
+	if h.s == nil {
+		return
+	}
+	for i := range now {
+		h.s.buckets[i] += now[i] - before[i]
+		h.s.count += now[i] - before[i]
+	}
+	h.s.sum += sum
+}
+
+// Bucket returns the index of the bucket v falls in: the first upper
+// bound at or above v, or len(bounds) for the overflow bucket.
+func Bucket(bounds []float64, v float64) int {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
+	}
+	return i
 }
 
 // ExpBuckets returns n exponentially growing histogram upper bounds:
@@ -350,8 +368,7 @@ func (r *Registry) Snapshot() []Sample {
 }
 
 // Sink is the registry a protocol stack is instrumented against. A nil
-// *Sink (or a nil Reg) disables instrumentation: layers guard their hot
-// paths with one pointer check.
+// *Sink (or a nil Reg) disables instrumentation.
 type Sink struct {
 	Reg *Registry
 }

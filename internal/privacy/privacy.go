@@ -12,12 +12,12 @@
 //
 // Two facts the game makes precise, and that RunGame measures empirically:
 //
-//   - With full-ring uniform shares (slicing.Split), any strict subset of
-//     a share set is exactly uniform, so the advantage comes only from
-//     full reconstructions: ε ≈ 1 − (1 − p_x^l)², Equation (11)'s leaf
-//     form. Below full reconstruction the adversary is blind.
-//   - With bounded shares (slicing.SplitBounded), share magnitudes leak
-//     the reading's scale: if |v0| and |v1| differ strongly, a single
+//   - With full-ring uniform shares (slicing.SplitAppend), any strict
+//     subset of a share set is exactly uniform, so the advantage comes
+//     only from full reconstructions: ε ≈ 1 − (1 − p_x^l)², Equation
+//     (11)'s leaf form. Below full reconstruction the adversary is blind.
+//   - With bounded shares (slicing.SplitBoundedAppend), share magnitudes
+//     leak the reading's scale: if |v0| and |v1| differ strongly, a single
 //     observed share separates the worlds with noticeable advantage. This
 //     is the price of loss-tolerance, and the game quantifies it.
 //
@@ -82,23 +82,25 @@ func RunGame(cfg Config, r *rng.Stream) (Result, error) {
 	}
 	var res Result
 	res.Trials = cfg.Trials
+	var shares []int64 // both trees' shares, reused across trials
 	for t := 0; t < cfg.Trials; t++ {
 		secret := r.Intn(2)
 		value := cfg.V0
 		if secret == 1 {
 			value = cfg.V1
 		}
-		// The target reports as a leaf: l shares to each tree, all
-		// transmitted (the strongest exposure; aggregators keep one share
-		// off the air).
-		var red, blue []int64
-		if cfg.Spread > 0 {
-			red = slicing.SplitBounded(value, cfg.L, cfg.Spread, r)
-			blue = slicing.SplitBounded(value, cfg.L, cfg.Spread, r)
-		} else {
-			red = slicing.Split(value, cfg.L, r)
-			blue = slicing.Split(value, cfg.L, r)
+		// The target reports as a leaf: l shares to each tree, red then
+		// blue, all transmitted (the strongest exposure; aggregators keep
+		// one share off the air), drawn as core draws them.
+		shares = shares[:0]
+		for range 2 {
+			if cfg.Spread > 0 {
+				shares = slicing.SplitBoundedAppend(shares, value, cfg.L, cfg.Spread, r)
+			} else {
+				shares = slicing.SplitAppend(shares, value, cfg.L, r)
+			}
 		}
+		red, blue := shares[:cfg.L], shares[cfg.L:]
 		redSeen := observe(red, cfg.Px, r)
 		blueSeen := observe(blue, cfg.Px, r)
 		guess, full := distinguish(cfg, red, blue, redSeen, blueSeen, r)

@@ -11,8 +11,9 @@
 //     MAC cannot prevent); a node cannot receive while transmitting.
 //   - Timing: a frame of s bytes occupies the channel for s*8/DataRate
 //     seconds; the evaluation uses the paper's 1 Mbps.
-//   - Accounting: global byte/frame counters feed the
-//     communication-overhead experiments (Figure 7).
+//   - Accounting: per-kind byte/frame counters feed the
+//     communication-overhead experiments (Figure 7) and the metrics
+//     registry (see Stats).
 //
 // Propagation delay is negligible at sensor-network scales (50 m ≈ 0.17 µs)
 // and is modelled as zero.
@@ -50,7 +51,7 @@ import (
 
 // BatchReceiver handles one frame for every node that decoded it, in
 // deterministic neighbor order. The medium resolves all of a
-// transmission's receptions first (carrier bookkeeping, energy, taps, obs,
+// transmission's receptions first (carrier bookkeeping, energy, taps,
 // stats) and then hands the frame to the batch receiver exactly once, so a
 // MAC can decode it once and fan the shared view out to every receiver.
 // Neither the frame nor the `to` slice may be retained past the call:
@@ -64,7 +65,14 @@ type BatchReceiver func(frame []byte, to []topology.NodeID)
 // the frame slice must not be retained past the call.
 type Tap func(observer topology.NodeID, src, dst topology.NodeID, frame []byte, collided bool)
 
-// Stats are cumulative medium counters.
+// NumKinds sizes Stats' per-packet.Kind arrays (0: no known kind).
+const NumKinds = int(packet.KindSliceBatch) + 1
+
+// CoalescedBounds are the Stats.Coalesced histogram's upper bounds.
+var CoalescedBounds = [...]float64{1, 2, 3, 4, 6, 8, 12, 16}
+
+// Stats are cumulative medium counters. Each event is counted once, in the
+// per-kind arrays or the histogram; Medium.Stats fills in the totals.
 type Stats struct {
 	FramesSent      uint64
 	BytesSent       uint64
@@ -73,9 +81,19 @@ type Stats struct {
 
 	// FramesCoalesced counts KindSliceBatch transmissions and
 	// SlicesCoalesced the slices they carried — the frame economy the
-	// -coalesce mode buys (both stay 0 with coalescing off).
+	// -coalesce mode buys (both stay 0 with coalescing off): the Coalesced
+	// histogram's count and sum.
 	FramesCoalesced uint64
 	SlicesCoalesced uint64
+
+	// Per packet.Kind: put on the air, decoded at an addressed receiver
+	// (every hearer of a broadcast), and lost at one.
+	TxFrames, TxBytes     [NumKinds]uint64
+	RxFrames, RxBytes     [NumKinds]uint64
+	LostFrames, LostBytes [NumKinds]uint64
+	// Coalesced[i] counts coalesced frames of at most CoalescedBounds[i]
+	// slices; the last bucket is the overflow.
+	Coalesced [len(CoalescedBounds) + 1]uint64
 }
 
 // Medium is the shared radio channel over a fixed topology. It is driven
@@ -97,53 +115,8 @@ type Medium struct {
 	meter    *energy.Meter
 	lossRate float64
 	lossRand *rng.Stream
-	obs      *mediumObs
 	qt       *qtrace.Tracer
 	qtModel  energy.Model // per-byte joule attribution for traced frames
-}
-
-// mediumObs holds the medium's pre-resolved instrument handles, indexed
-// by packet.Kind (0 = unknown). A nil *mediumObs disables instrumentation
-// for the cost of one pointer check per frame.
-type mediumObs struct {
-	txFrames   [int(packet.KindSliceBatch) + 1]obs.Counter
-	txBytes    [int(packet.KindSliceBatch) + 1]obs.Counter
-	rxFrames   [int(packet.KindSliceBatch) + 1]obs.Counter
-	rxBytes    [int(packet.KindSliceBatch) + 1]obs.Counter
-	collFrames [int(packet.KindSliceBatch) + 1]obs.Counter
-	dropBytes  [int(packet.KindSliceBatch) + 1]obs.Counter
-
-	coalesced      obs.Counter
-	slicesPerFrame obs.Histogram
-}
-
-// kindLabels maps packet.Kind to its metric label value.
-var kindLabels = [int(packet.KindSliceBatch) + 1]string{
-	"unknown", "hello", "query", "slice", "aggregate", "ack", "slice_batch",
-}
-
-// SetObs attaches an instrumentation sink. Label sets resolve to dense
-// counter handles here, once; the per-frame path then pays one nil check
-// plus array-indexed adds and stays allocation-free.
-func (m *Medium) SetObs(sink *obs.Sink) {
-	if sink == nil || sink.Reg == nil {
-		m.obs = nil
-		return
-	}
-	mo := &mediumObs{}
-	for k, label := range kindLabels {
-		kl := obs.Label{Name: "kind", Value: label}
-		mo.txFrames[k] = sink.Reg.Counter("ipda_radio_tx_frames_total", "frames put on the air", kl)
-		mo.txBytes[k] = sink.Reg.Counter("ipda_radio_tx_bytes_total", "bytes put on the air (incl. physical overhead)", kl)
-		mo.rxFrames[k] = sink.Reg.Counter("ipda_radio_rx_frames_total", "frames decoded at addressed receivers", kl)
-		mo.rxBytes[k] = sink.Reg.Counter("ipda_radio_rx_bytes_total", "bytes decoded at addressed receivers", kl)
-		mo.collFrames[k] = sink.Reg.Counter("ipda_radio_collision_frames_total", "addressed receptions lost to collisions, fading, or half-duplex", kl)
-		mo.dropBytes[k] = sink.Reg.Counter("ipda_radio_drop_bytes_total", "bytes of addressed receptions lost in the air", kl)
-	}
-	mo.coalesced = sink.Reg.Counter("ipda_radio_frames_coalesced_total", "multi-slice frames put on the air by the coalescing mode")
-	mo.slicesPerFrame = sink.Reg.Histogram("ipda_radio_coalesced_slices", "slices carried per coalesced frame",
-		[]float64{1, 2, 3, 4, 6, 8, 12, 16})
-	m.obs = mo
 }
 
 // SetQTrace attaches a query tracer: every transmission carrying
@@ -225,7 +198,7 @@ func (m *Medium) Net() *topology.Network { return m.net }
 // topology while keeping its allocated storage: per-node tables are resized
 // and cleared in place, and the transmission pool survives so the next
 // run's frames reuse this run's records. Receivers, taps, the meter, the
-// loss model, and the obs sink are all detached — exactly the fields New
+// loss model, and the tracer are all detached — exactly the fields New
 // leaves unset — so the owning stack must rewire what it needs, same as
 // after a fresh New. The owning sim must be Reset with it: frames still in
 // the air lose their end-of-air events (their records are garbage, a
@@ -241,7 +214,6 @@ func (m *Medium) Reset(net *topology.Network) {
 	m.meter = nil
 	m.lossRate = 0
 	m.lossRand = nil
-	m.obs = nil
 	m.qt = nil
 }
 
@@ -282,11 +254,23 @@ func (m *Medium) SetLoss(rate float64, rand *rng.Stream) {
 	m.lossRand = rand
 }
 
-// Stats returns cumulative medium counters.
-func (m *Medium) Stats() Stats { return m.stats }
+// Stats returns cumulative medium counters, totals filled in.
+func (m *Medium) Stats() Stats {
+	s := m.stats
+	for k := range NumKinds {
+		s.FramesSent += s.TxFrames[k]
+		s.BytesSent += s.TxBytes[k]
+		s.FramesDelivered += s.RxFrames[k]
+		s.FramesCollided += s.LostFrames[k]
+	}
+	for _, c := range s.Coalesced {
+		s.FramesCoalesced += c
+	}
+	return s
+}
 
 // TotalBytes returns the total bytes put on the air.
-func (m *Medium) TotalBytes() uint64 { return m.stats.BytesSent }
+func (m *Medium) TotalBytes() uint64 { return m.Stats().BytesSent }
 
 // Duration returns the channel occupancy of a frame of size bytes.
 func (m *Medium) Duration(size int) eventsim.Time {
@@ -346,23 +330,15 @@ func (m *Medium) Transmit(src topology.NodeID, dst int32, frame []byte, size int
 	// A node that starts transmitting corrupts any reception in progress
 	// at itself (half-duplex).
 	self.gen++
-	m.stats.FramesSent++
-	m.stats.BytesSent += uint64(size)
+	kind := packet.FrameKind(frame)
+	m.stats.TxFrames[kind]++
+	m.stats.TxBytes[kind] += uint64(size)
 	if m.meter != nil {
 		m.meter.ChargeTx(src, size)
 	}
 	if c := packet.FrameBatchCount(frame); c > 0 {
-		m.stats.FramesCoalesced++
+		m.stats.Coalesced[obs.Bucket(CoalescedBounds[:], float64(c))]++
 		m.stats.SlicesCoalesced += uint64(c)
-		if m.obs != nil {
-			m.obs.coalesced.Inc()
-			m.obs.slicesPerFrame.Observe(float64(c))
-		}
-	}
-	if m.obs != nil {
-		k := packet.FrameKind(frame)
-		m.obs.txFrames[k].Inc()
-		m.obs.txBytes[k].Add(float64(size))
 	}
 	if m.qt != nil {
 		if span := qtrace.Ref(packet.FrameTraceSpan(frame)); span != qtrace.None {
@@ -382,7 +358,7 @@ func (m *Medium) Transmit(src topology.NodeID, dst int32, frame []byte, size int
 	// hearer: a broadcast, a tap, a query tracer (rx energy per hearer),
 	// or a coalesced batch delivered promiscuously.
 	all := dst == packet.Broadcast || len(m.taps) > 0 || m.qt != nil ||
-		(m.batchRecv != nil && packet.FrameKind(frame) == packet.KindSliceBatch)
+		(m.batchRecv != nil && kind == packet.KindSliceBatch)
 	rx, lossy, num := m.rx, m.lossRate > 0, m.txNum
 	for _, nb := range m.net.Neighbors(src) {
 		ok := !(lossy && m.lossRand.Bool(m.lossRate))
@@ -414,7 +390,7 @@ func (m *Medium) Transmit(src topology.NodeID, dst int32, frame []byte, size int
 // its carrier at every hearer at once, recorded or not.
 //
 // Resolution is two passes: the first settles every reception's outcome
-// and bookkeeping (half-duplex, energy, qtrace, taps, stats, obs) while
+// and bookkeeping (half-duplex, energy, qtrace, taps, stats) while
 // staging the nodes that decoded the frame; the second hands the frame to
 // the batch receiver once. Handlers never read transient radio state
 // synchronously (they only schedule strictly-future events) and the
@@ -432,8 +408,8 @@ func (m *Medium) finish(tx *transmission) {
 	m.finEnd, m.finNum = tx.end, tx.num
 	deliver := m.batch[:0]
 	batched := m.batchRecv != nil
-	promisc := batched && packet.FrameKind(tx.frame) == packet.KindSliceBatch
-	now := m.sim.Now()
+	kind := packet.FrameKind(tx.frame)
+	promisc := batched && kind == packet.KindSliceBatch
 	if m.meter != nil {
 		// Every hearer powers its receive chain, recorded or not.
 		for _, nb := range m.net.Neighbors(tx.src) {
@@ -443,10 +419,10 @@ func (m *Medium) finish(tx *transmission) {
 	for _, rec := range tx.recs {
 		nb := rec.nb
 		r := &m.rx[nb]
-		// The reception decodes iff it was clean at its start, nothing
-		// corrupted it since (generation unchanged), and the receiver is not
-		// mid-transmission at the end of the frame.
-		ok := rec.ok && rec.gen == r.gen && !(r.txUntil > now)
+		// The reception decodes iff it was clean at its start and nothing
+		// corrupted it since (generation unchanged).
+		// A receiver that starts transmitting mid-reception bumps its own gen.
+		ok := rec.ok && rec.gen == r.gen
 		if m.qt != nil {
 			if span := qtrace.Ref(packet.FrameTraceSpan(tx.frame)); span != qtrace.None {
 				m.qt.AddJoules(span, float64(tx.size)*m.qtModel.RxPerByte)
@@ -458,22 +434,14 @@ func (m *Medium) finish(tx *transmission) {
 		}
 		if !ok {
 			if addressed {
-				m.stats.FramesCollided++
-				if m.obs != nil {
-					k := packet.FrameKind(tx.frame)
-					m.obs.collFrames[k].Inc()
-					m.obs.dropBytes[k].Add(float64(tx.size))
-				}
+				m.stats.LostFrames[kind]++
+				m.stats.LostBytes[kind] += uint64(tx.size)
 			}
 			continue
 		}
 		if addressed {
-			m.stats.FramesDelivered++
-			if m.obs != nil {
-				k := packet.FrameKind(tx.frame)
-				m.obs.rxFrames[k].Inc()
-				m.obs.rxBytes[k].Add(float64(tx.size))
-			}
+			m.stats.RxFrames[kind]++
+			m.stats.RxBytes[kind] += uint64(tx.size)
 		}
 		if batched && (addressed || promisc) {
 			deliver = append(deliver, nb)

@@ -18,18 +18,9 @@ import (
 	"github.com/ipda-sim/ipda/internal/topology"
 )
 
-// Split returns l additive shares of value: uniform random int64s whose
-// wrapping sum equals value. l must be at least 1.
-func Split(value int64, l int, r *rng.Stream) []int64 {
-	if l < 1 {
-		panic(fmt.Sprintf("slicing: Split with l = %d", l))
-	}
-	return SplitAppend(make([]int64, 0, l), value, l, r)
-}
-
 // SplitAppend appends l additive shares of value to dst and returns the
-// extended slice. It consumes the same draws and yields the same shares as
-// Split, without the per-call allocation.
+// extended slice: uniform random int64s whose wrapping sum equals value.
+// l must be at least 1.
 func SplitAppend(dst []int64, value int64, l int, r *rng.Stream) []int64 {
 	if l < 1 {
 		panic(fmt.Sprintf("slicing: Split with l = %d", l))
@@ -43,44 +34,15 @@ func SplitAppend(dst []int64, value int64, l int, r *rng.Stream) []int64 {
 	return append(dst, value-acc) // wrapping
 }
 
-// SplitBounded returns l additive shares of value whose first l-1 entries
-// are uniform in [-B, B] with B = spread·max(1, |value|); the last share
-// is value minus the rest. Bounded shares trade perfect secrecy (a share
-// leaks the magnitude scale of the reading) for graceful degradation: a
-// lost share perturbs the aggregate by O(spread·|value|) instead of
-// randomizing it across the whole 64-bit ring — the behaviour the paper's
-// Figure 6 exhibits, where tree totals stay within a small threshold of
-// each other despite channel losses. Use Split for full-ring shares when
-// the transport is loss-free.
-func SplitBounded(value int64, l int, spread int64, r *rng.Stream) []int64 {
-	if l < 1 {
-		panic(fmt.Sprintf("slicing: SplitBounded with l = %d", l))
-	}
-	if spread < 1 {
-		panic(fmt.Sprintf("slicing: SplitBounded with spread = %d", spread))
-	}
-	mag := value
-	if mag < 0 {
-		mag = -mag
-	}
-	if mag < 1 {
-		mag = 1
-	}
-	bound := spread * mag
-	shares := make([]int64, l)
-	var acc int64
-	for i := 0; i < l-1; i++ {
-		s := r.Int64n(2*bound+1) - bound
-		shares[i] = s
-		acc += s
-	}
-	shares[l-1] = value - acc
-	return shares
-}
-
-// SplitBoundedAppend appends l bounded shares of value to dst and returns
-// the extended slice — SplitBounded's into-buffer form, with identical
-// draws and shares.
+// SplitBoundedAppend appends l additive shares of value to dst and returns
+// the extended slice. The first l-1 shares are uniform in [-B, B] with
+// B = spread·max(1, |value|); the last is value minus the rest. Bounded
+// shares trade perfect secrecy (a share leaks the magnitude scale of the
+// reading) for graceful degradation: a lost share perturbs the aggregate
+// by O(spread·|value|) instead of randomizing it across the whole 64-bit
+// ring — the behaviour the paper's Figure 6 exhibits, where tree totals
+// stay within a small threshold of each other despite channel losses. Use
+// SplitAppend for full-ring shares when the transport is loss-free.
 func SplitBoundedAppend(dst []int64, value int64, l int, spread int64, r *rng.Stream) []int64 {
 	if l < 1 {
 		panic(fmt.Sprintf("slicing: SplitBounded with l = %d", l))
@@ -105,7 +67,7 @@ func SplitBoundedAppend(dst []int64, value int64, l int, spread int64, r *rng.St
 	return append(dst, value-acc)
 }
 
-// Combine returns the wrapping sum of shares — the inverse of Split.
+// Combine returns the wrapping sum of shares — the inverse of SplitAppend.
 func Combine(shares []int64) int64 {
 	var acc int64
 	for _, s := range shares {

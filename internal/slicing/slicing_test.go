@@ -12,17 +12,18 @@ func TestSplitCombineProperty(t *testing.T) {
 	r := rng.New(1)
 	if err := quick.Check(func(value int64, lRaw uint8) bool {
 		l := int(lRaw%5) + 1
-		shares := Split(value, l, r)
-		return len(shares) == l && Combine(shares) == value
+		// Appending keeps what dst held.
+		shares := SplitAppend([]int64{7}, value, l, r)
+		return len(shares) == l+1 && shares[0] == 7 && Combine(shares[1:]) == value
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSplitSingleShare(t *testing.T) {
-	shares := Split(42, 1, rng.New(2))
+	shares := SplitAppend(nil, 42, 1, rng.New(2))
 	if len(shares) != 1 || shares[0] != 42 {
-		t.Fatalf("Split(42,1) = %v", shares)
+		t.Fatalf("SplitAppend(nil, 42, 1) = %v", shares)
 	}
 }
 
@@ -30,7 +31,7 @@ func TestSplitExtremes(t *testing.T) {
 	r := rng.New(3)
 	for _, v := range []int64{0, 1, -1, 1<<63 - 1, -1 << 63} {
 		for _, l := range []int{1, 2, 3, 7} {
-			if got := Combine(Split(v, l, r)); got != v {
+			if got := Combine(SplitAppend(nil, v, l, r)); got != v {
 				t.Fatalf("Split/Combine(%d, %d) = %d", v, l, got)
 			}
 		}
@@ -45,7 +46,7 @@ func TestSplitSharesLookUniform(t *testing.T) {
 	pos := 0
 	const trials = 10000
 	for i := 0; i < trials; i++ {
-		s := Split(1000, 2, r)
+		s := SplitAppend(nil, 1000, 2, r)
 		if s[0] >= 0 {
 			pos++
 		}
@@ -62,8 +63,8 @@ func TestSplitBoundedSumsExactly(t *testing.T) {
 		value := int64(raw)
 		l := int(lRaw%5) + 1
 		spread := int64(sRaw%8) + 1
-		shares := SplitBounded(value, l, spread, r)
-		return len(shares) == l && Combine(shares) == value
+		shares := SplitBoundedAppend([]int64{7}, value, l, spread, r)
+		return len(shares) == l+1 && shares[0] == 7 && Combine(shares[1:]) == value
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestSplitBoundedSharesBounded(t *testing.T) {
 	r := rng.New(37)
 	const value, spread = 100, 4
 	for trial := 0; trial < 1000; trial++ {
-		shares := SplitBounded(value, 3, spread, r)
+		shares := SplitBoundedAppend(nil, value, 3, spread, r)
 		for i, s := range shares[:2] { // all but the last are bounded
 			if s < -spread*value || s > spread*value {
 				t.Fatalf("share %d = %d outside ±%d", i, s, spread*value)
@@ -90,7 +91,7 @@ func TestSplitBoundedSharesBounded(t *testing.T) {
 func TestSplitBoundedZeroValue(t *testing.T) {
 	r := rng.New(41)
 	for trial := 0; trial < 100; trial++ {
-		shares := SplitBounded(0, 2, 4, r)
+		shares := SplitBoundedAppend(nil, 0, 2, 4, r)
 		if Combine(shares) != 0 {
 			t.Fatal("zero value not preserved")
 		}
@@ -113,7 +114,7 @@ func TestSplitBoundedHidesValueSign(t *testing.T) {
 		if i%2 == 0 {
 			value = -1
 		}
-		s := SplitBounded(value, 2, 4, r)[0]
+		s := SplitBoundedAppend(nil, value, 2, 4, r)[0]
 		guess := int64(1)
 		if s < 0 {
 			guess = -1
@@ -136,10 +137,10 @@ func TestSplitBoundedPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("SplitBounded(l=%d, spread=%d) did not panic", c.l, c.spread)
+					t.Fatalf("SplitBoundedAppend(l=%d, spread=%d) did not panic", c.l, c.spread)
 				}
 			}()
-			SplitBounded(1, c.l, c.spread, rng.New(1))
+			SplitBoundedAppend(nil, 1, c.l, c.spread, rng.New(1))
 		}()
 	}
 }
@@ -150,7 +151,7 @@ func TestSplitPanicsOnBadL(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Split(1, 0, rng.New(1))
+	SplitAppend(nil, 1, 0, rng.New(1))
 }
 
 func ids(xs ...int) []topology.NodeID {
@@ -285,10 +286,10 @@ func TestSlicedAggregationInvariant(t *testing.T) {
 		var trueSum, redSum, blueSum int64
 		for _, d := range readings {
 			trueSum += d
-			for _, s := range Split(d, 2, r) {
+			for _, s := range SplitAppend(nil, d, 2, r) {
 				redSum += s
 			}
-			for _, s := range Split(d, 2, r) {
+			for _, s := range SplitAppend(nil, d, 2, r) {
 				blueSum += s
 			}
 		}

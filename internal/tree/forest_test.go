@@ -7,7 +7,6 @@ import (
 
 	"github.com/ipda-sim/ipda/internal/eventsim"
 	"github.com/ipda-sim/ipda/internal/mac"
-	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/radio"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
@@ -81,12 +80,12 @@ func TestCoverageParticipationDegenerate(t *testing.T) {
 	}
 }
 
-// TestRoleCountsSumToSensors: ipda_tree_roles_total labels every sensor
-// exactly once, for two trees and for three. On a sparse deployment, where
-// many sensors never hear every tree, the undecided label must count them:
-// the tree labels (red, blue, then t2, …) plus leaf and undecided sum to
-// the node count less the base stations, and each label matches the
-// forest.
+// TestRoleCountsSumToSensors: Builder.Roles (the source of
+// ipda_tree_roles_total) counts every sensor exactly once, for two trees and
+// for three. On a sparse deployment, where many sensors never hear every
+// tree, the undecided count must include them: the per-tree aggregators
+// plus leaf and undecided sum to the node count less the base stations, and
+// each tree's count matches the forest.
 func TestRoleCountsSumToSensors(t *testing.T) {
 	for _, trees := range []int{2, 3} {
 		r := rng.New(43)
@@ -99,9 +98,8 @@ func TestRoleCountsSumToSensors(t *testing.T) {
 		m := mac.New(sim, medium, net.N(), mac.DefaultConfig(), r.Split(1))
 		cfg := DefaultConfig()
 		cfg.ExtraRoots = []topology.NodeID{7}
-		cfg.Obs = obs.NewSink()
-		// Build twice on one Builder: counts accumulate across builds, and
-		// the second build must add exactly the same tallies as the first.
+		// Build twice on one Builder: the second build's tallies must come
+		// from its own forest alone.
 		var b Builder
 		for pass := 1; pass <= 2; pass++ {
 			sim.Reset()
@@ -111,15 +109,12 @@ func TestRoleCountsSumToSensors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			count := func(role string) int {
-				v := cfg.Obs.Reg.Counter("ipda_tree_roles_total", "", obs.Label{Name: "role", Value: role}).Value()
-				return int(v) / pass
-			}
-			sum := count("leaf") + count("undecided")
-			for tr, name := range names[:trees] {
-				c := count(name)
+			roles := b.Roles()
+			sum := roles.Leaf + roles.Undecided
+			for tr := range trees {
+				c := roles.Aggregators[tr]
 				if c != len(f.Aggregators(tr)) {
-					t.Fatalf("m=%d pass %d: counted %d %s aggregators; forest has %d", trees, pass, c, name, len(f.Aggregators(tr)))
+					t.Fatalf("m=%d pass %d: counted %d %s aggregators; forest has %d", trees, pass, c, Name(tr), len(f.Aggregators(tr)))
 				}
 				sum += c
 			}
@@ -132,12 +127,12 @@ func TestRoleCountsSumToSensors(t *testing.T) {
 					uncovered++
 				}
 			}
-			if undecided := count("undecided"); undecided < uncovered || uncovered == 0 {
-				t.Fatalf("m=%d pass %d: %d undecided for %d uncovered sensors", trees, pass, undecided, uncovered)
+			if roles.Undecided < uncovered || uncovered == 0 {
+				t.Fatalf("m=%d pass %d: %d undecided for %d uncovered sensors", trees, pass, roles.Undecided, uncovered)
 			}
-		}
-		if trees == 2 && cfg.Obs.Reg.Counter("ipda_tree_roles_total", "", obs.Label{Name: "role", Value: "t2"}).Value() != 0 {
-			t.Fatal("a two-tree build counted a t2 aggregator")
+			if trees == 2 && roles.Aggregators[2] != 0 {
+				t.Fatal("a two-tree build counted a t2 aggregator")
+			}
 		}
 	}
 }

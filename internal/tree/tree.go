@@ -37,7 +37,6 @@ import (
 
 	"github.com/ipda-sim/ipda/internal/eventsim"
 	"github.com/ipda-sim/ipda/internal/mac"
-	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/packet"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
@@ -65,10 +64,6 @@ type Config struct {
 	// Every root floods every tree at hop 0 and collects aggregation
 	// results; nodes attach to whichever root's flood reaches them first.
 	ExtraRoots []topology.NodeID
-	// Obs is the optional instrumentation sink: it counts role decisions
-	// in ipda_tree_roles_total. Nil disables instrumentation; observing
-	// never alters the constructed trees.
-	Obs *obs.Sink
 }
 
 // DefaultConfig returns the paper's parameters: adaptive roles with k = 4.
@@ -335,9 +330,6 @@ type Builder struct {
 	n, m     int
 	roleRand rng.Stream
 	counts   [MaxTrees]int // decide's scratch: HELLO counts per tree
-	// ipda_tree_roles_total handles; aggs is indexed by tree.
-	undecided, leaf obs.Counter
-	aggs            [MaxTrees]obs.Counter
 }
 
 // Build runs Phase I over the given network and returns the constructed
@@ -394,17 +386,6 @@ func (b *Builder) Build(sim *eventsim.Sim, link *mac.MAC, net *topology.Network,
 	b.n, b.m = n, m
 	b.roleRand = rand.Derive(1)
 
-	b.undecided, b.leaf, b.aggs = obs.Counter{}, obs.Counter{}, [MaxTrees]obs.Counter{}
-	if cfg.Obs != nil && cfg.Obs.Reg != nil {
-		role := func(name string) obs.Counter {
-			return cfg.Obs.Reg.Counter("ipda_tree_roles_total", "Phase I role decisions", obs.Label{Name: "role", Value: name})
-		}
-		b.undecided, b.leaf = role("undecided"), role("leaf")
-		for t := range m {
-			b.aggs[t] = role(names[t])
-		}
-	}
-
 	if cap(b.decideFns) < n {
 		b.decideFns = append(b.decideFns[:cap(b.decideFns)], make([]func(), n-cap(b.decideFns))...)
 	}
@@ -429,15 +410,31 @@ func (b *Builder) Build(sim *eventsim.Sim, link *mac.MAC, net *topology.Network,
 
 	sim.After(0, b.kickoffFn)
 	sim.Run(sim.Now() + cfg.Deadline)
+	return f, nil
+}
 
-	undecided := 0
-	for _, d := range b.decided {
-		if !d {
-			undecided++
+// Roles tallies the sensors' Phase I outcomes: aggregators per tree,
+// leaves, and sensors still undecided (disabled, or never heard every
+// tree). Base stations are in none of them.
+type Roles struct {
+	Aggregators     [MaxTrees]int
+	Leaf, Undecided int
+}
+
+// Roles counts the roles in the last Build's forest.
+func (b *Builder) Roles() (r Roles) {
+	for i, t := range b.forest.Tree {
+		switch {
+		case t >= 0:
+			r.Aggregators[t]++
+		case t == Root: // base stations take no role
+		case b.decided[i]:
+			r.Leaf++
+		default:
+			r.Undecided++
 		}
 	}
-	b.undecided.Add(float64(undecided))
-	return f, nil
+	return
 }
 
 // kickoff starts the flood: every base station initiates as an aggregator
@@ -474,14 +471,12 @@ func (b *Builder) decide(id topology.NodeID) {
 	}
 	t := b.cfg.role(b.roleRand.Float64(), counts)
 	if t == NoTree {
-		b.leaf.Inc()
 		return
 	}
 	k := t*n + int(id)
 	f := &b.forest
 	f.Tree[id], f.Parent[id], f.Hop[id] = t, b.best[k], b.minHop[k]+1
 	b.sendHello(id, t, f.Hop[id])
-	b.aggs[t].Inc()
 }
 
 // role is Phase I's role rule, a pure function of a uniform draw
